@@ -70,8 +70,8 @@ def _is_integer(x):
 
 def _require_positive(obj, key):
     v = obj.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
-        raise ConfigError(f"'{key}' must be a positive number", {"got": v})
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
+        raise ConfigError(f"'{key}' must be a positive finite number", {"got": v})
     return float(v)
 
 
@@ -122,8 +122,8 @@ def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunCon
         raise ConfigError("'diagnostics.max_order' must be an integer >= 2", {"got": max_order})
     tol = diag.get("tol")
     if tol is not None:
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not tol > 0:
-            raise ConfigError("'diagnostics.tol' must be positive or null", {"got": tol})
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < math.inf:
+            raise ConfigError("'diagnostics.tol' must be positive and finite, or null", {"got": tol})
         tol = float(tol)
 
     output = raw.get("output", {})
@@ -381,10 +381,10 @@ def _cmd_sweep(args):
     except ValueError:
         raise ConfigError("--gammas must be a comma-separated list of numbers",
                           {"got": args.gammas})
-    if not gammas or any(g <= 0 for g in gammas) or any(
+    if not gammas or any(not 0 < g < math.inf for g in gammas) or any(
         x <= y for x, y in zip(gammas[:-1], gammas[1:])
     ):
-        raise ConfigError("--gammas must be strictly decreasing positive values",
+        raise ConfigError("--gammas must be strictly decreasing positive finite values",
                           {"got": args.gammas})
     problem = discrete.Problem(gammas[0], cfg.horizon, cfg.kernel)
     grids = discrete.gamma_sweep(problem, cfg.cells, gammas)
@@ -447,7 +447,7 @@ def _build_parser():
     p_sweep = sub.add_parser("sweep", help="re-solve for decreasing gamma values")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--gammas", required=True,
-                         help="comma-separated strictly decreasing positive values")
+                         help="comma-separated strictly decreasing positive finite values")
     p_sweep.add_argument("--cells", type=int, default=None)
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=_cmd_sweep)

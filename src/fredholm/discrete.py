@@ -6,10 +6,10 @@ The energy
 
 restricted to functions that are constant on m uniform cells of [0, T] is a
 quadratic form phi' H phi whose coefficients are *exact* cell integrals of
-the kernel (no quadrature error enters the discretization).  Minimizing it
-under the unit-mass constraint  sum_k phi_k (T/m) = 1  is a saddle-point
-linear system; the Lagrange multiplier is the free constant sigma of the
-equivalent second-kind integral equation
+the kernel (no quadrature error enters the discretization).  H is
+symmetric Toeplitz, and minimizing under the unit-mass constraint
+sum_k phi_k (T/m) = 1  is one Toeplitz solve; the Lagrange multiplier is the
+free constant sigma of the equivalent second-kind integral equation
 
     gamma phi(t) + int_0^T G(|t-s|) phi(s) ds = sigma,
 
@@ -46,10 +46,10 @@ class Problem:
     kernel: Kernel
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "horizon", float(self.horizon))
 
@@ -93,6 +93,23 @@ class DiscreteKernelRow:
     Gn: np.ndarray
 
 
+def _lags(problem: Problem, m: int):
+    """Cell double integrals of the kernel at lags 0..m-1 (no gamma term)."""
+    if m < 2:
+        raise ValueError("need at least two cells")
+    row = problem.kernel.lag_row(problem.horizon / m, m)
+    if not np.all(np.isfinite(row)):
+        raise ValueError("kernel produced non-finite cell integrals")
+    return row
+
+
+def _column(problem: Problem, lags):
+    """First column of the symmetric Toeplitz matrix 2H: lags plus the gamma ridge."""
+    col = lags.copy()
+    col[0] += problem.gamma * (problem.horizon / len(lags))
+    return col
+
+
 def discretize(problem: Problem, m: int):
     """Assemble (H, w) with J_gamma[phi] = phi' H phi and constraint w' phi = 1.
 
@@ -100,73 +117,58 @@ def discretize(problem: Problem, m: int):
     diagonal carries the extra (gamma/2)(T/m) from the gamma-term.  H is
     symmetric Toeplitz, so only the first row is integrated.
     """
-    if m < 2:
-        raise ValueError("need at least two cells")
-    h = problem.horizon / m
-    row = np.empty(m)
-    for k in range(m):
-        row[k] = problem.kernel.cell_double_integral(0.0, h, k * h, (k + 1) * h)
-    H = 0.5 * linalg.toeplitz(row)
-    H[np.diag_indices(m)] += 0.5 * problem.gamma * h
-    w = np.full(m, h)
-    return H, w
+    H = 0.5 * linalg.toeplitz(_column(problem, _lags(problem, m)))
+    return H, np.full(m, problem.horizon / m)
 
 
 def kernel_row(problem: Problem, m: int) -> DiscreteKernelRow:
     """Lag sequence of the discretized kernel (diagonal value plus off-diagonals)."""
-    h = problem.horizon / m
-    row = np.empty(m)
-    for k in range(m):
-        row[k] = problem.kernel.cell_double_integral(0.0, h, k * h, (k + 1) * h)
-    return DiscreteKernelRow(Gn0=0.5 * problem.gamma * h + row[0], Gn=row[1:])
+    lags = _lags(problem, m)
+    return DiscreteKernelRow(Gn0=0.5 * problem.gamma * (problem.horizon / m) + lags[0], Gn=lags[1:])
 
 
-def solve(problem: Problem, m: int) -> SolutionGrid:
-    """Minimize the discretized energy under unit mass.
+def _levinson_ones(col):
+    """Solve T x = 1 for the symmetric Toeplitz T with first column col.
 
-    Solves the saddle system [[2H, w], [w', 0]] [phi; -sigma] = [0; 1] by LU
-    with partial pivoting plus two steps of iterative refinement, then
-    renormalizes the mass exactly.  Raises
-    :class:`~fredholm.errors.IndefiniteKernelError` when H is not positive
-    definite (the kernel is not of positive type at this resolution).
+    Levinson-Durbin, O(m^2) time and O(m) memory.  The prediction errors
+    beta = det T_{k+1} / (col[0] det T_k) certify positive definiteness; the
+    first one that is not positive names the leading minor Cholesky would.
     """
-    H, w = discretize(problem, m)
-    if not np.all(np.isfinite(H)):
-        raise ValueError("kernel produced non-finite cell integrals")
+    m = len(col)
+    if not col[0] > 0:
+        raise IndefiniteKernelError(1)
+    r = col[1:] / col[0]
+    y = np.empty(m - 1)  # Durbin's Yule-Walker solution, y[:k] at step k
+    x = np.empty(m)
+    y[0] = alpha = -r[0]
+    x[0] = 1.0
+    beta = 1.0
+    for k in range(1, m):
+        beta *= (1.0 - alpha) * (1.0 + alpha)
+        if not beta > 0:
+            raise IndefiniteKernelError(k + 1)
+        mu = (1.0 - r[:k] @ x[k - 1::-1]) / beta
+        x[:k] += mu * y[k - 1::-1]
+        x[k] = mu
+        if k < m - 1:
+            alpha = -(r[k] + r[:k] @ y[k - 1::-1]) / beta
+            y[:k] += alpha * y[k - 1::-1]
+            y[k] = alpha
+    return x / col[0]
 
-    # Cholesky as the definiteness certificate; info is the offending pivot.
-    _, info = linalg.lapack.dpotrf(H, lower=1)
-    if info != 0:
-        raise IndefiniteKernelError(int(info))
 
-    n = m + 1
-    A = np.zeros((n, n))
-    A[:m, :m] = 2.0 * H
-    A[:m, m] = w
-    A[m, :m] = w
-    rhs = np.zeros(n)
-    rhs[m] = 1.0
-
-    lu, piv = linalg.lu_factor(A)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() <= 1e-13 * np.abs(A).max():
-        raise IndefiniteKernelError(int(np.argmin(pivots)) + 1)
-    x = linalg.lu_solve((lu, piv), rhs)
-    for _ in range(2):
-        x += linalg.lu_solve((lu, piv), rhs - A @ x)
-
+def _solve(problem: Problem, lags) -> SolutionGrid:
+    m = len(lags)
     h = problem.horizon / m
-    phi = x[:m].copy()
-    sigma = -float(x[m])
-    mass = math.fsum(phi * h)
-    phi /= mass
-    sigma /= mass
+    col = _column(problem, lags)
+    x = _levinson_ones(col)  # 2H phi = sigma w and w = h*1, so phi ~ x
+    mass = h * math.fsum(x)
+    phi = x / mass
+    sigma = 1.0 / (h * mass)
 
-    energy = float(phi @ H @ phi)
+    energy = 0.5 * float(phi @ linalg.matmul_toeplitz(col, phi))
     mids = (np.arange(m) + 0.5) * h
-    conv = np.zeros(m)
-    for j in range(m):
-        conv += phi[j] * problem.kernel.cell_integral(j * h, (j + 1) * h, mids)
+    conv = linalg.matmul_toeplitz(problem.kernel.cell_integral(0.0, h, mids), phi)
     resid = problem.gamma * phi + conv - sigma
     return SolutionGrid(
         cells=m,
@@ -178,11 +180,24 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     )
 
 
+def solve(problem: Problem, m: int) -> SolutionGrid:
+    """Minimize the discretized energy under unit mass.
+
+    One Levinson-Durbin solve of 2H x = 1 gives phi = x / (h sum x) and the
+    multiplier sigma = 1 / (h^2 sum x).  The energy phi' H phi and the
+    midpoint residual are FFT Toeplitz products; no m x m matrix is formed.
+    Raises :class:`~fredholm.errors.IndefiniteKernelError` when H is not
+    positive definite (the kernel is not of positive type at this resolution).
+    """
+    return _solve(problem, _lags(problem, m))
+
+
 def gamma_sweep(problem: Problem, m: int, gammas) -> list:
     """Solve a strictly decreasing sequence of gamma values on a fixed grid.
 
-    Used to watch mass migrate toward the endpoints as the quadratic
-    penalty vanishes; no convergence claim is attached.
+    The gamma-free lag row is assembled once.  Used to watch mass migrate
+    toward the endpoints as the quadratic penalty vanishes; no convergence
+    claim is attached.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -191,7 +206,8 @@ def gamma_sweep(problem: Problem, m: int, gammas) -> list:
         raise ValueError("sweep gammas must be positive")
     if any(x <= y for x, y in zip(gammas[:-1], gammas[1:])):
         raise ValueError("sweep gammas must be strictly decreasing")
-    return [solve(replace(problem, gamma=g), m) for g in gammas]
+    lags = _lags(problem, m)
+    return [_solve(replace(problem, gamma=g), lags) for g in gammas]
 
 
 def endpoint_mass(grid: SolutionGrid) -> float:

@@ -4,10 +4,10 @@
 class IndefiniteKernelError(RuntimeError):
     """The discretized energy matrix is not positive definite.
 
-    Raised when the Cholesky factorization of the quadratic form breaks
-    down, which means the kernel is not of positive type at the requested
-    resolution.  ``pivot`` is the 1-based order of the offending leading
-    minor as reported by the factorization.
+    Raised when a Levinson-Durbin prediction error of the Toeplitz quadratic
+    form is not positive: the kernel is not of positive type at the requested
+    resolution.  ``pivot`` is the 1-based order of the first leading minor
+    that is not positive definite, as a Cholesky factorization reports it.
     """
 
     def __init__(self, pivot: int):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "Kernel",
@@ -84,7 +83,7 @@ class Kernel:
         """JSON-compatible description, round-trips through kernel_from_spec."""
         raise NotImplementedError
 
-    # --- scalar antiderivative hooks (vectorized over ndarrays) ---
+    # --- antiderivative hooks (vectorized over ndarrays) ---
 
     def _g1(self, u):
         """First antiderivative of G on u >= 0 with G1(0) = 0."""
@@ -103,11 +102,13 @@ class Kernel:
     def _one_signed(self, gap, dx, dy):
         """Integral over a rectangle with t - s = gap + [0,dx] + [0,dy], gap >= 0."""
         f = self._nl2
-        return float(f(gap + dx + dy) - f(gap + dx) - f(gap + dy) + f(gap))
+        return f(gap + dx + dy) - f(gap + dx) - f(gap + dy) + f(gap)
 
-    def _diag_square(self, side):
-        """Integral of G(|t-s|) over a square [c, c+side]^2 on the diagonal."""
-        return float(2.0 * self._g2(side))
+    def lag_row(self, h, m):
+        """Double integrals of G(|t - s|) over [0, h] x [k*h, (k+1)*h], k = 0..m-1."""
+        edges = np.arange(m + 1) * h
+        lo, hi = edges[1:-1], edges[2:]
+        return np.concatenate(([2.0 * self._g2(h)], self._one_signed(lo - h, h, hi - lo)))
 
     def cell_double_integral(self, x_lo, x_hi, y_lo, y_hi):
         """Exact integral of G(|t - s|) ds dt over [x_lo,x_hi] x [y_lo,y_hi]."""
@@ -119,14 +120,14 @@ class Kernel:
         for p, q in _segments(x_lo, x_hi, (y_lo, y_hi)):
             for r, s in _segments(y_lo, y_hi, (x_lo, x_hi)):
                 if p == r and q == s:
-                    total += self._diag_square(q - p)
+                    total += 2.0 * self._g2(q - p)
                 elif r >= q:
                     total += self._one_signed(r - q, q - p, s - r)
                 elif p >= s:
                     total += self._one_signed(p - s, q - p, s - r)
                 else:  # pragma: no cover - splitting precludes partial overlap
                     raise AssertionError("rectangle splitting failed")
-        return total
+        return float(total)
 
     def cell_integral(self, lo, hi, t):
         """int_lo^hi G(|t - s|) ds, vectorized over t (exact antiderivative)."""
@@ -149,6 +150,18 @@ def _check_lag(t, positive=False):
     if positive and np.any(t_arr == 0):
         raise ValueError("kernel diverges at lag 0; require t > 0")
     return t_arr
+
+
+def _e2(z):
+    """(expm1(z) - z) / z^2 = int_0^1 (1 - s) exp(z s) ds for real z (1/2 at z = 0)."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < 0.5
+    zs = np.where(small, z, 0.0)
+    zl = np.where(small, 1.0, z)
+    series = 0.0
+    for k in range(16, 1, -1):  # Taylor series; truncation error below 1e-18
+        series = series * zs + 1.0 / math.factorial(k)
+    return np.where(small, series, (np.expm1(zl) - zl) / (zl * zl))
 
 
 def _em1p(x):
@@ -206,13 +219,10 @@ class ExponentialSum(Kernel):
     def _one_signed(self, gap, dx, dy):
         # expm1 product form: no cancellation however far the cells are apart
         a, b, rate = self._arrays
-        return float(
-            np.sum((a / b) * np.exp(-rate * gap) * np.expm1(-rate * dx) * np.expm1(-rate * dy))
+        gap, dx, dy = (np.asarray(v, dtype=float)[..., None] for v in (gap, dx, dy))
+        return np.sum(
+            (a / b) * np.exp(-rate * gap) * np.expm1(-rate * dx) * np.expm1(-rate * dy), axis=-1
         )
-
-    def _diag_square(self, side):
-        a, b, rate = self._arrays
-        return float(2.0 * np.sum((a / b) * _em1p(rate * side)))
 
     def classify(self):
         return KernelStructure(
@@ -402,9 +412,9 @@ class Tabulated(Kernel):
 
     Interpolation is log-linear when every tabulated value is positive
     (preserving the decay shape of empirical impact kernels) and linear
-    otherwise.  Outside the table the kernel extends flat.  Double
-    integrals fall back to adaptive quadrature over the lag variable;
-    single-cell integrals use the interpolant's exact antiderivative.
+    otherwise.  Outside the table the kernel extends flat.  Every integral,
+    single-cell or double, is exact: the interpolant is integrated piece by
+    piece in closed form.
     """
 
     t: tuple
@@ -439,76 +449,44 @@ class Tabulated(Kernel):
             out = np.interp(t_arr, xs, ys)
         return float(out) if np.ndim(t) == 0 else out
 
-    @cached_property
-    def _segment_integrals(self):
-        """Integral of the interpolant over each table segment, plus a prefix sum."""
+    def _integral(self, lo, hi, weight, cuts=()):
+        """Exact int_lo^hi G(w) weight(w) dw for a weight linear between cuts.
+
+        Split at the cuts and the abscissae, every piece lies in the flat
+        head, one segment or the flat tail, where G is exponential or linear:
+        a closed form with nonnegative terms.  Vectorized over lo, hi, cuts.
+        """
         xs, ys = self._arrays
-        widths = np.diff(xs)
+        lo, hi, *cuts = np.broadcast_arrays(lo, hi, *cuts)
+        knots = np.clip(xs, lo[..., None], hi[..., None])
+        pts = np.sort(np.concatenate([np.stack([lo, hi, *cuts], axis=-1), knots], axis=-1))
+        a, b = pts[..., :-1], pts[..., 1:]
         if self.log_interpolated:
-            logs = np.log(ys)
-            slopes = np.diff(logs) / widths
-            flat = np.abs(slopes) < 1e-14
-            with np.errstate(divide="ignore", invalid="ignore"):
-                seg = np.where(flat, ys[:-1] * widths, (ys[1:] - ys[:-1]) / slopes)
+            la, lb = np.interp(a, xs, np.log(ys)), np.interp(b, xs, np.log(ys))
+            wa, wb = np.exp(la) * _e2(lb - la), np.exp(lb) * _e2(la - lb)
         else:
-            seg = 0.5 * (ys[:-1] + ys[1:]) * widths
-        prefix = np.concatenate([[0.0], np.cumsum(seg)])
-        return seg, prefix
+            ga, gb = np.interp(a, xs, ys), np.interp(b, xs, ys)
+            wa, wb = (2.0 * ga + gb) / 6.0, (ga + 2.0 * gb) / 6.0
+        return np.sum((b - a) * (weight(a) * wa + weight(b) * wb), axis=-1)
 
     def _g1(self, u):
-        xs, ys = self._arrays
-        _, prefix = self._segment_integrals
-        u_in = np.asarray(u, dtype=float)
-        u = np.atleast_1d(u_in)
-        out = np.empty_like(u)
-        below = u <= xs[0]
-        out[below] = ys[0] * u[below]
-        above = u >= xs[-1]
-        out[above] = ys[0] * xs[0] + prefix[-1] + (u[above] - xs[-1]) * ys[-1]
-        mid = ~(below | above)
-        if np.any(mid):
-            um = u[mid]
-            idx = np.searchsorted(xs, um, side="right") - 1
-            partial = np.empty_like(um)
-            if self.log_interpolated:
-                logs = np.log(ys)
-                widths = np.diff(xs)
-                slopes = np.diff(logs) / widths
-                s = slopes[idx]
-                y0 = ys[idx]
-                dt = um - xs[idx]
-                flat = np.abs(s) < 1e-14
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    grown = y0 * np.expm1(np.where(flat, 0.0, s) * dt) / np.where(flat, 1.0, s)
-                partial = np.where(flat, y0 * dt, grown)
-            else:
-                widths = np.diff(xs)
-                slopes = np.diff(ys) / widths
-                dt = um - xs[idx]
-                partial = ys[idx] * dt + 0.5 * slopes[idx] * dt * dt
-            out[mid] = ys[0] * xs[0] + prefix[idx] + partial
-        return out.reshape(u_in.shape)
+        return self._integral(0.0, u, lambda w: 1.0)
 
-    def cell_double_integral(self, x_lo, x_hi, y_lo, y_hi):
-        # reduce to the lag variable u = t - s: the rectangle contributes
-        # int G(|u|) * overlap(u) du with a trapezoid-shaped overlap length
-        if not (x_lo < x_hi and y_lo < y_hi):
-            raise ValueError("degenerate rectangle: require x_lo < x_hi and y_lo < y_hi")
-        u_min, u_max = x_lo - y_hi, x_hi - y_lo
+    def _g2(self, u):
+        u = np.asarray(u, dtype=float)
+        return self._integral(0.0, u, lambda w: u[..., None] - w)
 
-        def integrand(u):
-            overlap = np.minimum(x_hi, y_hi + u) - np.maximum(x_lo, y_lo + u)
-            return self.evaluate(abs(u)) * max(overlap, 0.0)
+    def _one_signed(self, gap, dx, dy):
+        # integrate against the trapezoid of overlap lengths over the lag u = t - s:
+        # second differences of G2 would cancel to ~1e-9 at far lags
+        gap, dx, dy = np.broadcast_arrays(gap, dx, dy)
+        end = gap + dx + dy
+        side = np.minimum(dx, dy)[..., None]
 
-        kinks = {x_lo - y_lo, x_hi - y_hi, 0.0}
-        kinks.update(v for v in self.t)
-        kinks.update(-v for v in self.t)
-        pts = sorted(p for p in kinks if u_min < p < u_max)
-        val, _ = integrate.quad(
-            integrand, u_min, u_max, points=pts or None, limit=200,
-            epsabs=1e-13, epsrel=1e-11,
-        )
-        return val
+        def overlap(w):
+            return np.minimum(np.minimum(w - gap[..., None], end[..., None] - w), side)
+
+        return self._integral(gap, end, overlap, (gap + dx, gap + dy))
 
     def classify(self):
         xs, ys = self._arrays

@@ -1,6 +1,7 @@
 """CLI behavior: config validation, artifacts, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -59,6 +60,25 @@ def test_bad_configs_exit_2(tmp_path, capsys, overrides):
     code, out, err = run_main(["solve", "--config", path], capsys)
     assert code == 2, err
     assert json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, overrides",
+    [
+        (["solve"], {"horizon": math.inf}),
+        (["solve"], {"gamma": math.inf}),
+        (["solve"], {"gamma": math.nan}),
+        (["solve"], {"diagnostics": {"tol": math.inf}}),
+        (["sweep", "--gammas", "inf,1.0"], {}),
+    ],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, overrides):
+    # json.load accepts Infinity and NaN; they are config errors, not tracebacks
+    path = write_config(tmp_path / "c.json", **overrides)
+    code, out, err = run_main([argv[0], "--config", path, *argv[1:]], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert "finite" in json.loads(err)["error"]
 
 
 def test_missing_config_file(tmp_path, capsys):

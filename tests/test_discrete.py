@@ -1,9 +1,11 @@
-"""Discretized minimization: assembly, KKT solve, invariants, failure modes."""
+"""Discretized minimization: assembly, Toeplitz solve, invariants, failure modes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from fredholm import discrete, exponential
 from fredholm.discrete import Problem, discretize, endpoint_mass, gamma_sweep, kernel_row, solve
@@ -113,6 +115,21 @@ def test_indefinite_kernel_detected():
     assert "positive type" in str(info.value)
 
 
+@pytest.mark.parametrize("m", [8, 32, 128])
+@pytest.mark.parametrize("gamma", [1e-6, 1e-4, 1e-2])
+def test_indefinite_pivot_matches_dense_cholesky(m, gamma):
+    # the Levinson-Durbin certificate must name the same leading minor as a
+    # dense Cholesky factorization of the assembled quadratic form
+    bump = Tabulated(t=(0.0, 0.4, 0.5, 0.6, 1.0), g=(0.01, 0.2, 1.0, 0.2, 0.01))
+    problem = Problem(gamma=gamma, horizon=1.0, kernel=bump)
+    H, _ = discretize(problem, m)
+    info = linalg.lapack.dpotrf(H, lower=1)[1]
+    assert info > 0
+    with pytest.raises(IndefiniteKernelError) as err:
+        solve(problem, m)
+    assert err.value.pivot == info
+
+
 def test_gamma_sweep_orders_and_endpoint_mass():
     grids = gamma_sweep(EXP1, 128, [1.0, 0.25, 0.05])
     masses = [endpoint_mass(g) for g in grids]
@@ -120,6 +137,19 @@ def test_gamma_sweep_orders_and_endpoint_mass():
     assert masses[0] < masses[1] < masses[2]
     sigmas = [g.sigma for g in grids]
     assert sigmas[0] > sigmas[1] > sigmas[2] > 0
+
+
+@pytest.mark.parametrize("problem", [
+    EXP1,
+    Problem(gamma=0.3, horizon=3.0,
+            kernel=Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05))),
+], ids=["exp1", "tabulated"])
+def test_gamma_sweep_matches_independent_solves(problem):
+    gammas = [1.0, 0.1, 0.003]
+    for g, grid in zip(gammas, gamma_sweep(problem, 96, gammas)):
+        ref = solve(replace(problem, gamma=g), 96)
+        assert grid.sigma == pytest.approx(ref.sigma, rel=1e-13)
+        np.testing.assert_allclose(grid.values, ref.values, rtol=1e-13, atol=0)
 
 
 def test_gamma_sweep_validation():

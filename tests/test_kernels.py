@@ -117,6 +117,9 @@ ORACLE_KERNELS = [
     PowerLaw(alpha=0.5, scale=1.0),
     PowerLaw(alpha=0.9, scale=2.0),
     Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05)),
+    Tabulated(t=(0.0, 1.0, 2.0), g=(1.0, 0.5, 0.0)),  # linear mode
+    Tabulated(t=(0.5, 1.0, 2.0), g=(1.0, 0.6, 0.3)),  # flat head below t[0]
+    Tabulated(t=(0.0, 0.4, 0.5, 0.6, 1.0), g=(0.01, 0.2, 1.0, 0.2, 0.01)),  # rising log segments
 ]
 
 # cells chosen to hit all the geometric cases: identical (diagonal),
@@ -148,6 +151,15 @@ def test_cell_integral_matches_quadrature(kernel):
         got = kernel.cell_integral(y0, y1, t)
         ref = oracles.cell_integral(kernel, t, y0, y1)
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-13), (y0, y1, t)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=lambda k: repr(k)[:40])
+def test_lag_row_matches_cell_loop(kernel):
+    # the vectorized lag row against one scalar rectangle integral per cell
+    h, m = 0.07, 40
+    row = kernel.lag_row(h, m)
+    ref = [kernel.cell_double_integral(0.0, h, k * h, (k + 1) * h) for k in range(m)]
+    np.testing.assert_allclose(row, ref, rtol=1e-14, atol=1e-18)
 
 
 def test_cell_integral_vectorized_over_t():
