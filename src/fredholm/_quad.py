@@ -13,6 +13,19 @@ import numpy as np
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
+def gauss_panels(lo, hi):
+    """Abscissae and weights of the 24-point rule on each panel [lo_i, hi_i].
+
+    Both results have shape (panels, 24); a panel with hi < lo gets negative
+    weights, so the rule integrates with orientation.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return mid[:, None] + half[:, None] * _NODES, half[:, None] * _WEIGHTS
+
+
 def panel_gauss(f, a, b, breakpoints=(), max_panel=None):
     """Integrate ``f`` over [a, b].
 
@@ -35,11 +48,7 @@ def panel_gauss(f, a, b, breakpoints=(), max_panel=None):
             edges.append(np.array([lo, hi]))
     total = 0.0
     for seg in edges:
-        los, his = seg[:-1], seg[1:]
-        half = 0.5 * (his - los)
-        mid = 0.5 * (his + los)
         # abscissae for all panels of this segment at once: (panels, nodes)
-        x = mid[:, None] + half[:, None] * _NODES[None, :]
-        vals = f(x.ravel()).reshape(x.shape)
-        total += float(np.sum(half[:, None] * _WEIGHTS[None, :] * vals))
+        x, w = gauss_panels(seg[:-1], seg[1:])
+        total += float(np.sum(w * f(x.ravel()).reshape(x.shape)))
     return total

@@ -211,8 +211,8 @@ def _solve_config(cfg: RunConfig) -> RunResult:
         sigma = sol.sigma
         energy = special.capped_linear_energy(sol)
         residual = special.capped_linear_residual_max(sol)
-        mass = panel_gauss(evaluate, 0.0, T,
-                           breakpoints=list(range(1, sol.n)), max_panel=0.5)
+        mass = panel_gauss(evaluate, 0.0, T, breakpoints=list(range(1, sol.n)),
+                           max_panel=1.0 / special.panels_per_unit(sol, 0.5))
     else:  # trig
         sol = special.trig_solve(cfg.kernel.rho, cfg.gamma, T)
         evaluate = lambda s: special.eval_trig(sol, s)  # noqa: E731
@@ -325,7 +325,10 @@ def run(cfg: RunConfig) -> int:
             with open(base + ".json", "w") as fh:
                 fh.write(json.dumps(doc, indent=2) + "\n")
     _emit(summary)
-    return 0 if summary["passed"] else 1
+    if not summary["passed"]:
+        failed = [name for name, ok in summary["checks"].items() if not ok]
+        return _error("invariant checks failed", {"failed": failed})
+    return 0
 
 
 def _resample(res: RunResult, t):
@@ -416,7 +419,10 @@ def _cmd_verify(args):
         raise ConfigError("verify requires an exponential_sum kernel")
     report = exponential.verify_step_identities(cfg.kernel, cfg.gamma, cfg.horizon)
     _emit(report)
-    return 0 if report["all_passed"] else 1
+    if not report["all_passed"]:
+        failed = [name for name, v in report.items() if name != "all_passed" and not v["passed"]]
+        return _error("certificates failed", {"failed": failed})
+    return 0
 
 
 def _build_parser():

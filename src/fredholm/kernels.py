@@ -187,10 +187,12 @@ class ExponentialSum(Kernel):
         b = tuple(float(v) for v in self.b)
         if len(a) == 0 or len(a) != len(b):
             raise ValueError("exponential sum needs equally many positive a and b")
-        if any(v <= 0 for v in a):
-            raise ValueError("exponential sum weights a must be positive")
-        if b[0] <= 0 or any(x >= y for x, y in zip(b[:-1], b[1:])):
-            raise ValueError("exponential sum rates b must be strictly increasing and positive")
+        if not all(0 < v < math.inf for v in a):
+            raise ValueError("exponential sum weights a must be positive and finite")
+        if not (0 < b[0] and b[-1] < math.inf and all(x < y for x, y in zip(b[:-1], b[1:]))):
+            raise ValueError(
+                "exponential sum rates b must be strictly increasing, positive and finite"
+            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -243,8 +245,8 @@ class CappedLinear(Kernel):
     cap: float = 1.0
 
     def __post_init__(self):
-        if not self.cap > 0:
-            raise ValueError("cap must be positive")
+        if not 0 < self.cap < math.inf:
+            raise ValueError("cap must be positive and finite")
         object.__setattr__(self, "cap", float(self.cap))
 
     def evaluate(self, t):
@@ -289,8 +291,8 @@ class PowerCapped(Kernel):
     p: int
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
             raise ValueError("p must be a positive integer")
         object.__setattr__(self, "rho", float(self.rho))
@@ -339,8 +341,8 @@ class Trigonometric(Kernel):
     rho: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         object.__setattr__(self, "rho", float(self.rho))
 
     def evaluate(self, t):
@@ -352,7 +354,15 @@ class Trigonometric(Kernel):
         return np.sin(self.rho * np.asarray(u, dtype=float)) / self.rho
 
     def _g2(self, u):
-        return (1.0 - np.cos(self.rho * np.asarray(u, dtype=float))) / self.rho**2
+        return 2.0 * (np.sin(0.5 * self.rho * np.asarray(u, dtype=float)) / self.rho) ** 2
+
+    def _one_signed(self, gap, dx, dy):
+        # product form of the cosine second difference: no cancellation at any lag
+        r = self.rho
+        gap, dx, dy = (np.asarray(v, dtype=float) for v in (gap, dx, dy))
+        return 4.0 * np.sin(0.5 * r * dx) * np.sin(0.5 * r * dy) * np.cos(
+            r * (gap + 0.5 * (dx + dy))
+        ) / r**2
 
     def classify(self):
         return KernelStructure(
@@ -376,8 +386,8 @@ class PowerLaw(Kernel):
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "scale", float(self.scale))
 
@@ -425,10 +435,12 @@ class Tabulated(Kernel):
         g = tuple(float(v) for v in self.g)
         if len(t) < 2 or len(t) != len(g):
             raise ValueError("tabulated kernel needs >= 2 matching samples")
-        if t[0] < 0 or any(x >= y for x, y in zip(t[:-1], t[1:])):
-            raise ValueError("tabulated abscissae must be strictly increasing and nonnegative")
-        if any(v < 0 for v in g):
-            raise ValueError("tabulated values must be nonnegative")
+        if not (0 <= t[0] and t[-1] < math.inf and all(x < y for x, y in zip(t[:-1], t[1:]))):
+            raise ValueError(
+                "tabulated abscissae must be strictly increasing, nonnegative and finite"
+            )
+        if not all(0 <= v < math.inf for v in g):
+            raise ValueError("tabulated values must be nonnegative and finite")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "g", g)
 

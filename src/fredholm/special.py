@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import panel_gauss
+from ._quad import gauss_panels, panel_gauss
 
 __all__ = [
     "CappedLinearSolution",
@@ -150,45 +150,77 @@ def eval_capped_linear(sol: CappedLinearSolution, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
+# evaluation points x basis terms per eval_capped_linear call in the
+# verification quadrature: keeps its (points, n) temporaries small at any n
+_BUDGET = 1 << 13
+
+
+def panels_per_unit(sol: CappedLinearSolution, limit):
+    """Equal panels per unit segment for verification quadrature of phi.
+
+    Panels are at most ``limit`` long and short enough that the steepest
+    boundary layer exp(-b_max s) decays by at most e^10 across one panel.
+    """
+    return max(math.ceil(1.0 / limit), math.ceil(float(sol.b_vec.max()) / 10.0))
+
+
+def _blocks(sol, rows):
+    """Row slices of ``rows`` x 24 Gauss nodes with at most _BUDGET basis terms each."""
+    step = max(1, _BUDGET // (24 * sol.n))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def _moments(sol, lo, hi):
+    """Gauss sums of phi(s) and s phi(s) over each panel [lo_i, hi_i]: shape (2, panels)."""
+    out = np.empty((2, lo.size))
+    for rows in _blocks(sol, lo.size):
+        x, w = gauss_panels(lo[rows], hi[rows])
+        wphi = w * eval_capped_linear(sol, x)
+        out[:, rows] = wphi.sum(axis=1), (wphi * x).sum(axis=1)
+    return out
+
+
 def _capped_convolution(sol: CappedLinearSolution, t):
-    """int_0^n (1 - |t-s|)^+ phi(s) ds by panel quadrature with kink breakpoints."""
-    lo = max(0.0, t - 1.0)
-    hi = min(float(sol.n), t + 1.0)
-    cuts = {float(j) for j in range(math.ceil(lo), math.floor(hi) + 1)}
-    cuts.add(t)
-    return panel_gauss(
-        lambda s: (1.0 - np.abs(t - s)) * eval_capped_linear(sol, s),
-        lo,
-        hi,
-        breakpoints=sorted(c for c in cuts if lo < c < hi),
-        max_panel=0.25,
-    )
+    """(G * phi)(t) = int_0^n (1 - |t-s|)^+ phi(s) ds, vectorized over t.
+
+    G is linear on either side of s = t, so the convolution needs only the
+    prefix moments P0(x) = int_0^x phi and P1(x) = int_0^x s phi(s) ds at
+    t-1, t and t+1 (clipped to [0, n]):
+
+        (1-t)[P0(t)-P0(t-1)] + [P1(t)-P1(t-1)] + (1+t)[P0(t+1)-P0(t)] - [P1(t+1)-P1(t)].
+
+    A prefix moment is a cumulative Gauss sum over fixed panels that never
+    straddle an integer, plus one Gauss rule on the partial panel up to x.
+    """
+    t = np.asarray(t, dtype=float)
+    k = panels_per_unit(sol, 0.25)
+    edges = np.arange(sol.n * k + 1) / k  # integers fall exactly on edges
+    prefix = np.cumsum(_moments(sol, edges[:-1], edges[1:]), axis=1)
+    prefix = np.concatenate((np.zeros((2, 1)), prefix), axis=1)
+    x = np.clip(t[..., None] + np.array([-1.0, 0.0, 1.0]), 0.0, float(sol.n))
+    panel = np.minimum((x * k).astype(int), sol.n * k - 1)
+    partial = _moments(sol, edges[panel].ravel(), x.ravel()).reshape((2,) + x.shape)
+    d0, d1 = np.diff(prefix[:, panel] + partial, axis=-1)
+    return (1.0 - t) * d0[..., 0] + d1[..., 0] + (1.0 + t) * d0[..., 1] - d1[..., 1]
 
 
 def capped_linear_residual_max(sol: CappedLinearSolution, samples=500):
     """max_t |gamma phi(t) + (G * phi)(t) - sigma| on an inclusive sample grid."""
     ts = np.linspace(0.0, float(sol.n), samples)
-    conv = np.array([_capped_convolution(sol, float(t)) for t in ts])
-    resid = sol.gamma * eval_capped_linear(sol, ts) + conv - sol.sigma
+    resid = sol.gamma * eval_capped_linear(sol, ts) + _capped_convolution(sol, ts) - sol.sigma
     return float(np.max(np.abs(resid)))
 
 
 def capped_linear_energy(sol: CappedLinearSolution):
     """J_gamma[phi] by quadrature, independent of the sigma = 2 J identity."""
-    n = float(sol.n)
-    cuts = list(range(1, sol.n))
-
-    def sq(ts):
-        return eval_capped_linear(sol, ts) ** 2
-
-    def cross(ts):
-        return eval_capped_linear(sol, ts) * np.array(
-            [_capped_convolution(sol, float(t)) for t in ts]
-        )
-
-    quad_sq = panel_gauss(sq, 0.0, n, breakpoints=cuts, max_panel=0.5)
-    quad_cross = panel_gauss(cross, 0.0, n, breakpoints=cuts, max_panel=0.5)
-    return 0.5 * sol.gamma * quad_sq + 0.5 * quad_cross
+    k = panels_per_unit(sol, 0.5)
+    edges = np.arange(sol.n * k + 1) / k
+    x, w = gauss_panels(edges[:-1], edges[1:])
+    phi = np.concatenate([eval_capped_linear(sol, x[rows]) for rows in _blocks(sol, len(x))])
+    wphi = w * phi
+    return 0.5 * sol.gamma * float(np.sum(wphi * phi)) + 0.5 * float(
+        np.sum(wphi * _capped_convolution(sol, x))
+    )
 
 
 def trig_solve(rho, gamma, horizon) -> TrigSolution:

@@ -1,11 +1,17 @@
 """CLI behavior: config validation, artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredholm import cli
 
@@ -215,6 +221,83 @@ def test_trig_pole_exits_1(tmp_path, capsys):
     code, _, err = run_main(["solve", "--config", path], capsys)
     assert code == 1
     assert "singular" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 1e-5])
+def test_capped_boundary_layers_pass_every_check(tmp_path, capsys, gamma):
+    # boundary layers exp(-b s) with b up to ~580 must be resolved by the
+    # verification quadrature, or a correct closed form is reported as failed
+    path = write_config(tmp_path / "c.json", kernel={"type": "capped_linear"},
+                        gamma=gamma, horizon=3.0, cells=1024)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 0, out + err
+    summary = json.loads(out)
+    assert summary["method"] == "capped_linear"
+    assert all(summary["checks"].values()), summary["checks"]
+
+
+def test_failed_check_reports_json_error(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path / "c.json")
+    monkeypatch.setattr(cli, "_invariant_checks", lambda res: {"unit_mass": False})
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+    assert json.loads(err)["detail"]["failed"] == ["unit_mass"]
+
+
+# ------------------------------------------------------ robustness property
+
+_ODD = st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+def _mostly(strategy, other=_ODD):
+    """``strategy`` four times in five, ``other`` otherwise."""
+    return st.integers(0, 4).flatmap(lambda k: other if k == 4 else strategy)
+
+
+_NUMBER = _mostly(st.floats(min_value=1e-3, max_value=20.0))
+_KERNELS = st.one_of(
+    st.integers(1, 3).flatmap(lambda k: st.fixed_dictionaries({
+        "type": st.just("exponential_sum"),
+        "a": st.lists(_NUMBER, min_size=k, max_size=k),
+        "b": st.lists(_NUMBER, min_size=k, max_size=k, unique=True).map(sorted)})),
+    st.fixed_dictionaries({"type": st.just("capped_linear")},
+                          optional={"cap": _mostly(st.just(1.0), _NUMBER)}),
+    st.fixed_dictionaries({"type": st.just("power_capped"), "rho": _NUMBER,
+                           "p": _mostly(st.integers(1, 6), _NUMBER)}),
+    st.fixed_dictionaries({"type": st.just("trigonometric"), "rho": _NUMBER}),
+    st.fixed_dictionaries({"type": st.just("power_law"),
+                           "alpha": _mostly(st.floats(0.05, 0.95))},
+                          optional={"scale": _NUMBER}),
+    st.integers(2, 5).flatmap(lambda k: st.fixed_dictionaries({
+        "type": st.just("tabulated"),
+        "t": st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k, unique=True).map(sorted),
+        "g": st.lists(_NUMBER, min_size=k, max_size=k).map(lambda g: sorted(g)[::-1])})),
+)
+_CONFIGS = st.fixed_dictionaries({
+    "kernel": _KERNELS,
+    "gamma": _mostly(st.floats(min_value=1e-5, max_value=10.0)),
+    "horizon": _mostly(st.one_of(st.integers(1, 20).map(float), st.floats(0.05, 20.0))),
+    "method": _mostly(st.just("auto"), st.sampled_from(cli._METHODS)),
+    "cells": _mostly(st.integers(48, 256), st.integers(2, 47)),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_CONFIGS, command=st.sampled_from(["solve", "verify"]))
+def test_cli_never_crashes(config, command):
+    # any config ends in a documented exit code with a JSON error, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert json.loads(err.getvalue())["error"]
 
 
 # ------------------------------------------------------------ other commands

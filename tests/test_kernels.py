@@ -59,6 +59,14 @@ def test_spec_defaults():
         ({"type": "tabulated", "t": [0.0, 0.0], "g": [1.0, 1.0]}, "strictly increasing"),
         ({"type": "tabulated", "t": [0.0, 1.0], "g": [1.0, -0.5]}, "nonnegative"),
         ("not a dict", "JSON object"),
+        ({"type": "exponential_sum", "a": [math.inf], "b": [1.0]}, "finite"),
+        ({"type": "exponential_sum", "a": [1.0], "b": [math.nan]}, "finite"),
+        ({"type": "capped_linear", "cap": math.inf}, "finite"),
+        ({"type": "power_capped", "rho": math.inf, "p": 1}, "finite"),
+        ({"type": "trigonometric", "rho": math.inf}, "finite"),
+        ({"type": "power_law", "alpha": 0.5, "scale": math.inf}, "finite"),
+        ({"type": "tabulated", "t": [0.0, math.inf], "g": [1.0, 0.5]}, "finite"),
+        ({"type": "tabulated", "t": [0.0, 1.0], "g": [math.inf, 0.5]}, "finite"),
     ],
 )
 def test_spec_rejects(bad, match):
@@ -160,6 +168,17 @@ def test_lag_row_matches_cell_loop(kernel):
     row = kernel.lag_row(h, m)
     ref = [kernel.cell_double_integral(0.0, h, k * h, (k + 1) * h) for k in range(m)]
     np.testing.assert_allclose(row, ref, rtol=1e-14, atol=1e-18)
+
+
+def test_trig_lag_row_far_lags():
+    # the product-form second difference keeps the lag row exact at fine
+    # grids, where 1 - cos(rho u) would cancel
+    kernel, m = Trigonometric(rho=0.5), 4096
+    h = 2.0 / m
+    row = kernel.lag_row(h, m)
+    for lag in (1, 2, 1000, 4095):
+        ref = oracles.cell_double_integral(kernel, 0.0, h, lag * h, (lag + 1) * h)
+        assert row[lag] == pytest.approx(ref, rel=1e-13, abs=0.0), lag
 
 
 def test_cell_integral_vectorized_over_t():

@@ -1,5 +1,6 @@
 """Capped-linear and trigonometric closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,32 @@ def test_capped_residual_against_quadrature():
     )
     assert worst <= 1e-12 * sol.sigma
     assert capped_linear_residual_max(sol) <= 1e-9 * sol.sigma
+
+
+def test_capped_convolution_matches_quadrature():
+    # prefix-moment convolution against adaptive quadrature of the kernel's
+    # own definition, at integers, interior points and both ends
+    sol = capped_linear_solve(3, 0.1)
+    ts = [0.0, 0.4, 1.0, 1.5, 2.2, 3.0]
+    got = special._capped_convolution(sol, np.array(ts))
+    ref = [oracles.operator_apply(CappedLinear(cap=1.0), lambda s: eval_capped_linear(sol, s),
+                                  t, 3.0) for t in ts]
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
+
+
+def test_capped_residual_detects_perturbed_coefficients():
+    # the batched residual must see a 1e-6 relative error in the coefficients
+    sol = capped_linear_solve(3, 0.1)
+    tilt = 1.0 + 1e-6 * np.linspace(-1.0, 1.0, sol.n)
+    bad = dataclasses.replace(sol, a_vec=sol.a_vec * tilt)
+    ts = np.linspace(0.0, 3.0, 13)
+    ref = oracles.fredholm_residual(
+        CappedLinear(cap=1.0), lambda t: eval_capped_linear(bad, t),
+        bad.sigma, bad.gamma, 3.0, ts,
+    )
+    got = capped_linear_residual_max(bad, samples=ts.size)
+    assert got == pytest.approx(ref, rel=1e-2, abs=0.0)
+    assert got > 1e-6 * sol.sigma  # three orders above the 1e-9 test bound
 
 
 def test_capped_symmetric_unit_mass():
