@@ -1,9 +1,12 @@
 """Command line front end: solve / compare / sweep / verify.
 
-Configs are JSON files; see the repository README for the schema.  Every
-command prints a machine-readable JSON document on stdout and (for solve)
-optionally writes a CSV of the sampled curve plus a JSON summary next to
-it.  Output is deterministic: identical configs give byte-identical bytes.
+Configs are JSON files; see the repository README for the schema.  Each
+method is one route of ``_ROUTES``: a requirement on kernel and horizon and
+a solve returning a ``RunResult``.  ``auto`` takes the first route that
+applies, in the order exp_closed_form, capped_linear, trig, discrete.
+Every command prints a JSON document on stdout and (for solve) optionally
+writes a CSV of the sampled curve plus a JSON summary next to it.  Output
+is deterministic: identical configs give byte-identical bytes.
 
 Exit codes: 0 on success with all solver invariants satisfied, 1 when a
 solve fails or an invariant check misses its tolerance, 2 for invalid
@@ -17,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +31,6 @@ from .kernels import CappedLinear, ExponentialSum, Trigonometric, kernel_from_sp
 
 __all__ = ["RunConfig", "main", "run", "compare_cmd"]
 
-_METHODS = ("discrete", "exp_closed_form", "capped_linear", "trig", "auto")
-
 
 class ConfigError(ValueError):
     def __init__(self, message, detail=None):
@@ -38,7 +40,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description (see README for the JSON schema)."""
+    """Validated run description (see README); ``method`` is resolved, never "auto"."""
 
     kernel: object
     gamma: float
@@ -50,22 +52,122 @@ class RunConfig:
     out_path: str | None
     out_format: str
 
-    @property
-    def resolved_method(self):
-        if self.method != "auto":
-            return self.method
-        k = self.kernel
-        if isinstance(k, ExponentialSum):
-            return "exp_closed_form"
-        if isinstance(k, CappedLinear) and k.cap == 1.0 and _is_integer(self.horizon):
-            return "capped_linear"
-        if isinstance(k, Trigonometric):
-            return "trig"
-        return "discrete"
+
+@dataclass(frozen=True, eq=False)
+class RunResult:
+    """A route's answer: ``t``, ``phi`` sample it, ``evaluate`` gives phi anywhere on
+    [0, T], and ``residual_cap`` is the largest accepted residual as a multiple of sigma."""
+
+    t: np.ndarray
+    phi: np.ndarray
+    sigma: float
+    energy: float
+    residual_max: float
+    mass_defect: float
+    grid_start: float
+    grid_spacing: float
+    default_tol: float | None
+    residual_cap: float
+    evaluate: object
 
 
-def _is_integer(x):
-    return float(x) == int(x) and int(x) >= 1
+def _kernel_is(cls, reason):
+    return lambda kernel, horizon: None if isinstance(kernel, cls) else reason
+
+
+_requires_exp = _kernel_is(
+    ExponentialSum, "method exp_closed_form requires an exponential_sum kernel")
+_requires_trig = _kernel_is(Trigonometric, "method trig requires a trigonometric kernel")
+
+
+def _requires_capped(kernel, horizon):
+    if not isinstance(kernel, CappedLinear) or kernel.cap != 1.0:
+        return "method capped_linear requires capped_linear kernel with cap = 1"
+    if not float(horizon).is_integer():  # horizon > 0 was checked, so n >= 1
+        return "method capped_linear requires an integer horizon"
+
+
+def _closed_form(cfg: RunConfig, evaluate, sigma, energy, residual, **mass_quad) -> RunResult:
+    """Result of a closed form: the curve sampled on the inclusive grid of cells + 1 points."""
+    t = np.linspace(0.0, cfg.horizon, cfg.cells + 1)
+    mass = panel_gauss(evaluate, 0.0, cfg.horizon, **mass_quad)
+    return RunResult(
+        t=t,
+        phi=evaluate(t),
+        sigma=sigma,
+        energy=energy,
+        residual_max=residual,
+        mass_defect=abs(mass - 1.0),
+        grid_start=0.0,
+        grid_spacing=t[1] - t[0],
+        default_tol=None,
+        residual_cap=1e-7,
+        evaluate=evaluate,
+    )
+
+
+def _solve_exp(cfg: RunConfig) -> RunResult:
+    cf = exponential.build_closed_form(cfg.kernel, cfg.gamma, cfg.horizon)
+    fastest = math.sqrt(max(max(cf.c), max(cfg.kernel.b)))
+    return _closed_form(
+        cfg, lambda s: exponential.eval_closed_form(cf, s), cf.sigma,
+        exponential.quadrature_energy(cfg.kernel, cf),
+        exponential.fredholm_residual_max(cfg.kernel, cf),
+        max_panel=min(cfg.horizon / 16.0, 4.0 / fastest),
+    )
+
+
+def _solve_capped(cfg: RunConfig) -> RunResult:
+    sol = special.capped_linear_solve(int(cfg.horizon), cfg.gamma)
+    return _closed_form(
+        cfg, lambda s: special.eval_capped_linear(sol, s), sol.sigma,
+        special.capped_linear_energy(sol), special.capped_linear_residual_max(sol),
+        breakpoints=list(range(1, sol.n)), max_panel=1.0 / special.panels_per_unit(sol, 0.5),
+    )
+
+
+def _solve_trig(cfg: RunConfig) -> RunResult:
+    sol = special.trig_solve(cfg.kernel.rho, cfg.gamma, cfg.horizon)
+    return _closed_form(
+        cfg, lambda s: special.eval_trig(sol, s), sol.sigma,
+        special.trig_energy(sol), special.trig_residual_max(sol),
+        max_panel=min(cfg.horizon / 8.0, 1.0 / sol.rho),
+    )
+
+
+def _solve_discrete(cfg: RunConfig) -> RunResult:
+    grid = discrete.solve(discrete.Problem(cfg.gamma, cfg.horizon, cfg.kernel), cfg.cells)
+    h = grid.spacing
+    return RunResult(
+        t=grid.midpoints(),
+        phi=grid.values,
+        sigma=grid.sigma,
+        energy=grid.energy,
+        residual_max=grid.residual_max,
+        mass_defect=abs(math.fsum(grid.values * h) - 1.0),
+        grid_start=h / 2.0,
+        grid_spacing=h,
+        default_tol=10.0 * grid.residual_max / cfg.gamma,
+        residual_cap=1e-2,
+        # piecewise-constant cell values: look up the cell containing t
+        evaluate=lambda t: grid.values[np.minimum((t / h).astype(int), grid.cells - 1)],
+    )
+
+
+class _Route(NamedTuple):
+    """``requirement(kernel, horizon)`` is None when the method applies, else why it does not."""
+
+    requirement: object
+    solve: object
+
+
+_ROUTES = {  # "auto" takes the first route whose requirement holds
+    "exp_closed_form": _Route(_requires_exp, _solve_exp),
+    "capped_linear": _Route(_requires_capped, _solve_capped),
+    "trig": _Route(_requires_trig, _solve_trig),
+    "discrete": _Route(lambda kernel, horizon: None, _solve_discrete),
+}
+_METHODS = (*_ROUTES, "auto")
 
 
 def _require_positive(obj, key):
@@ -104,9 +206,7 @@ def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunCon
 
     method = raw.get("method", "auto")
     if method not in _METHODS:
-        raise ConfigError(
-            f"'method' must be one of {', '.join(_METHODS)}", {"got": method}
-        )
+        raise ConfigError(f"'method' must be one of {', '.join(_METHODS)}", {"got": method})
 
     if cells is None:
         cells = raw.get("cells", 1024)
@@ -134,7 +234,13 @@ def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunCon
     if out_format not in ("csv", "json"):
         raise ConfigError("'output.format' must be 'csv' or 'json'", {"got": out_format})
 
-    cfg = RunConfig(
+    if method == "auto":
+        method = next(name for name, route in _ROUTES.items()
+                      if route.requirement(kernel, horizon) is None)
+    elif (reason := _ROUTES[method].requirement(kernel, horizon)) is not None:
+        raise ConfigError(reason)
+
+    return RunConfig(
         kernel=kernel,
         gamma=gamma,
         horizon=horizon,
@@ -145,105 +251,14 @@ def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunCon
         out_path=out_path,
         out_format=out_format,
     )
-    _check_method_compat(cfg)
-    return cfg
-
-
-def _check_method_compat(cfg: RunConfig):
-    m = cfg.method
-    if m == "exp_closed_form" and not isinstance(cfg.kernel, ExponentialSum):
-        raise ConfigError("method exp_closed_form requires an exponential_sum kernel")
-    if m == "capped_linear":
-        if not isinstance(cfg.kernel, CappedLinear) or cfg.kernel.cap != 1.0:
-            raise ConfigError("method capped_linear requires capped_linear kernel with cap = 1")
-        if not _is_integer(cfg.horizon):
-            raise ConfigError("method capped_linear requires an integer horizon")
-    if m == "trig" and not isinstance(cfg.kernel, Trigonometric):
-        raise ConfigError("method trig requires a trigonometric kernel")
-
-
-@dataclass(frozen=True, eq=False)
-class RunResult:
-    method: str
-    t: np.ndarray
-    phi: np.ndarray
-    sigma: float
-    energy: float
-    residual_max: float
-    mass_defect: float
-    grid_start: float
-    grid_spacing: float
-    default_tol: float | None
-    evaluate: object = None
-
-
-def _solve_config(cfg: RunConfig) -> RunResult:
-    method = cfg.resolved_method
-    T = cfg.horizon
-    if method == "discrete":
-        grid = discrete.solve(discrete.Problem(cfg.gamma, T, cfg.kernel), cfg.cells)
-        h = grid.spacing
-        return RunResult(
-            method=method,
-            t=grid.midpoints(),
-            phi=grid.values,
-            sigma=grid.sigma,
-            energy=grid.energy,
-            residual_max=grid.residual_max,
-            mass_defect=abs(math.fsum(grid.values * h) - 1.0),
-            grid_start=h / 2.0,
-            grid_spacing=h,
-            default_tol=10.0 * grid.residual_max / cfg.gamma,
-        )
-
-    t = np.linspace(0.0, T, cfg.cells + 1)
-    if method == "exp_closed_form":
-        cf = exponential.build_closed_form(cfg.kernel, cfg.gamma, T)
-        evaluate = lambda s: exponential.eval_closed_form(cf, s)  # noqa: E731
-        sigma = cf.sigma
-        energy = exponential.quadrature_energy(cfg.kernel, cf)
-        residual = exponential.fredholm_residual_max(cfg.kernel, cf)
-        fastest = math.sqrt(max(max(cf.c), max(cfg.kernel.b)))
-        mass = panel_gauss(evaluate, 0.0, T, max_panel=min(T / 16.0, 4.0 / fastest))
-    elif method == "capped_linear":
-        sol = special.capped_linear_solve(int(T), cfg.gamma)
-        evaluate = lambda s: special.eval_capped_linear(sol, s)  # noqa: E731
-        sigma = sol.sigma
-        energy = special.capped_linear_energy(sol)
-        residual = special.capped_linear_residual_max(sol)
-        mass = panel_gauss(evaluate, 0.0, T, breakpoints=list(range(1, sol.n)),
-                           max_panel=1.0 / special.panels_per_unit(sol, 0.5))
-    else:  # trig
-        sol = special.trig_solve(cfg.kernel.rho, cfg.gamma, T)
-        evaluate = lambda s: special.eval_trig(sol, s)  # noqa: E731
-        sigma = sol.sigma
-        energy = special.trig_energy(sol)
-        residual = special.trig_residual_max(sol)
-        mass = panel_gauss(evaluate, 0.0, T, max_panel=min(T / 8.0, 1.0 / sol.rho))
-    return RunResult(
-        method=method,
-        t=t,
-        phi=evaluate(t),
-        sigma=sigma,
-        energy=energy,
-        residual_max=residual,
-        mass_defect=abs(mass - 1.0),
-        grid_start=0.0,
-        grid_spacing=t[1] - t[0],
-        default_tol=None,
-        evaluate=evaluate,
-    )
 
 
 def _invariant_checks(res: RunResult) -> dict:
-    residual_cap = (1e-2 if res.method == "discrete" else 1e-7) * res.sigma
     return {
         "sigma_positive": bool(res.sigma > 0.0),
-        "sigma_equals_two_energy": bool(
-            abs(res.sigma - 2.0 * res.energy) <= 1e-9 * abs(res.sigma)
-        ),
+        "sigma_equals_two_energy": bool(abs(res.sigma - 2.0 * res.energy) <= 1e-9 * abs(res.sigma)),
         "unit_mass": bool(res.mass_defect <= 1e-12),
-        "residual_small": bool(res.residual_max <= residual_cap),
+        "residual_small": bool(res.residual_max <= res.residual_cap * res.sigma),
     }
 
 
@@ -253,7 +268,7 @@ def _summary(cfg: RunConfig, res: RunResult, report) -> dict:
         "kernel": cfg.kernel.spec(),
         "gamma": cfg.gamma,
         "horizon": cfg.horizon,
-        "method": res.method,
+        "method": cfg.method,
         "cells": cfg.cells,
         "sigma": res.sigma,
         "energy": res.energy,
@@ -275,15 +290,13 @@ def _write_csv(path, cfg: RunConfig, res: RunResult):
         "# kernel: " + json.dumps(cfg.kernel.spec(), separators=(", ", ": ")),
         "# gamma: " + _float_repr(cfg.gamma),
         "# horizon: " + _float_repr(cfg.horizon),
-        "# method: " + res.method,
+        "# method: " + cfg.method,
         "# sigma: " + _float_repr(res.sigma),
         "# energy: " + _float_repr(res.energy),
         "# residual_max: " + _float_repr(res.residual_max),
         "t,phi",
     ]
-    lines.extend(
-        "%.17g,%.17g" % (tv, pv) for tv, pv in zip(res.t, res.phi)
-    )
+    lines.extend("%.17g,%.17g" % (tv, pv) for tv, pv in zip(res.t, res.phi))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -299,7 +312,11 @@ def _error(message, detail=None, code=1):
 
 def run(cfg: RunConfig) -> int:
     """Solve one config: print the summary JSON, write artifacts, return exit code."""
-    res = _solve_config(cfg)
+    res = _ROUTES[cfg.method].solve(cfg)  # a failed solve is reported first, even on a coarse grid
+    try:
+        diagnostics.require_samples(res.phi.size, cfg.max_order)
+    except ValueError as exc:
+        raise ConfigError(exc, {"cells": cfg.cells, "max_order": cfg.max_order})
     report = diagnostics.analyze(
         res.phi,
         cfg.horizon,
@@ -314,16 +331,14 @@ def run(cfg: RunConfig) -> int:
         for suffix in (".csv", ".json"):
             if base.endswith(suffix):
                 base = base[: -len(suffix)]
+        doc = dict(summary)
         if cfg.out_format == "csv":
             _write_csv(base + ".csv", cfg, res)
-            with open(base + ".json", "w") as fh:
-                fh.write(json.dumps(summary, indent=2) + "\n")
         else:
-            doc = dict(summary)
             doc["t"] = [float(v) for v in res.t]
             doc["phi"] = [float(v) for v in res.phi]
-            with open(base + ".json", "w") as fh:
-                fh.write(json.dumps(doc, indent=2) + "\n")
+        with open(base + ".json", "w") as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
     _emit(summary)
     if not summary["passed"]:
         failed = [name for name, ok in summary["checks"].items() if not ok]
@@ -331,32 +346,21 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def _resample(res: RunResult, t):
-    if res.method == "discrete":
-        # piecewise-constant cell values: look up the cell containing t
-        idx = np.minimum((t / res.grid_spacing).astype(int), res.phi.size - 1)
-        return res.phi[idx]
-    return res.evaluate(t)
-
-
 def compare_cmd(cfg_a: RunConfig, cfg_b: RunConfig, grid_points=1001) -> dict:
     """Solve both configs and compare on a shared grid of grid_points samples."""
     if cfg_a.horizon != cfg_b.horizon:
-        raise ConfigError(
-            "configs have different horizons",
-            {"a": cfg_a.horizon, "b": cfg_b.horizon},
-        )
+        raise ConfigError("configs have different horizons",
+                          {"a": cfg_a.horizon, "b": cfg_b.horizon})
     if grid_points < 2:
         raise ConfigError("grid_points must be >= 2", {"got": grid_points})
-    res_a = _solve_config(cfg_a)
-    res_b = _solve_config(cfg_b)
     t = np.linspace(0.0, cfg_a.horizon, grid_points)
-    sol_a = diagnostics.SampledSolution(t=t, phi=_resample(res_a, t), sigma=res_a.sigma)
-    sol_b = diagnostics.SampledSolution(t=t, phi=_resample(res_b, t), sigma=res_b.sigma)
-    out = diagnostics.compare(sol_a, sol_b)
+    out = diagnostics.compare(*(
+        diagnostics.SampledSolution(t=t, phi=res.evaluate(t), sigma=res.sigma)
+        for res in (_ROUTES[cfg.method].solve(cfg) for cfg in (cfg_a, cfg_b))
+    ))
     out["grid_points"] = int(grid_points)
-    out["method_a"] = res_a.method
-    out["method_b"] = res_b.method
+    out["method_a"] = cfg_a.method
+    out["method_b"] = cfg_b.method
     return out
 
 
@@ -380,16 +384,10 @@ def _cmd_compare(args):
 def _cmd_sweep(args):
     cfg = parse_config(args.config, cells=args.cells)
     try:
-        gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
-    except ValueError:
-        raise ConfigError("--gammas must be a comma-separated list of numbers",
-                          {"got": args.gammas})
-    if not gammas or any(not 0 < g < math.inf for g in gammas) or any(
-        x <= y for x, y in zip(gammas[:-1], gammas[1:])
-    ):
-        raise ConfigError("--gammas must be strictly decreasing positive finite values",
-                          {"got": args.gammas})
-    problem = discrete.Problem(gammas[0], cfg.horizon, cfg.kernel)
+        gammas = discrete.sweep_gammas(float(g) for g in args.gammas.split(",") if g.strip())
+    except ValueError as exc:
+        raise ConfigError(f"--gammas: {exc}", {"got": args.gammas})
+    problem = discrete.Problem(cfg.gamma, cfg.horizon, cfg.kernel)
     grids = discrete.gamma_sweep(problem, cfg.cells, gammas)
     entries = []
     for g, grid in zip(gammas, grids):
@@ -415,7 +413,7 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     cfg = parse_config(args.config)
-    if not isinstance(cfg.kernel, ExponentialSum):
+    if _requires_exp(cfg.kernel, cfg.horizon) is not None:
         raise ConfigError("verify requires an exponential_sum kernel")
     report = exponential.verify_step_identities(cfg.kernel, cfg.gamma, cfg.horizon)
     _emit(report)

@@ -28,6 +28,7 @@ __all__ = [
     "SampledSolution",
     "analyze",
     "compare",
+    "require_samples",
 ]
 
 
@@ -85,6 +86,14 @@ def _difference_min(values, x, k, r, horizon):
     return float(np.min(window_sum[admissible]))
 
 
+def require_samples(n, max_order):
+    """Raise ValueError unless n samples are enough to scan differences up to max_order."""
+    if n < 8 * max_order:
+        raise ValueError(
+            f"grid too coarse for order {max_order}: need at least {8 * max_order} samples, got {n}"
+        )
+
+
 def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> MonotonicityReport:
     """Shape-check a uniformly sampled curve on [0, horizon].
 
@@ -105,10 +114,7 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
     max_order = int(max_order)
     if max_order < 2:
         raise ValueError("max_order must be at least 2")
-    if n < 8 * max_order:
-        raise ValueError(
-            f"grid too coarse for order {max_order}: need at least {8 * max_order} samples, got {n}"
-        )
+    require_samples(n, max_order)
     horizon = float(horizon)
     if spacing is None:
         spacing = horizon / (n - 1)

@@ -33,6 +33,7 @@ __all__ = [
     "kernel_row",
     "solve",
     "gamma_sweep",
+    "sweep_gammas",
     "endpoint_mass",
 ]
 
@@ -192,6 +193,22 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     return _solve(problem, _lags(problem, m))
 
 
+def sweep_gammas(gammas) -> list:
+    """The ridge values of a sweep as floats.
+
+    Raises ValueError unless there is at least one, each is positive and
+    finite, and they are strictly decreasing.
+    """
+    gammas = [float(g) for g in gammas]
+    if not gammas:
+        raise ValueError("gamma sweep needs at least one value")
+    if not all(0 < g < math.inf for g in gammas):
+        raise ValueError("sweep gammas must be positive and finite")
+    if any(x <= y for x, y in zip(gammas[:-1], gammas[1:])):
+        raise ValueError("sweep gammas must be strictly decreasing")
+    return gammas
+
+
 def gamma_sweep(problem: Problem, m: int, gammas) -> list:
     """Solve a strictly decreasing sequence of gamma values on a fixed grid.
 
@@ -199,13 +216,7 @@ def gamma_sweep(problem: Problem, m: int, gammas) -> list:
     toward the endpoints as the quadratic penalty vanishes; no convergence
     claim is attached.
     """
-    gammas = [float(g) for g in gammas]
-    if not gammas:
-        raise ValueError("gamma sweep needs at least one value")
-    if any(g <= 0 for g in gammas):
-        raise ValueError("sweep gammas must be positive")
-    if any(x <= y for x, y in zip(gammas[:-1], gammas[1:])):
-        raise ValueError("sweep gammas must be strictly decreasing")
+    gammas = sweep_gammas(gammas)
     lags = _lags(problem, m)
     return [_solve(replace(problem, gamma=g), lags) for g in gammas]
 

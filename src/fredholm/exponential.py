@@ -98,23 +98,18 @@ def _secular_values(x, b, w):
     return 1.0 - np.sum(w / (x - b))
 
 
-def secular_roots(a, b, lam) -> SecularSpectrum:
-    """Roots of f(x) = 1 - 2*lam*sum_k a_k*sqrt(b_k)/(x - b_k).
+def secular_roots(kernel: ExponentialSum, lam) -> SecularSpectrum:
+    """Roots of f(x) = 1 - 2*lam*sum_k a_k*sqrt(b_k)/(x - b_k) for the kernel's a, b.
 
     Bisection inside the guaranteed brackets (b_k, b_{k+1}) and
     (b_n, b_n + 2*lam*sum a_k sqrt(b_k)], then a Newton polish (f is strictly
     increasing between poles, so the polish cannot leave the bracket
     unnoticed -- steps outside are rejected).  Interlacing holds exactly by
-    construction.
+    construction.  The kernel already guarantees positive a and strictly
+    increasing positive b.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape or a.size == 0:
-        raise ValueError("need matching nonempty coefficient lists")
-    if np.any(a <= 0):
-        raise ValueError("weights a must be positive")
-    if b[0] <= 0 or np.any(np.diff(b) <= 0):
-        raise ValueError("rates b must be strictly increasing and positive")
+    a = np.asarray(kernel.a)
+    b = np.asarray(kernel.b)
     lam = float(lam)
     if not lam > 0:
         raise ValueError("lambda must be positive")
@@ -190,7 +185,7 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
         raise ValueError("horizon must be positive")
 
     lam = 1.0 / gamma
-    spectrum = secular_roots(kernel.a, kernel.b, lam)
+    spectrum = secular_roots(kernel, lam)
     a = np.asarray(kernel.a)
     b = np.asarray(spectrum.b)
     c = np.asarray(spectrum.c)
@@ -265,7 +260,7 @@ def verify_step_identities(kernel: ExponentialSum, gamma, horizon=1.0) -> dict:
     """
     gamma = float(gamma)
     lam = 1.0 / gamma
-    spectrum = secular_roots(kernel.a, kernel.b, lam)
+    spectrum = secular_roots(kernel, lam)
     factors = cauchy_factors(spectrum)
     Qt, D1, D2 = factors.Qtilde, factors.D1, factors.D2
     a = np.asarray(kernel.a)

@@ -404,6 +404,25 @@ class PowerLaw(Kernel):
         u = np.asarray(u, dtype=float)
         return self.scale * u ** (2.0 - self.alpha) / ((1.0 - self.alpha) * (2.0 - self.alpha))
 
+    def _one_signed(self, gap, dx, dy):
+        # Far from the diagonal the second difference of u^p (p = 2 - alpha)
+        # cancels.  Expanded about the centre c = gap + (dx+dy)/2 in the
+        # half-widths a = (dx+dy)/2, b = (dx-dy)/2 it is
+        #   c^p * 2 sum_j C(p, 2j) E_j,  E_j = (a/c)^2j - (b/c)^2j,
+        # where every term is positive; 12 terms reach round-off for a <= c/4.
+        gap, dx, dy = (np.asarray(v, dtype=float) for v in (gap, dx, dy))
+        p = 2.0 - self.alpha
+        c = gap + 0.5 * (dx + dy)
+        ra2, rb2 = (0.5 * (dx + dy) / c) ** 2, (0.5 * (dx - dy) / c) ** 2
+        e1 = dx * dy / c**2  # E_1 = ra2 - rb2 without the subtraction
+        e, rb2j, binom, series = e1, rb2, 1.0, 0.0
+        for k in range(0, 24, 2):  # E_{j+1} = ra2 E_j + rb2^j E_1
+            binom *= (p - k) * (p - k - 1) / ((k + 1) * (k + 2))
+            series = series + binom * e
+            e, rb2j = ra2 * e + rb2j * e1, rb2j * rb2
+        far = 2.0 * series * c**p * self.scale / ((1.0 - self.alpha) * p)
+        return np.where(ra2 <= 1.0 / 16.0, far, super()._one_signed(gap, dx, dy))
+
     def classify(self):
         return KernelStructure(
             nonincreasing=True,

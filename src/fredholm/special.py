@@ -64,13 +64,20 @@ class CappedLinearSolution:
 
 @dataclass(frozen=True)
 class TrigSolution:
-    """phi(t) = (sigma/gamma) (1 - beta (cos(rho t) + cos(rho (T-t))))."""
+    """phi(t) = (sigma/gamma) (1 - beta (cos(rho t) + cos(rho (T-t)))).
+
+    ``base`` and ``swing`` hold the same curve in the form
+    phi(t) = base + swing sin^2(rho (t - T/2) / 2), which does not cancel
+    when beta (cos(rho t) + cos(rho (T-t))) is close to 1.
+    """
 
     rho: float
     gamma: float
     horizon: float
     sigma: float
     beta: float
+    base: float
+    swing: float
 
 
 def _alternating(n):
@@ -223,11 +230,37 @@ def capped_linear_energy(sol: CappedLinearSolution):
     )
 
 
+def _trig_defects(x):
+    """g = 2x + sin 2x - 4 sin x and h = (2x)^2 + 2x sin 2x - 8 sin^2 x.
+
+    Both vanish to high order at x = 0 (g ~ -2x^3/3, h ~ (2x)^6/360), so
+    for x <= 3/2 they are summed from their Taylor series
+    g = sum_{k>=1} (-1)^k (2^(2k+1) - 4) x^(2k+1) / (2k+1)!  and
+    h = sum_{n>=3} (-1)^(n-1) (2n - 4) (2x)^(2n) / (2n)!;
+    the first omitted terms are below 1e-17 relative there.
+    """
+    if x > 1.5:
+        return (2.0 * x + math.sin(2.0 * x) - 4.0 * math.sin(x),
+                4.0 * x * x + 2.0 * x * math.sin(2.0 * x) - 8.0 * math.sin(x) ** 2)
+    g = math.fsum((-1) ** k * (2.0 ** (2 * k + 1) - 4.0) * x ** (2 * k + 1)
+                  / math.factorial(2 * k + 1) for k in range(1, 17))
+    h = math.fsum((-1) ** (n - 1) * (2 * n - 4) * (2.0 * x) ** (2 * n)
+                  / math.factorial(2 * n) for n in range(3, 19))
+    return g, h
+
+
 def trig_solve(rho, gamma, horizon) -> TrigSolution:
     """Closed form for G(t) = cos(rho t); fails near the tan singularity.
 
-    beta = 2 tan(rho T/2) / (rho (2 gamma + T) + sin(rho T)), then sigma is
-    fixed by unit mass through the analytic integral of the cosine terms.
+    beta = 2 tan(x) / D with x = rho T/2 and D = rho (2 gamma + T) + sin(rho T),
+    then sigma is fixed by unit mass through the analytic integral of the
+    cosine terms.  With cos(rho t) + cos(rho (T-t)) = 2 cos(x) cos(rho (t-T/2))
+    and the half-angle form of 1 - cos, the curve and the mass become
+
+        phi(t) = rho (2 rho gamma + g + 8 sin(x) sin^2(rho (t-T/2)/2)) / N,
+        sigma = gamma rho D / N,  N = 2 rho^2 gamma T + h,
+
+    with g and h from :func:`_trig_defects`: nothing cancels as rho T -> 0.
     """
     rho = float(rho)
     gamma = float(gamma)
@@ -244,21 +277,26 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
     if abs(x - nearest_pole) <= 1e-8 * max(1.0, abs(x)):
         raise ValueError("trig solution singular at rho*T/2 ~ pi/2 + k*pi")
 
-    beta = 2.0 * math.tan(x) / (rho * (2.0 * gamma + horizon) + math.sin(rho * horizon))
-    mass_per_sigma = horizon - 2.0 * beta * math.sin(rho * horizon) / rho
-    sigma = gamma / mass_per_sigma
-    return TrigSolution(rho=rho, gamma=gamma, horizon=horizon, sigma=sigma, beta=beta)
+    d = rho * (2.0 * gamma + horizon) + math.sin(rho * horizon)
+    g, h = _trig_defects(x)
+    n = 2.0 * rho * rho * gamma * horizon + h
+    return TrigSolution(
+        rho=rho,
+        gamma=gamma,
+        horizon=horizon,
+        sigma=gamma * rho * d / n,
+        beta=2.0 * math.tan(x) / d,
+        base=rho * (2.0 * rho * gamma + g) / n,
+        swing=8.0 * rho * math.sin(x) / n,
+    )
 
 
 def eval_trig(sol: TrigSolution, t):
-    """phi(t) = (sigma/gamma)(1 - beta (cos(rho t) + cos(rho (T - t))))."""
+    """phi(t) = (sigma/gamma)(1 - beta (cos(rho t) + cos(rho (T - t)))), as base + swing sin^2."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr > sol.horizon):
         raise ValueError("evaluation point outside [0, T]")
-    out = (sol.sigma / sol.gamma) * (
-        1.0
-        - sol.beta * (np.cos(sol.rho * t_arr) + np.cos(sol.rho * (sol.horizon - t_arr)))
-    )
+    out = sol.base + sol.swing * np.sin(0.5 * sol.rho * (t_arr - 0.5 * sol.horizon)) ** 2
     return float(out) if np.ndim(t) == 0 else out
 
 

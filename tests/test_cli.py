@@ -59,6 +59,7 @@ def test_unknown_fields_rejected(tmp_path, capsys):
         {"diagnostics": {"max_order": 1}},
         {"diagnostics": {"tol": -1.0}},
         {"output": {"format": "xml"}},
+        {"cells": 40},  # 41 samples, fewer than 8 * max_order = 48
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, overrides):
@@ -93,11 +94,26 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in json.loads(err)["error"]
 
 
-def test_method_kernel_mismatch(tmp_path, capsys):
-    path = write_config(tmp_path / "c.json", method="trig")
-    code, _, err = run_main(["solve", "--config", path], capsys)
+@pytest.mark.parametrize(
+    "method, kernel, message",
+    [
+        ("exp_closed_form", {"type": "capped_linear"},
+         "method exp_closed_form requires an exponential_sum kernel"),
+        ("capped_linear", {"type": "exponential_sum", "a": [1.0], "b": [1.0]},
+         "method capped_linear requires capped_linear kernel with cap = 1"),
+        ("capped_linear", {"type": "capped_linear", "cap": 0.5},
+         "method capped_linear requires capped_linear kernel with cap = 1"),
+        ("trig", {"type": "exponential_sum", "a": [1.0], "b": [1.0]},
+         "method trig requires a trigonometric kernel"),
+    ],
+    ids=["exp_closed_form", "capped_linear-kernel", "capped_linear-cap", "trig"],
+)
+def test_method_kernel_mismatch(tmp_path, capsys, method, kernel, message):
+    path = write_config(tmp_path / "c.json", method=method, kernel=kernel)
+    code, out, err = run_main(["solve", "--config", path], capsys)
     assert code == 2
-    assert "trigonometric" in json.loads(err)["error"]
+    assert out == ""
+    assert json.loads(err)["error"] == message
 
 
 def test_capped_method_needs_integer_horizon(tmp_path, capsys):
@@ -233,6 +249,39 @@ def test_capped_boundary_layers_pass_every_check(tmp_path, capsys, gamma):
     assert code == 0, out + err
     summary = json.loads(out)
     assert summary["method"] == "capped_linear"
+    assert all(summary["checks"].values()), summary["checks"]
+
+
+@pytest.mark.parametrize(
+    "method, overrides",
+    [
+        ("exp_closed_form", {}),
+        ("capped_linear", {"kernel": {"type": "capped_linear"}, "horizon": 3.0, "gamma": 0.1}),
+        ("trig", {"kernel": {"type": "trigonometric", "rho": 0.5}, "gamma": 0.001}),
+    ],
+)
+def test_auto_matches_explicit_closed_form(tmp_path, capsys, method, overrides):
+    # auto resolves to the closed form, so every output byte is the explicit run's
+    outputs = []
+    for tag, chosen in (("auto", "auto"), ("explicit", method)):
+        path = write_config(tmp_path / f"{tag}.json", method=chosen, **overrides)
+        code, out, _ = run_main(["solve", "--config", path, "--out", str(tmp_path / tag)], capsys)
+        assert code == 0
+        assert json.loads(out)["method"] == method
+        outputs.append((out, (tmp_path / f"{tag}.csv").read_bytes(),
+                        (tmp_path / f"{tag}.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_trig_small_rho_and_gamma_pass_every_check(tmp_path, capsys):
+    # phi ~ 1 is (sigma/gamma)(1 - beta (cos + cos)) with sigma/gamma ~ 1e5:
+    # only the cancellation-free form keeps the unit-mass check
+    path = write_config(tmp_path / "c.json", kernel={"type": "trigonometric", "rho": 0.001},
+                        gamma=1e-5, horizon=1.0, cells=128)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 0, out + err
+    summary = json.loads(out)
+    assert summary["method"] == "trig"
     assert all(summary["checks"].values()), summary["checks"]
 
 

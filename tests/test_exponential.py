@@ -51,12 +51,12 @@ def test_one_term_closed_form_matches_explicit_solution():
 
 def test_one_term_secular_root_is_three():
     # c = b + (2/gamma) sqrt(b) at b = 1, gamma = 1
-    spectrum = secular_roots((1.0,), (1.0,), 1.0)
+    spectrum = secular_roots(EXP1, 1.0)
     assert spectrum.c == (3.0,)
 
 
 def test_secular_roots_interlace():
-    spectrum = secular_roots((1.0, 2.0, 3.0), (1.0, 2.0, 5.0), 1.0 / 0.2)
+    spectrum = secular_roots(EXP3, 1.0 / 0.2)
     c = spectrum.c
     assert 1.0 < c[0] < 2.0 < c[1] < 5.0 < c[2]
     # each root actually solves the secular equation
@@ -141,7 +141,7 @@ def test_nearly_coincident_rates_rejected():
 
 
 def test_cauchy_factors_give_exact_inverse():
-    spectrum = secular_roots((1.0, 2.0, 3.0), (1.0, 2.0, 5.0), 5.0)
+    spectrum = secular_roots(EXP3, 5.0)
     fac = cauchy_factors(spectrum)
     prod = fac.Qtilde @ (fac.D1[:, None] * fac.Qtilde.T * fac.D2[None, :])
     assert np.max(np.abs(prod - np.eye(3))) <= 1e-12

@@ -170,10 +170,12 @@ def test_lag_row_matches_cell_loop(kernel):
     np.testing.assert_allclose(row, ref, rtol=1e-14, atol=1e-18)
 
 
-def test_trig_lag_row_far_lags():
-    # the product-form second difference keeps the lag row exact at fine
-    # grids, where 1 - cos(rho u) would cancel
-    kernel, m = Trigonometric(rho=0.5), 4096
+@pytest.mark.parametrize("kernel", [Trigonometric(rho=0.5), PowerLaw(alpha=0.5)],
+                         ids=["Trigonometric", "PowerLaw"])
+def test_lag_row_far_lags(kernel):
+    # product forms (cosine) and series in the inverse lag (power law) keep
+    # the lag row exact at fine grids, where plain second differences cancel
+    m = 4096
     h = 2.0 / m
     row = kernel.lag_row(h, m)
     for lag in (1, 2, 1000, 4095):
