@@ -19,7 +19,7 @@ grids from the discrete solver via start=h/2, spacing=h.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,14 +52,7 @@ class MonotonicityReport:
     tol: float
 
     def to_dict(self):
-        return {
-            "symmetry_err": self.symmetry_err,
-            "min_value": self.min_value,
-            "convexity_defect": self.convexity_defect,
-            "diff_orders": [dict(e) for e in self.diff_orders],
-            "verdicts": dict(self.verdicts),
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,19 @@
 """Displacement kernels G(|t - s|) with exact cell integration.
 
-Every kernel family implements three capabilities used throughout the
-package: pointwise evaluation, exact integration of G(|t - s|) over
-axis-aligned rectangles (the building block of the discretized energy and
-of residual checks), and structural classification (nonincreasing, convex,
-completely monotone, positive type).
+Every kernel offers pointwise evaluation, exact integration of G(|t - s|)
+over cells and rectangles, and a structure report (nonincreasing, convex,
+completely monotone, positive type).  `Kernel.lag_row` is the assembly
+path of the discretized energy: one vectorized call yields the double
+integrals of a uniform cell against every lag.  `cell_double_integral` is
+the helper for a general rectangle, and `cell_integral` integrates over one
+cell for residual checks.
+
+The base class does the shared work (lag checks, scalar-or-array returns,
+JSON specs, rectangle splitting).  A family is a frozen dataclass whose
+fields are its JSON fields, and it declares its spec name `kind`, its
+`structure`, and the maths: `_g0` (G itself on an array of lags t >= 0)
+and the antiderivatives `_g1` and `_g2` of the next paragraph.  It
+validates its fields in `__post_init__`.
 
 Rectangle integrals reduce to scalar antiderivatives.  Writing
 G1(u) = int_0^u G(w) dw and G2(u) = int_0^u G1(v) dv for u >= 0, a
@@ -19,8 +28,9 @@ return exact zeros for far-apart cells this way).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,15 +62,7 @@ class KernelStructure:
     tolerance: float | None = None
 
     def to_dict(self):
-        out = {
-            "nonincreasing": self.nonincreasing,
-            "convex": self.convex,
-            "completely_monotone": self.completely_monotone,
-            "positive_type_known": self.positive_type_known,
-        }
-        if self.tolerance is not None:
-            out["tolerance"] = self.tolerance
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _segments(lo, hi, cuts):
@@ -72,18 +74,30 @@ def _segments(lo, hi, cuts):
 class Kernel:
     """Base class: generic rectangle logic on top of per-family scalar hooks."""
 
+    kind: ClassVar[str]
+    structure: ClassVar[KernelStructure]
+
     def evaluate(self, t):
         """Kernel value G(t) for lag t >= 0 (scalar or ndarray)."""
-        raise NotImplementedError
+        t_arr = np.asarray(t, dtype=float)
+        if np.any(t_arr < 0):
+            raise ValueError("kernel lag must be nonnegative")
+        out = self._g0(t_arr)
+        return float(out) if np.ndim(t) == 0 else out
 
     def classify(self) -> KernelStructure:
-        raise NotImplementedError
+        return self.structure
 
     def spec(self) -> dict:
         """JSON-compatible description, round-trips through kernel_from_spec."""
-        raise NotImplementedError
+        values = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return {"type": self.kind, **values}
 
-    # --- antiderivative hooks (vectorized over ndarrays) ---
+    # --- G and its antiderivatives (vectorized over ndarrays) ---
+
+    def _g0(self, t):
+        """G(t) on an array of lags t >= 0."""
+        raise NotImplementedError
 
     def _g1(self, u):
         """First antiderivative of G on u >= 0 with G1(0) = 0."""
@@ -143,15 +157,6 @@ class Kernel:
         return np.sign(w) * self._g1(np.abs(w))
 
 
-def _check_lag(t, positive=False):
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("kernel lag must be nonnegative")
-    if positive and np.any(t_arr == 0):
-        raise ValueError("kernel diverges at lag 0; require t > 0")
-    return t_arr
-
-
 def _e2(z):
     """(expm1(z) - z) / z^2 = int_0^1 (1 - s) exp(z s) ds for real z (1/2 at z = 0)."""
     z = np.asarray(z, dtype=float)
@@ -179,6 +184,11 @@ def _em1p(x):
 class ExponentialSum(Kernel):
     """G(t) = sum_k a_k * exp(-sqrt(b_k) * t) with a_k > 0, b strictly increasing."""
 
+    kind: ClassVar[str] = "exponential_sum"
+    structure: ClassVar[KernelStructure] = KernelStructure(
+        nonincreasing=True, convex=True, completely_monotone=True, positive_type_known=True
+    )
+
     a: tuple
     b: tuple
 
@@ -202,11 +212,9 @@ class ExponentialSum(Kernel):
         b = np.array(self.b)
         return a, b, np.sqrt(b)
 
-    def evaluate(self, t):
-        t_arr = _check_lag(t)
+    def _g0(self, t):
         a, _, rate = self._arrays
-        out = np.sum(a * np.exp(-rate * t_arr[..., None]), axis=-1)
-        return float(out) if np.ndim(t) == 0 else out
+        return np.sum(a * np.exp(-rate * t[..., None]), axis=-1)
 
     def _g1(self, u):
         a, _, rate = self._arrays
@@ -226,21 +234,15 @@ class ExponentialSum(Kernel):
             (a / b) * np.exp(-rate * gap) * np.expm1(-rate * dx) * np.expm1(-rate * dy), axis=-1
         )
 
-    def classify(self):
-        return KernelStructure(
-            nonincreasing=True,
-            convex=True,
-            completely_monotone=True,
-            positive_type_known=True,
-        )
-
-    def spec(self):
-        return {"type": "exponential_sum", "a": list(self.a), "b": list(self.b)}
-
 
 @dataclass(frozen=True)
 class CappedLinear(Kernel):
     """G(t) = (cap - t)^+ ."""
+
+    kind: ClassVar[str] = "capped_linear"
+    structure: ClassVar[KernelStructure] = KernelStructure(
+        nonincreasing=True, convex=True, completely_monotone=False, positive_type_known=True
+    )
 
     cap: float = 1.0
 
@@ -249,10 +251,8 @@ class CappedLinear(Kernel):
             raise ValueError("cap must be positive and finite")
         object.__setattr__(self, "cap", float(self.cap))
 
-    def evaluate(self, t):
-        t_arr = _check_lag(t)
-        out = np.maximum(self.cap - t_arr, 0.0)
-        return float(out) if np.ndim(t) == 0 else out
+    def _g0(self, t):
+        return np.maximum(self.cap - t, 0.0)
 
     def _g1(self, u):
         u = np.asarray(u, dtype=float)
@@ -271,21 +271,15 @@ class CappedLinear(Kernel):
         w = np.maximum(self.cap - np.asarray(u, dtype=float), 0.0)
         return w**3 / 6.0
 
-    def classify(self):
-        return KernelStructure(
-            nonincreasing=True,
-            convex=True,
-            completely_monotone=False,
-            positive_type_known=True,
-        )
-
-    def spec(self):
-        return {"type": "capped_linear", "cap": self.cap}
-
 
 @dataclass(frozen=True)
 class PowerCapped(Kernel):
     """G(t) = ((1 - rho*t)^+)^p for a positive integer power p."""
+
+    kind: ClassVar[str] = "power_capped"
+    structure: ClassVar[KernelStructure] = KernelStructure(  # p >= 1: power of an affine ramp
+        nonincreasing=True, convex=True, completely_monotone=False, positive_type_known=True
+    )
 
     rho: float
     p: int
@@ -298,10 +292,8 @@ class PowerCapped(Kernel):
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "p", int(self.p))
 
-    def evaluate(self, t):
-        t_arr = _check_lag(t)
-        out = np.maximum(1.0 - self.rho * t_arr, 0.0) ** self.p
-        return float(out) if np.ndim(t) == 0 else out
+    def _g0(self, t):
+        return np.maximum(1.0 - self.rho * t, 0.0) ** self.p
 
     def _g1(self, u):
         rho, p = self.rho, self.p
@@ -322,21 +314,15 @@ class PowerCapped(Kernel):
         w = np.maximum(1.0 - rho * np.asarray(u, dtype=float), 0.0)
         return w ** (p + 2) / (rho**2 * (p + 1) * (p + 2))
 
-    def classify(self):
-        return KernelStructure(
-            nonincreasing=True,
-            convex=True,  # p >= 1: piecewise power of an affine ramp
-            completely_monotone=False,
-            positive_type_known=True,
-        )
-
-    def spec(self):
-        return {"type": "power_capped", "rho": self.rho, "p": self.p}
-
 
 @dataclass(frozen=True)
 class Trigonometric(Kernel):
     """G(t) = cos(rho * t): of positive type, but neither nonincreasing nor convex."""
+
+    kind: ClassVar[str] = "trigonometric"
+    structure: ClassVar[KernelStructure] = KernelStructure(  # Bochner: cos is positive definite
+        nonincreasing=False, convex=False, completely_monotone=False, positive_type_known=True
+    )
 
     rho: float
 
@@ -345,10 +331,8 @@ class Trigonometric(Kernel):
             raise ValueError("rho must be positive and finite")
         object.__setattr__(self, "rho", float(self.rho))
 
-    def evaluate(self, t):
-        t_arr = _check_lag(t)
-        out = np.cos(self.rho * t_arr)
-        return float(out) if np.ndim(t) == 0 else out
+    def _g0(self, t):
+        return np.cos(self.rho * t)
 
     def _g1(self, u):
         return np.sin(self.rho * np.asarray(u, dtype=float)) / self.rho
@@ -364,21 +348,15 @@ class Trigonometric(Kernel):
             r * (gap + 0.5 * (dx + dy))
         ) / r**2
 
-    def classify(self):
-        return KernelStructure(
-            nonincreasing=False,
-            convex=False,
-            completely_monotone=False,
-            positive_type_known=True,  # Bochner: cos is positive definite
-        )
-
-    def spec(self):
-        return {"type": "trigonometric", "rho": self.rho}
-
 
 @dataclass(frozen=True)
 class PowerLaw(Kernel):
     """G(t) = scale * t^(-alpha), 0 < alpha < 1 (integrable singularity at 0)."""
+
+    kind: ClassVar[str] = "power_law"
+    structure: ClassVar[KernelStructure] = KernelStructure(
+        nonincreasing=True, convex=True, completely_monotone=True, positive_type_known=True
+    )
 
     alpha: float
     scale: float = 1.0
@@ -391,10 +369,10 @@ class PowerLaw(Kernel):
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "scale", float(self.scale))
 
-    def evaluate(self, t):
-        t_arr = _check_lag(t, positive=True)
-        out = self.scale * t_arr ** (-self.alpha)
-        return float(out) if np.ndim(t) == 0 else out
+    def _g0(self, t):
+        if np.any(t == 0):
+            raise ValueError("kernel diverges at lag 0; require t > 0")
+        return self.scale * t ** (-self.alpha)
 
     def _g1(self, u):
         u = np.asarray(u, dtype=float)
@@ -423,17 +401,6 @@ class PowerLaw(Kernel):
         far = 2.0 * series * c**p * self.scale / ((1.0 - self.alpha) * p)
         return np.where(ra2 <= 1.0 / 16.0, far, super()._one_signed(gap, dx, dy))
 
-    def classify(self):
-        return KernelStructure(
-            nonincreasing=True,
-            convex=True,
-            completely_monotone=True,
-            positive_type_known=True,
-        )
-
-    def spec(self):
-        return {"type": "power_law", "alpha": self.alpha, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class Tabulated(Kernel):
@@ -445,6 +412,8 @@ class Tabulated(Kernel):
     single-cell or double, is exact: the interpolant is integrated piece by
     piece in closed form.
     """
+
+    kind: ClassVar[str] = "tabulated"
 
     t: tuple
     g: tuple
@@ -471,14 +440,11 @@ class Tabulated(Kernel):
     def log_interpolated(self):
         return all(v > 0 for v in self.g)
 
-    def evaluate(self, t):
-        t_arr = _check_lag(t)
+    def _g0(self, t):
         xs, ys = self._arrays
         if self.log_interpolated:
-            out = np.exp(np.interp(t_arr, xs, np.log(ys)))
-        else:
-            out = np.interp(t_arr, xs, ys)
-        return float(out) if np.ndim(t) == 0 else out
+            return np.exp(np.interp(t, xs, np.log(ys)))
+        return np.interp(t, xs, ys)
 
     def _integral(self, lo, hi, weight, cuts=()):
         """Exact int_lo^hi G(w) weight(w) dw for a weight linear between cuts.
@@ -520,11 +486,25 @@ class Tabulated(Kernel):
         return self._integral(gap, end, overlap, (gap + dx, gap + dy))
 
     def classify(self):
+        """Structure of the interpolant actually used, flat head and tail included.
+
+        Every piece is linear or exponential, hence convex, so the interpolant
+        is convex iff its derivative does not drop at any knot, counting t[0]
+        when t[0] > 0 (where the flat head ends).  In log mode the jump at
+        knot k is g_k times the jump of the log-slopes.  Positive type is
+        claimed only by Polya's criterion: nonincreasing and convex.
+        """
         xs, ys = self._arrays
         tol = 1e-9 * max(1.0, float(np.max(np.abs(ys))))
-        slopes = np.diff(ys) / np.diff(xs)
+        nodes = np.log(ys) if self.log_interpolated else ys
+        slopes = np.diff(nodes) / np.diff(xs)
+        jumps = np.diff(np.concatenate(([0.0], slopes, [0.0])))
+        if self.log_interpolated:
+            jumps = jumps * ys
+        if xs[0] == 0.0:
+            jumps = jumps[1:]  # no head: lag 0 ends the domain
         nonincreasing = bool(np.all(np.diff(ys) <= tol))
-        convex = bool(np.all(np.diff(slopes) >= -tol))
+        convex = bool(np.all(jumps >= -tol))
         return KernelStructure(
             nonincreasing=nonincreasing,
             convex=convex,
@@ -533,17 +513,10 @@ class Tabulated(Kernel):
             tolerance=tol,
         )
 
-    def spec(self):
-        return {"type": "tabulated", "t": list(self.t), "g": list(self.g)}
-
 
 _VARIANTS = {
-    "exponential_sum": (ExponentialSum, ("a", "b"), ()),
-    "capped_linear": (CappedLinear, (), ("cap",)),
-    "power_capped": (PowerCapped, ("rho", "p"), ()),
-    "trigonometric": (Trigonometric, ("rho",), ()),
-    "power_law": (PowerLaw, ("alpha",), ("scale",)),
-    "tabulated": (Tabulated, ("t", "g"), ()),
+    cls.kind: cls
+    for cls in (ExponentialSum, CappedLinear, PowerCapped, Trigonometric, PowerLaw, Tabulated)
 }
 
 
@@ -556,11 +529,12 @@ def kernel_from_spec(obj):
     if kind not in _VARIANTS:
         known = ", ".join(sorted(_VARIANTS))
         raise ValueError(f"unknown kernel type {kind!r}; expected one of: {known}")
-    cls, required, optional = _VARIANTS[kind]
-    missing = [f for f in required if f not in spec]
+    cls = _VARIANTS[kind]
+    declared = fields(cls)
+    missing = [f.name for f in declared if f.default is MISSING and f.name not in spec]
     if missing:
         raise ValueError(f"kernel type {kind!r} missing fields: {', '.join(missing)}")
-    extra = [f for f in spec if f not in required and f not in optional]
+    extra = [k for k in spec if k not in {f.name for f in declared}]
     if extra:
         raise ValueError(f"kernel type {kind!r} has unknown fields: {', '.join(extra)}")
     kwargs = {

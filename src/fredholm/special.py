@@ -4,10 +4,12 @@ Capped linear, G(t) = (1 - t)^+, integer horizon T = n: on each unit
 segment the integral equation collapses to a linear ODE system driven by
 the tridiagonal (2, -1) matrix, so phi restricted to segment i is a
 combination of e^{+-b_j s} with b_j = sqrt(lambda_j / gamma) and
-lambda_j = 2(1 - cos(j pi/(n+1))).  The segment functions are glued by a
-single n x n solve; continuity at the integer junctions is not imposed but
-*emerges*, which makes the junction gap a sharp self-check of the
-implementation (and of the sign conventions in J and K).
+lambda_j = 2(1 - cos(j pi/(n+1))), written in the decayed form
+e^{-b_j (1-s)} and e^{-b_j s} so that nothing overflows at any gamma > 0.
+The segment functions are glued by a single n x n solve; continuity at the
+integer junctions is not imposed but *emerges*, which makes the junction
+gap a sharp self-check of the implementation (and of the sign conventions
+in J and K).
 
 Trigonometric, G(t) = cos(rho t): the minimizer is an explicit cosine
 expression.  It is of positive type but not monotone, and for small gamma
@@ -43,9 +45,10 @@ class CappedLinearSolution:
     """Closed form on [0, n] for the unit-cap linear kernel.
 
     ``a_vec`` is the solved coefficient vector (the x0 of the derivation,
-    rescaled to unit mass), ``Q`` the sine eigenvector matrix
-    Q_ij = sin(ij pi/(n+1)), and ``junction_gap`` the largest observed
-    mismatch |phi(i-) - phi(i+)| at the interior integer points.
+    rescaled to unit mass) of the decayed basis e^{-b(1-s)} + J e^{-bs},
+    ``Q`` the sine eigenvector matrix Q_ij = sin(ij pi/(n+1)), and
+    ``junction_gap`` the largest observed mismatch |phi(i-) - phi(i+)| at
+    the interior integer points.
     """
 
     n: int
@@ -64,18 +67,18 @@ class CappedLinearSolution:
 
 @dataclass(frozen=True)
 class TrigSolution:
-    """phi(t) = (sigma/gamma) (1 - beta (cos(rho t) + cos(rho (T-t)))).
+    """phi(t) = base + swing sin^2(rho (t - T/2) / 2).
 
-    ``base`` and ``swing`` hold the same curve in the form
-    phi(t) = base + swing sin^2(rho (t - T/2) / 2), which does not cancel
-    when beta (cos(rho t) + cos(rho (T-t))) is close to 1.
+    This is the classical (sigma/gamma) (1 - beta (cos(rho t) + cos(rho (T-t))))
+    with beta = 2 tan(rho T/2) / D, written without beta: it does not cancel
+    when beta (cos(rho t) + cos(rho (T-t))) is close to 1, and it stays
+    finite at rho T/2 = pi/2 + k pi, where only beta diverges.
     """
 
     rho: float
     gamma: float
     horizon: float
     sigma: float
-    beta: float
     base: float
     swing: float
 
@@ -87,13 +90,17 @@ def _alternating(n):
 def capped_linear_solve(n, gamma) -> CappedLinearSolution:
     """Solve the capped-linear problem on [0, n] with unit cap.
 
-    Builds the n x n junction system
+    In the growing basis e^{bs} + J e^{b(1-s)} the n x n junction system is
 
         (gamma Q (E(1) + J) + K Q ((E(1)-I)(J-I) + B(E(1)-J)) B^{-2}) x0 = sigma 1
 
-    with sigma = 1 provisionally, then rescales (a, sigma) jointly so the
-    mass 1' Q diag(expm1(b)/b) (I + J) a equals one.  K adds row n-i to
-    row i for i < n (the two segments adjacent to junction i), doubling the
+    with sigma = 1 provisionally.  Scaling each coefficient by E(1) = e^{b}
+    gives the decayed basis e^{-b(1-s)} + J e^{-bs}, in which the columns
+    are gamma (1 + J e^{-b}) and (-expm1(-b)(J-1) + b(1 - J e^{-b}))/b^2:
+    nothing overflows however large b = sqrt(lambda/gamma) is.  Then
+    (a, sigma) are rescaled jointly so the mass
+    1' Q diag(-expm1(-b)/b) (I + J) a equals one.  K adds row n-i to row i
+    for i < n (the two segments adjacent to junction i), doubling the
     central diagonal entry when n is even.
     """
     if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
@@ -106,28 +113,25 @@ def capped_linear_solve(n, gamma) -> CappedLinearSolution:
     i = np.arange(1, n + 1)
     lam = 2.0 * (1.0 - np.cos(i * np.pi / (n + 1)))
     b = np.sqrt(lam / gamma)
-    if b.max() > 700.0:
-        raise ValueError(
-            "gamma too small for the closed form: exp(sqrt(lambda_max/gamma)) overflows"
-        )
     Q = np.sin(np.outer(i, i) * np.pi / (n + 1))
     Jd = _alternating(n)
-    E1 = np.exp(b)
+    decay = np.exp(-b)
+    rise = -np.expm1(-b)  # 1 - e^{-b}
 
-    inner = ((E1 - 1.0) * (Jd - 1.0) + b * (E1 - Jd)) / b**2
+    inner = (rise * (Jd - 1.0) + b * (1.0 - Jd * decay)) / b**2
     K = np.eye(n)
     for row in range(1, n):  # 1-based junction i pairs segments i and n-i
         K[row - 1, n - row - 1] += 1.0
-    S = gamma * (Q * (E1 + Jd)[None, :]) + K @ (Q * inner[None, :])
+    S = gamma * (Q * (1.0 + Jd * decay)[None, :]) + K @ (Q * inner[None, :])
     x0 = np.linalg.solve(S, np.ones(n))
 
-    mass = float(np.ones(n) @ (Q * (np.expm1(b) / b * (1.0 + Jd))[None, :]) @ x0)
+    mass = float(np.ones(n) @ (Q * (rise / b * (1.0 + Jd))[None, :]) @ x0)
     a = x0 / mass
     sigma = 1.0 / mass
 
     # continuity at the interior junctions is implied, not imposed: measure it
-    end_vals = Q @ ((E1 + Jd) * a)        # phi_i(1)
-    start_vals = Q @ ((1.0 + Jd * E1) * a)  # phi_i(0)
+    end_vals = Q @ ((1.0 + Jd * decay) * a)  # phi_i(1)
+    start_vals = Q @ ((decay + Jd) * a)      # phi_i(0)
     gap = float(np.max(np.abs(end_vals[:-1] - start_vals[1:]))) if n > 1 else 0.0
 
     return CappedLinearSolution(
@@ -150,8 +154,8 @@ def eval_capped_linear(sol: CappedLinearSolution, t):
     idx = np.minimum(np.floor(t_arr).astype(int), sol.n - 1)
     s = t_arr - idx
     Jd = _alternating(sol.n)
-    basis = np.exp(np.multiply.outer(s, sol.b_vec)) + Jd * np.exp(
-        np.multiply.outer(1.0 - s, sol.b_vec)
+    basis = np.exp(-np.multiply.outer(1.0 - s, sol.b_vec)) + Jd * np.exp(
+        -np.multiply.outer(s, sol.b_vec)
     )
     out = np.einsum("...j,...j->...", sol.Q[idx], basis * sol.a_vec)
     return float(out) if np.ndim(t) == 0 else out
@@ -161,14 +165,25 @@ def eval_capped_linear(sol: CappedLinearSolution, t):
 # verification quadrature: keeps its (points, n) temporaries small at any n
 _BUDGET = 1 << 13
 
+# verification cost grows like b_max ~ gamma^(-1/2); 4096 panels per unit
+# (gamma down to about 2e-9) take a few seconds at n = 3
+_MAX_PANELS = 1 << 12
+
 
 def panels_per_unit(sol: CappedLinearSolution, limit):
     """Equal panels per unit segment for verification quadrature of phi.
 
     Panels are at most ``limit`` long and short enough that the steepest
     boundary layer exp(-b_max s) decays by at most e^10 across one panel.
+    Raises ValueError when that takes more than 4096 panels per unit.
     """
-    return max(math.ceil(1.0 / limit), math.ceil(float(sol.b_vec.max()) / 10.0))
+    layer = float(sol.b_vec.max()) / 10.0
+    if not layer <= _MAX_PANELS:
+        raise ValueError(
+            f"gamma too small to verify the closed form: its boundary layers need "
+            f"more than {_MAX_PANELS} quadrature panels per unit"
+        )
+    return max(math.ceil(1.0 / limit), math.ceil(layer))
 
 
 def _blocks(sol, rows):
@@ -250,7 +265,7 @@ def _trig_defects(x):
 
 
 def trig_solve(rho, gamma, horizon) -> TrigSolution:
-    """Closed form for G(t) = cos(rho t); fails near the tan singularity.
+    """Closed form for G(t) = cos(rho t), regular at every horizon.
 
     beta = 2 tan(x) / D with x = rho T/2 and D = rho (2 gamma + T) + sin(rho T),
     then sigma is fixed by unit mass through the analytic integral of the
@@ -260,7 +275,8 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
         phi(t) = rho (2 rho gamma + g + 8 sin(x) sin^2(rho (t-T/2)/2)) / N,
         sigma = gamma rho D / N,  N = 2 rho^2 gamma T + h,
 
-    with g and h from :func:`_trig_defects`: nothing cancels as rho T -> 0.
+    with g and h from :func:`_trig_defects`: nothing cancels as rho T -> 0,
+    and tan(x) cancels against cos(x), so x = pi/2 + k pi is no pole.
     """
     rho = float(rho)
     gamma = float(gamma)
@@ -273,10 +289,6 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
         raise ValueError("horizon must be positive")
 
     x = 0.5 * rho * horizon
-    nearest_pole = 0.5 * math.pi + math.pi * round((x - 0.5 * math.pi) / math.pi)
-    if abs(x - nearest_pole) <= 1e-8 * max(1.0, abs(x)):
-        raise ValueError("trig solution singular at rho*T/2 ~ pi/2 + k*pi")
-
     d = rho * (2.0 * gamma + horizon) + math.sin(rho * horizon)
     g, h = _trig_defects(x)
     n = 2.0 * rho * rho * gamma * horizon + h
@@ -285,14 +297,13 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
         gamma=gamma,
         horizon=horizon,
         sigma=gamma * rho * d / n,
-        beta=2.0 * math.tan(x) / d,
         base=rho * (2.0 * rho * gamma + g) / n,
         swing=8.0 * rho * math.sin(x) / n,
     )
 
 
 def eval_trig(sol: TrigSolution, t):
-    """phi(t) = (sigma/gamma)(1 - beta (cos(rho t) + cos(rho (T - t)))), as base + swing sin^2."""
+    """phi(t) = base + swing sin^2(rho (t - T/2) / 2) for t in [0, T]."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr > sol.horizon):
         raise ValueError("evaluation point outside [0, T]")

@@ -10,7 +10,7 @@ from scipy import linalg
 from fredholm import discrete, exponential
 from fredholm.discrete import Problem, discretize, endpoint_mass, gamma_sweep, kernel_row, solve
 from fredholm.errors import IndefiniteKernelError
-from fredholm.kernels import ExponentialSum, Tabulated, Trigonometric
+from fredholm.kernels import ExponentialSum, PowerLaw, Tabulated, Trigonometric
 
 import oracles
 
@@ -180,6 +180,15 @@ def test_residual_against_independent_quadrature():
                      (97, grid.midpoints()[97]))
     )
     assert worst <= grid.residual_max * (1.0 + 1e-6) + 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3])
+def test_power_law_residual_rate(alpha):
+    # the singular kernel caps the midpoint residual's decay at h^(1 - alpha)
+    problem = Problem(gamma=0.5, horizon=2.0, kernel=PowerLaw(alpha=alpha))
+    coarse, fine = (solve(problem, m) for m in (1024, 4096))
+    ratio = (coarse.residual_max / coarse.sigma) / (fine.residual_max / fine.sigma)
+    assert ratio == pytest.approx(4.0 ** (1.0 - alpha), rel=0.05)
 
 
 def test_grid_midpoints():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fredholm import discrete
 from fredholm.kernels import (
     CappedLinear,
     ExponentialSum,
@@ -258,6 +259,30 @@ def test_tabulated_classify_carries_tolerance():
     bump = Tabulated(t=(0.0, 0.5, 1.0), g=(0.1, 1.0, 0.1)).classify()
     assert not bump.nonincreasing
     assert not bump.positive_type_known
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        Tabulated(t=(0.0, 1.0, 2.0), g=(1.0, 0.5, 0.01)),  # log-slopes fall: concave knot
+        Tabulated(t=(0.5, 1.0, 2.0), g=(1.0, 0.6, 0.3)),  # flat head meets a falling segment
+    ],
+    ids=["log_slopes", "flat_head"],
+)
+def test_tabulated_classify_describes_the_interpolant(kernel):
+    # linear chords of these samples are convex, the interpolant is not, and
+    # Polya's criterion fails with it: the discretised H is indefinite
+    structure = kernel.classify()
+    assert structure.nonincreasing and not structure.convex
+    assert not structure.positive_type_known
+    H, _ = discrete.discretize(discrete.Problem(gamma=1e-6, horizon=20.0, kernel=kernel), 400)
+    assert np.linalg.eigvalsh(H)[0] < -1e-3
+
+
+def test_tabulated_classify_uses_log_slopes():
+    # log-slopes -1.99, -1.45, -1.39 increase: convex in log mode, so Polya applies
+    structure = Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05)).classify()
+    assert structure.nonincreasing and structure.convex and structure.positive_type_known
 
 
 # ------------------------------------------------------------------ classify

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fredholm import discrete, special
 from fredholm.kernels import CappedLinear, Trigonometric
@@ -127,10 +128,14 @@ def test_capped_input_validation():
         capped_linear_solve(3, 0.0)
 
 
-def test_capped_overflow_guard():
-    # b = sqrt(lambda/gamma) beyond exp range must be refused, not overflow
-    with pytest.raises(ValueError, match="gamma too small"):
-        capped_linear_solve(3, 1e-6)
+def test_capped_verification_panel_limit():
+    # the closed form solves at any gamma, but its verification quadrature
+    # needs panels ~ gamma^(-1/2): past the limit it refuses before allocating
+    sol = capped_linear_solve(3, 1e-12)
+    assert sol.sigma > 0
+    for check in (capped_linear_energy, capped_linear_residual_max):
+        with pytest.raises(ValueError, match="gamma too small to verify"):
+            check(sol)
 
 
 @settings(max_examples=20, deadline=None)
@@ -158,7 +163,9 @@ TRIG_PHI_AT_HALF = -8.462258752969181
 
 def test_trig_fixture_golden():
     sol = trig_solve(0.5, 0.001, 1.0)
-    assert sol.beta == pytest.approx(TRIG_BETA, rel=1e-13)
+    # the swing of base + swing sin^2(rho (t - T/2)/2) is 4 beta cos(rho T/2) sigma/gamma
+    assert sol.swing == pytest.approx(4.0 * TRIG_BETA * math.cos(0.25) * TRIG_SIGMA / 0.001,
+                                      rel=1e-12)
     assert sol.sigma == pytest.approx(TRIG_SIGMA, rel=1e-12)
     assert eval_trig(sol, 0.0) == pytest.approx(TRIG_PHI_AT_0, rel=1e-12)
     assert eval_trig(sol, 0.5) == pytest.approx(TRIG_PHI_AT_HALF, rel=1e-12)
@@ -196,15 +203,21 @@ def test_trig_agrees_with_discrete_solver():
     assert np.max(np.abs(grid.values - ref)) <= 5e-3
 
 
-def test_trig_singular_horizon_rejected():
-    # rho*T/2 = pi/2 makes tan blow up: T = pi/rho
-    with pytest.raises(ValueError, match="singular"):
-        trig_solve(1.0, 0.1, math.pi)
-    with pytest.raises(ValueError, match="singular"):
-        trig_solve(1.0, 0.1, 3.0 * math.pi)  # next branch, k = 1
-    # just off the pole is fine
-    sol = trig_solve(1.0, 0.1, math.pi - 1e-3)
-    assert math.isfinite(sol.sigma)
+def test_trig_pole_horizon_is_regular():
+    # rho*T/2 = pi/2 + k pi is a pole of beta = 2 tan(rho T/2)/D only: the
+    # curve, sigma and every check stay regular there and continuous across it
+    for T in (math.pi, 3.0 * math.pi):
+        sol = trig_solve(1.0, 0.1, T)
+        assert sol.sigma > 0
+        assert trig_residual_max(sol) <= 1e-11 * sol.sigma
+        worst = oracles.fredholm_residual(Trigonometric(rho=1.0), lambda t: eval_trig(sol, t),
+                                          sol.sigma, 0.1, T, [0.0, 0.9, T / 2.0, T])
+        assert worst <= 1e-10 * sol.sigma
+        assert sol.sigma == pytest.approx(2.0 * trig_energy(sol), rel=1e-11)
+        assert quad(lambda t: eval_trig(sol, t), 0.0, T)[0] == pytest.approx(1.0, rel=1e-12)
+        near = trig_solve(1.0, 0.1, T - 1e-9)
+        assert near.sigma == pytest.approx(sol.sigma, rel=1e-8)
+        assert eval_trig(near, 0.0) == pytest.approx(eval_trig(sol, 0.0), rel=1e-8)
 
 
 def test_trig_input_validation():
