@@ -8,6 +8,9 @@ Every command prints a JSON document on stdout and (for solve) optionally
 writes a CSV of the sampled curve plus a JSON summary next to it.  Output
 is deterministic: identical configs give byte-identical bytes.
 
+Every JSON document is strict RFC 8259: a non-finite number is written as
+the string "inf", "-inf" or "nan", never as Infinity or NaN.
+
 Exit codes: 0 on success with all solver invariants satisfied, 1 when a
 solve fails or an invariant check misses its tolerance, 2 for invalid
 configuration.  Structural findings (negative values, nonconvexity) are
@@ -29,7 +32,12 @@ from ._quad import panel_gauss
 from .errors import IllConditionedError, IndefiniteKernelError
 from .kernels import CappedLinear, ExponentialSum, Trigonometric, kernel_from_spec
 
-__all__ = ["RunConfig", "main", "run", "compare_cmd"]
+__all__ = ["RunConfig", "MAX_CELLS", "main", "run", "compare_cmd"]
+
+# peak memory of a solve grows by about 250 bytes a cell with a CSV artifact
+# and 400 with a JSON one (measured at 2^20 cells), so 2^22 cells need
+# about 1.1 and 1.7 GB
+MAX_CELLS = 1 << 22
 
 
 class ConfigError(ValueError):
@@ -210,8 +218,8 @@ def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunCon
 
     if cells is None:
         cells = raw.get("cells", 1024)
-    if not isinstance(cells, (int,)) or isinstance(cells, bool) or cells < 2:
-        raise ConfigError("'cells' must be an integer >= 2", {"got": cells})
+    if not isinstance(cells, (int,)) or isinstance(cells, bool) or not 2 <= cells <= MAX_CELLS:
+        raise ConfigError(f"'cells' must be an integer from 2 to {MAX_CELLS}", {"got": cells})
 
     diag = raw.get("diagnostics", {})
     if not isinstance(diag, dict):
@@ -287,7 +295,7 @@ def _float_repr(x):
 
 def _write_csv(path, cfg: RunConfig, res: RunResult):
     lines = [
-        "# kernel: " + json.dumps(cfg.kernel.spec(), separators=(", ", ": ")),
+        "# kernel: " + json.dumps(cfg.kernel.spec(), separators=(", ", ": "), allow_nan=False),
         "# gamma: " + _float_repr(cfg.gamma),
         "# horizon: " + _float_repr(cfg.horizon),
         "# method: " + cfg.method,
@@ -301,8 +309,23 @@ def _write_csv(path, cfg: RunConfig, res: RunResult):
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite(doc):
+    """``doc`` with every non-finite float replaced by its repr string."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return repr(doc)
+    if isinstance(doc, dict):
+        return {k: _finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(v) for v in doc]
+    return doc
+
+
+def _dumps(doc):
+    return json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
+
+
 def _emit(doc, stream=None):
-    (stream or sys.stdout).write(json.dumps(doc, indent=2) + "\n")
+    (stream or sys.stdout).write(_dumps(doc))
 
 
 def _error(message, detail=None, code=1):
@@ -338,7 +361,7 @@ def run(cfg: RunConfig) -> int:
             doc["t"] = [float(v) for v in res.t]
             doc["phi"] = [float(v) for v in res.phi]
         with open(base + ".json", "w") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(_dumps(doc))
     _emit(summary)
     if not summary["passed"]:
         failed = [name for name, ok in summary["checks"].items() if not ok]
@@ -351,8 +374,8 @@ def compare_cmd(cfg_a: RunConfig, cfg_b: RunConfig, grid_points=1001) -> dict:
     if cfg_a.horizon != cfg_b.horizon:
         raise ConfigError("configs have different horizons",
                           {"a": cfg_a.horizon, "b": cfg_b.horizon})
-    if grid_points < 2:
-        raise ConfigError("grid_points must be >= 2", {"got": grid_points})
+    if not 2 <= grid_points <= MAX_CELLS:
+        raise ConfigError(f"grid_points must be from 2 to {MAX_CELLS}", {"got": grid_points})
     t = np.linspace(0.0, cfg_a.horizon, grid_points)
     out = diagnostics.compare(*(
         diagnostics.SampledSolution(t=t, phi=res.evaluate(t), sigma=res.sigma)
@@ -376,7 +399,7 @@ def _cmd_compare(args):
     out = compare_cmd(cfg_a, cfg_b, grid_points=args.grid_points)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(out, indent=2) + "\n")
+            fh.write(_dumps(out))
     _emit(out)
     return 0
 
@@ -406,7 +429,7 @@ def _cmd_sweep(args):
     }
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(_dumps(doc))
     _emit(doc)
     return 0
 

@@ -14,13 +14,24 @@ free constant sigma of the equivalent second-kind integral equation
     gamma phi(t) + int_0^T G(|t-s|) phi(s) ds = sigma,
 
 and equals twice the minimal energy.
+
+No m x m matrix is formed.  Toeplitz products go through the FFT of a
+2m-point circulant embedding.  For a kernel of positive type the cell
+averages form a Gram matrix K, so 2H = gamma h I + K has every eigenvalue at
+or above gamma h: that theory margin, checked against a bound on the lag
+row's rounding, is the positive-definiteness certificate, and preconditioned
+conjugate gradients with T. Chan's optimal circulant preconditioner solve
+2H x = 1 in O(m log m), in a number of iterations that does not grow with m
+(the equation is of the second kind).  Any other kernel, or a run whose
+margin fails or whose iteration misses its cap, is solved by the O(m^2)
+Levinson-Durbin recursion, whose prediction errors certify (or refute)
+positive definiteness directly.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from .errors import IndefiniteKernelError
 from .kernels import Kernel
@@ -118,7 +129,8 @@ def discretize(problem: Problem, m: int):
     diagonal carries the extra (gamma/2)(T/m) from the gamma-term.  H is
     symmetric Toeplitz, so only the first row is integrated.
     """
-    H = 0.5 * linalg.toeplitz(_column(problem, _lags(problem, m)))
+    i = np.arange(m)
+    H = 0.5 * _column(problem, _lags(problem, m))[np.abs(np.subtract.outer(i, i))]
     return H, np.full(m, problem.horizon / m)
 
 
@@ -158,19 +170,116 @@ def _levinson_ones(col):
     return x / col[0]
 
 
-def _solve(problem: Problem, lags) -> SolutionGrid:
-    m = len(lags)
+class _Toeplitz:
+    """Symmetric Toeplitz matrix with first column ``col``, applied by FFT.
+
+    It is the leading m x m block of the 2m-point circulant with first column
+    (col, 0, col[m-1:0:-1]), whose eigenvalues are the rfft of that column,
+    so ``op @ v`` is one rfft and one irfft.  Adding s to col[0] adds s to
+    every eigenvalue: ``shifted(s)`` reuses the spectrum.
+    """
+
+    def __init__(self, col=None, spectrum=None):
+        if spectrum is None:
+            spectrum = np.fft.rfft(np.concatenate((col, [0.0], col[:0:-1])))
+        self.spectrum = spectrum
+        self.m = len(spectrum) - 1
+
+    def shifted(self, s):
+        return _Toeplitz(spectrum=self.spectrum + s)
+
+    def __matmul__(self, v):
+        n = 2 * self.m
+        return np.fft.irfft(self.spectrum * np.fft.rfft(v, n), n)[:self.m]
+
+
+def _chan_eigenvalues(col):
+    """Eigenvalues (rfft order) of T. Chan's optimal circulant for the Toeplitz col.
+
+    Its first column averages the two diagonals that wrap onto each other,
+    ((m-k) col[k] + k col[m-k]) / m, so it is the Frobenius-nearest circulant.
+    """
+    m = len(col)
+    k = np.arange(m)
+    return np.fft.rfft(((m - k) * col + k * col[(m - k) % m]) / m).real
+
+
+# conjugate gradients on a second-kind equation converge in a number of steps
+# that does not grow with m; past this many the run falls back to Levinson
+_PCG_MAX_ITER = 200
+_PCG_RTOL = 1e-14
+
+
+def _pcg_ones(op, precond):
+    """Solve op x = 1 by preconditioned CG from x = 0; None when it stalls.
+
+    ``precond`` holds the eigenvalues of a symmetric positive definite
+    circulant.  Stops at |r| <= 1e-14 |1|; returns None after
+    ``_PCG_MAX_ITER`` steps, or when a search direction has p' op p <= 0.
+    """
+    m = op.m
+    x = np.zeros(m)
+    r = np.ones(m)
+    stop = _PCG_RTOL * math.sqrt(m)
+    z = np.fft.irfft(np.fft.rfft(r) / precond, m)
+    p = z
+    rz = r @ z
+    for _ in range(_PCG_MAX_ITER):
+        q = op @ p
+        curvature = p @ q
+        if not curvature > 0:
+            return None
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * q
+        if math.sqrt(r @ r) <= stop:
+            return x
+        z = np.fft.irfft(np.fft.rfft(r) / precond, m)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return None
+
+
+class _Operators:
+    """The gamma-free FFT operators of one grid, shared by every gamma of a sweep.
+
+    ``lags`` is the lag row of K, ``kernel`` applies K, ``chan`` holds the
+    eigenvalues of K's T. Chan circulant, and ``midpoints`` applies the
+    single-cell integrals at the cell midpoints (the residual's convolution).
+    ``certifiable`` holds when theory puts every eigenvalue of K at or above
+    0 (the kernel is of positive type), and ``rounding`` bounds how far
+    rounding in the computed lag row can move them: a symmetric Toeplitz
+    perturbation d has norm at most 2 |d|_1, and m/2 ulps of every entry
+    are allowed for.
+    """
+
+    def __init__(self, problem: Problem, lags):
+        m = len(lags)
+        h = problem.horizon / m
+        self.lags = lags
+        self.kernel = _Toeplitz(lags)
+        self.chan = _chan_eigenvalues(lags)
+        self.midpoints = _Toeplitz(problem.kernel.cell_integral(0.0, h, (np.arange(m) + 0.5) * h))
+        self.certifiable = problem.kernel.classify().positive_type_known
+        self.rounding = m * np.finfo(float).eps * float(np.sum(np.abs(lags)))
+
+
+def _solve(problem: Problem, ops: _Operators) -> SolutionGrid:
+    m = len(ops.lags)
     h = problem.horizon / m
-    col = _column(problem, lags)
-    x = _levinson_ones(col)  # 2H phi = sigma w and w = h*1, so phi ~ x
-    mass = h * math.fsum(x)
+    ridge = problem.gamma * h  # 2H = ridge I + K
+    op = ops.kernel.shifted(ridge)
+    x = None
+    if ops.certifiable and ridge > ops.rounding:  # lambda_min(2H) >= ridge > 0
+        x = _pcg_ones(op, ops.chan + ridge)
+    if x is None:
+        x = _levinson_ones(_column(problem, ops.lags))
+    mass = h * math.fsum(x)  # 2H phi = sigma w and w = h*1, so phi ~ x
     phi = x / mass
     sigma = 1.0 / (h * mass)
 
-    energy = 0.5 * float(phi @ linalg.matmul_toeplitz(col, phi))
-    mids = (np.arange(m) + 0.5) * h
-    conv = linalg.matmul_toeplitz(problem.kernel.cell_integral(0.0, h, mids), phi)
-    resid = problem.gamma * phi + conv - sigma
+    energy = 0.5 * float(phi @ (op @ phi))
+    resid = problem.gamma * phi + ops.midpoints @ phi - sigma
     return SolutionGrid(
         cells=m,
         values=phi,
@@ -184,11 +293,18 @@ def _solve(problem: Problem, lags) -> SolutionGrid:
 def solve(problem: Problem, m: int) -> SolutionGrid:
     """Minimize the discretized energy under unit mass.
 
-    One Levinson-Durbin solve of 2H x = 1 gives phi = x / (h sum x) and the
-    multiplier sigma = 1 / (h^2 sum x).  The energy phi' H phi and the
-    midpoint residual are FFT Toeplitz products; no m x m matrix is formed.
-    Raises :class:`~fredholm.errors.IndefiniteKernelError` when H is not
-    positive definite (the kernel is not of positive type at this resolution).
+    Solving 2H x = 1 gives phi = x / (h sum x) and the multiplier
+    sigma = 1 / (h^2 sum x).  For a kernel of positive type
+    (``classify().positive_type_known``), theory puts every eigenvalue of
+    2H at or above gamma h; when that margin exceeds the bound
+    m * eps * |lag row|_1 on the lag row's rounding, preconditioned
+    conjugate gradients with T. Chan's circulant preconditioner solve the
+    system in O(m log m).  Otherwise, or when the iteration does not reach
+    |r| <= 1e-14 |1| within its cap, Levinson-Durbin solves it in O(m^2),
+    and raises :class:`~fredholm.errors.IndefiniteKernelError` when H is
+    not positive definite (the kernel is not of positive type at this
+    resolution).  The energy phi' H phi and the midpoint residual are FFT
+    Toeplitz products; no m x m matrix is formed.
 
     The midpoint residual shrinks with the cell width h at a rate the kernel
     sets: like h^2 for the bounded families (a 4x finer grid divides it by
@@ -196,7 +312,7 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     singularity at lag 0 sits in every diagonal cell (a 4x finer grid
     divides it by 4^(1 - alpha), that is 2 at alpha = 0.5).
     """
-    return _solve(problem, _lags(problem, m))
+    return _solve(problem, _Operators(problem, _lags(problem, m)))
 
 
 def sweep_gammas(gammas) -> list:
@@ -218,13 +334,18 @@ def sweep_gammas(gammas) -> list:
 def gamma_sweep(problem: Problem, m: int, gammas) -> list:
     """Solve a strictly decreasing sequence of gamma values on a fixed grid.
 
-    The gamma-free lag row is assembled once.  Used to watch mass migrate
+    The gamma-free lag row, the FFT spectra of K and of the midpoint
+    convolution, and the eigenvalues of K's circulant preconditioner are
+    computed once; each gamma only adds gamma h to the spectrum of K and to
+    the preconditioner's eigenvalues.  Every gamma is solved as
+    :func:`solve` would: conjugate gradients under the positive-type
+    certificate, Levinson-Durbin otherwise.  Used to watch mass migrate
     toward the endpoints as the quadratic penalty vanishes; no convergence
     claim is attached.
     """
     gammas = sweep_gammas(gammas)
-    lags = _lags(problem, m)
-    return [_solve(replace(problem, gamma=g), lags) for g in gammas]
+    ops = _Operators(problem, _lags(problem, m))
+    return [_solve(replace(problem, gamma=g), ops) for g in gammas]
 
 
 def endpoint_mass(grid: SolutionGrid) -> float:

@@ -51,8 +51,10 @@ __all__ = [
 class KernelStructure:
     """Structural flags of a kernel.
 
-    ``tolerance`` is only set for table-based kernels, where the flags come
-    from finite-difference sign tests instead of analytic facts.
+    ``tolerance`` is only set for table-based kernels, where the
+    ``nonincreasing`` and ``convex`` flags come from sign tests within it
+    instead of analytic facts; ``positive_type_known`` never rests on a
+    tolerance.
     """
 
     nonincreasing: bool
@@ -492,7 +494,9 @@ class Tabulated(Kernel):
         is convex iff its derivative does not drop at any knot, counting t[0]
         when t[0] > 0 (where the flat head ends).  In log mode the jump at
         knot k is g_k times the jump of the log-slopes.  Positive type is
-        claimed only by Polya's criterion: nonincreasing and convex.
+        claimed only by Polya's criterion, tested without the tolerance:
+        no slope jump is negative, so the interpolant is convex and, ending
+        flat, nonincreasing.  The discrete solver's certificate rests on it.
         """
         xs, ys = self._arrays
         tol = 1e-9 * max(1.0, float(np.max(np.abs(ys))))
@@ -509,7 +513,7 @@ class Tabulated(Kernel):
             nonincreasing=nonincreasing,
             convex=convex,
             completely_monotone=False,  # not decidable from samples
-            positive_type_known=nonincreasing and convex,
+            positive_type_known=bool(np.all(jumps >= 0.0)),
             tolerance=tol,
         )
 

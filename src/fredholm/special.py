@@ -83,6 +83,11 @@ class TrigSolution:
     swing: float
 
 
+# verification cost grows like b_max ~ gamma^(-1/2); 4096 panels per unit
+# (gamma down to about 2e-9) take a few seconds at n = 3
+_MAX_PANELS = 1 << 12
+
+
 def _alternating(n):
     return (-1.0) ** (np.arange(1, n + 1) + 1)
 
@@ -102,6 +107,10 @@ def capped_linear_solve(n, gamma) -> CappedLinearSolution:
     1' Q diag(-expm1(-b)/b) (I + J) a equals one.  K adds row n-i to row i
     for i < n (the two segments adjacent to junction i), doubling the
     central diagonal entry when n is even.
+
+    Raises ValueError when gamma is too small for the solution to be
+    verified (see :func:`panels_per_unit`), before anything is solved: the
+    junction system loses its digits long before it becomes singular.
     """
     if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
         raise ValueError("capped-linear closed form needs a positive integer horizon")
@@ -112,6 +121,12 @@ def capped_linear_solve(n, gamma) -> CappedLinearSolution:
 
     i = np.arange(1, n + 1)
     lam = 2.0 * (1.0 - np.cos(i * np.pi / (n + 1)))
+    # b_max / 10 <= _MAX_PANELS, squared so that no gamma overflows lam / gamma
+    if not lam[-1] <= gamma * (10.0 * _MAX_PANELS) ** 2:
+        raise ValueError(
+            f"gamma too small to verify the closed form: its boundary layers need "
+            f"more than {_MAX_PANELS} quadrature panels per unit"
+        )
     b = np.sqrt(lam / gamma)
     Q = np.sin(np.outer(i, i) * np.pi / (n + 1))
     Jd = _alternating(n)
@@ -165,25 +180,16 @@ def eval_capped_linear(sol: CappedLinearSolution, t):
 # verification quadrature: keeps its (points, n) temporaries small at any n
 _BUDGET = 1 << 13
 
-# verification cost grows like b_max ~ gamma^(-1/2); 4096 panels per unit
-# (gamma down to about 2e-9) take a few seconds at n = 3
-_MAX_PANELS = 1 << 12
-
 
 def panels_per_unit(sol: CappedLinearSolution, limit):
     """Equal panels per unit segment for verification quadrature of phi.
 
     Panels are at most ``limit`` long and short enough that the steepest
     boundary layer exp(-b_max s) decays by at most e^10 across one panel.
-    Raises ValueError when that takes more than 4096 panels per unit.
+    :func:`capped_linear_solve` refuses any gamma for which that takes more
+    than 4096 panels per unit.
     """
-    layer = float(sol.b_vec.max()) / 10.0
-    if not layer <= _MAX_PANELS:
-        raise ValueError(
-            f"gamma too small to verify the closed form: its boundary layers need "
-            f"more than {_MAX_PANELS} quadrature panels per unit"
-        )
-    return max(math.ceil(1.0 / limit), math.ceil(layer))
+    return max(math.ceil(1.0 / limit), math.ceil(float(sol.b_vec.max()) / 10.0))
 
 
 def _blocks(sol, rows):

@@ -34,6 +34,22 @@ def run_main(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+def strict_json(text):
+    """Parse one JSON document, refusing the Infinity and NaN extensions."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def run_module(path, prelude=""):
+    """``python -m fredholm solve --config path`` in a fresh interpreter, after ``prelude``."""
+    code = (f"import runpy, sys; {prelude}sys.argv = ['fredholm', 'solve', '--config', {path!r}]; "
+            "runpy.run_module('fredholm', run_name='__main__')")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
 # ------------------------------------------------------------- config parsing
 
 def test_unknown_fields_rejected(tmp_path, capsys):
@@ -60,6 +76,7 @@ def test_unknown_fields_rejected(tmp_path, capsys):
         {"diagnostics": {"tol": -1.0}},
         {"output": {"format": "xml"}},
         {"cells": 40},  # 41 samples, fewer than 8 * max_order = 48
+        {"cells": cli.MAX_CELLS + 1},  # refused before any array is allocated
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, overrides):
@@ -345,8 +362,32 @@ def test_cli_never_crashes(config, command):
             code = cli.main([command, "--config", path])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        strict_json(out.getvalue())
     if code != 0:
-        assert json.loads(err.getvalue())["error"]
+        assert strict_json(err.getvalue())["error"]
+
+
+def test_infinite_condition_is_strict_json(tmp_path, capsys):
+    # cond(Ntilde) overflows to inf; stderr must still be RFC 8259 JSON
+    path = write_config(tmp_path / "c.json",
+                        kernel={"type": "exponential_sum", "a": [1, 1], "b": [1e-40, 1]},
+                        gamma=0.5, horizon=2)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert strict_json(err)["detail"]["condition"] == "inf"
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 5e-324])
+def test_capped_tiny_gamma_refused(tmp_path, gamma):
+    # refused before the junction solve: no "Singular matrix", no numpy warning
+    path = write_config(tmp_path / "c.json", kernel={"type": "capped_linear"},
+                        gamma=gamma, horizon=3.0)
+    proc = run_module(path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "gamma too small" in strict_json(proc.stderr)["error"]
 
 
 # ------------------------------------------------------------ other commands
@@ -369,6 +410,16 @@ def test_compare_horizon_mismatch(tmp_path, capsys):
     code, _, err = run_main(["compare", a, b], capsys)
     assert code == 2
     assert "horizon" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("points", ["1", str(cli.MAX_CELLS + 1)])
+def test_compare_grid_points_out_of_range(tmp_path, capsys, points):
+    # refused before the shared grid is allocated, like an oversized 'cells'
+    a = write_config(tmp_path / "a.json")
+    code, out, err = run_main(["compare", a, a, "--grid-points", points], capsys)
+    assert code == 2
+    assert out == ""
+    assert "grid_points" in strict_json(err)["error"]
 
 
 def test_sweep_endpoint_mass_growth(tmp_path, capsys):
@@ -408,6 +459,24 @@ def test_verify_requires_exponential_kernel(tmp_path, capsys):
     path = write_config(tmp_path / "c.json", kernel={"type": "capped_linear"})
     code, _, err = run_main(["verify", "--config", path], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"kernel": {"type": "capped_linear"}, "horizon": 3.0, "gamma": 0.1},
+        {"kernel": {"type": "trigonometric", "rho": 0.5}, "gamma": 0.001},
+        {"kernel": {"type": "power_law", "alpha": 0.5}, "cells": 256},
+    ],
+    ids=["exp_closed_form", "capped_linear", "trig", "discrete"],
+)
+def test_every_route_runs_without_scipy(tmp_path, request, overrides):
+    # scipy is a test dependency only: with its import blocked, every route solves
+    path = write_config(tmp_path / "c.json", **overrides)
+    proc = run_module(path, prelude="sys.modules['scipy'] = None; ")
+    assert proc.returncode == 0, proc.stderr
+    assert strict_json(proc.stdout)["method"] == request.node.callspec.id
 
 
 def test_module_entry_point(tmp_path):

@@ -10,7 +10,14 @@ from scipy import linalg
 from fredholm import discrete, exponential
 from fredholm.discrete import Problem, discretize, endpoint_mass, gamma_sweep, kernel_row, solve
 from fredholm.errors import IndefiniteKernelError
-from fredholm.kernels import ExponentialSum, PowerLaw, Tabulated, Trigonometric
+from fredholm.kernels import (
+    CappedLinear,
+    ExponentialSum,
+    PowerCapped,
+    PowerLaw,
+    Tabulated,
+    Trigonometric,
+)
 
 import oracles
 
@@ -128,6 +135,57 @@ def test_indefinite_pivot_matches_dense_cholesky(m, gamma):
     with pytest.raises(IndefiniteKernelError) as err:
         solve(problem, m)
     assert err.value.pivot == info
+
+
+def _levinson_solution(problem, m):
+    """(sigma, phi) from the Levinson-Durbin solve of 2H x = 1."""
+    x = discrete._levinson_ones(discrete._column(problem, discrete._lags(problem, m)))
+    mass = (problem.horizon / m) * math.fsum(x)
+    return 1.0 / ((problem.horizon / m) * mass), x / mass
+
+
+POSITIVE_TYPE = {
+    "exp2": Problem(gamma=0.5, horizon=2.0, kernel=ExponentialSum(a=(1.0, 1.0), b=(1.0, 4.0))),
+    "capped": Problem(gamma=0.1, horizon=3.0, kernel=CappedLinear(cap=1.0)),
+    "power_capped": Problem(gamma=0.3, horizon=2.0, kernel=PowerCapped(rho=1.0, p=2)),
+    "trig": Problem(gamma=0.01, horizon=1.0, kernel=Trigonometric(rho=0.5)),
+    "power_law": Problem(gamma=0.5, horizon=2.0, kernel=PowerLaw(alpha=0.5)),
+    "tabulated": Problem(gamma=0.3, horizon=3.0,
+                         kernel=Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05))),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3, 256, 4096])
+@pytest.mark.parametrize("name", POSITIVE_TYPE)
+def test_pcg_matches_levinson(monkeypatch, name, m):
+    # every positive-type family runs conjugate gradients; they must land on
+    # the Levinson-Durbin solution of the same Toeplitz system
+    problem = POSITIVE_TYPE[name]
+    assert problem.kernel.classify().positive_type_known
+    sigma, phi = _levinson_solution(problem, m)
+    monkeypatch.setattr(discrete, "_levinson_ones", None)  # the certified route needs no fallback
+    grid = solve(problem, m)
+    assert grid.sigma == pytest.approx(sigma, rel=1e-14)
+    assert np.max(np.abs(grid.values - phi)) <= 1e-12 * np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("cause", ["iteration_cap", "margin"])
+def test_uncertified_runs_fall_back_to_levinson(monkeypatch, cause):
+    # a PCG run that misses its cap, or whose theory margin gamma h does not
+    # clear the lag row's rounding bound, is solved by Levinson-Durbin instead
+    problem = EXP1
+    if cause == "iteration_cap":
+        monkeypatch.setattr(discrete, "_PCG_MAX_ITER", 1)
+    else:  # gamma h = 7.8e-17 against the bound m eps |lags|_1 = 1.4e-16
+        problem = replace(EXP1, gamma=5e-15)
+    calls = []
+    levinson = discrete._levinson_ones
+    monkeypatch.setattr(discrete, "_levinson_ones", lambda col: calls.append(1) or levinson(col))
+    grid = solve(problem, 64)
+    assert calls == [1]
+    sigma, phi = _levinson_solution(problem, 64)
+    assert grid.sigma == sigma
+    np.testing.assert_array_equal(grid.values, phi)
 
 
 def test_gamma_sweep_orders_and_endpoint_mass():

@@ -285,6 +285,14 @@ def test_tabulated_classify_uses_log_slopes():
     assert structure.nonincreasing and structure.convex and structure.positive_type_known
 
 
+def test_tabulated_positive_type_ignores_the_tolerance():
+    # a concave knot of 2e-10 passes the convexity flag's tolerance, but the
+    # positive-type claim certifies the discrete solve, so it must be exact
+    structure = Tabulated(t=(0.0, 1.0, 2.0, 3.0), g=(1.5, 1.0, 0.5 + 1e-10, 0.0)).classify()
+    assert structure.nonincreasing and structure.convex
+    assert not structure.positive_type_known
+
+
 # ------------------------------------------------------------------ classify
 
 def test_classify_flags():

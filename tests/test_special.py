@@ -129,13 +129,13 @@ def test_capped_input_validation():
 
 
 def test_capped_verification_panel_limit():
-    # the closed form solves at any gamma, but its verification quadrature
-    # needs panels ~ gamma^(-1/2): past the limit it refuses before allocating
-    sol = capped_linear_solve(3, 1e-12)
-    assert sol.sigma > 0
-    for check in (capped_linear_energy, capped_linear_residual_max):
+    # verification needs panels ~ gamma^(-1/2); past 4096 per unit (gamma
+    # below about 2.03e-9 at n = 3) the solve refuses before solving, where
+    # the junction system would lose its digits, turn singular or overflow
+    for gamma in (2e-9, 1e-12, 1e-300, 5e-324):
         with pytest.raises(ValueError, match="gamma too small to verify"):
-            check(sol)
+            capped_linear_solve(3, gamma)
+    assert 4000 < special.panels_per_unit(capped_linear_solve(3, 2.1e-9), 0.5) <= 4096
 
 
 @settings(max_examples=20, deadline=None)
