@@ -130,7 +130,7 @@ def _solve_capped(cfg: RunConfig) -> RunResult:
     return _closed_form(
         cfg, lambda s: special.eval_capped_linear(sol, s), sol.sigma,
         special.capped_linear_energy(sol), special.capped_linear_residual_max(sol),
-        breakpoints=list(range(1, sol.n)), max_panel=1.0 / special.panels_per_unit(sol, 0.5),
+        breakpoints=list(range(1, sol.n)), max_panel=1.0 / special.panels_per_unit(sol),
     )
 
 

@@ -9,7 +9,8 @@ e^{-b_j (1-s)} and e^{-b_j s} so that nothing overflows at any gamma > 0.
 The segment functions are glued by a single n x n solve; continuity at the
 integer junctions is not imposed but *emerges*, which makes the junction
 gap a sharp self-check of the implementation (and of the sign conventions
-in J and K).
+in J and K).  The residual check integrates that basis against the kernel
+exactly; only the energy check's outer integral is Gauss quadrature.
 
 Trigonometric, G(t) = cos(rho t): the minimizer is an explicit cosine
 expression.  It is of positive type but not monotone, and for small gamma
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import gauss_panels, panel_gauss
+from .kernels import _em1p
 
 __all__ = [
     "CappedLinearSolution",
@@ -83,8 +85,8 @@ class TrigSolution:
     swing: float
 
 
-# verification cost grows like b_max ~ gamma^(-1/2); 4096 panels per unit
-# (gamma down to about 2e-9) take a few seconds at n = 3
+# quadrature panels per unit grow like b_max ~ gamma^(-1/2); 4096 of them
+# (gamma down to about 2e-9) take the energy check about 0.3 s at n = 3
 _MAX_PANELS = 1 << 12
 
 
@@ -176,60 +178,58 @@ def eval_capped_linear(sol: CappedLinearSolution, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-# evaluation points x basis terms per eval_capped_linear call in the
-# verification quadrature: keeps its (points, n) temporaries small at any n
+# evaluation points x basis terms per block of the energy quadrature
 _BUDGET = 1 << 13
 
 
-def panels_per_unit(sol: CappedLinearSolution, limit):
-    """Equal panels per unit segment for verification quadrature of phi.
+def panels_per_unit(sol: CappedLinearSolution):
+    """Equal panels per unit segment for Gauss quadrature of phi.
 
-    Panels are at most ``limit`` long and short enough that the steepest
-    boundary layer exp(-b_max s) decays by at most e^10 across one panel.
-    :func:`capped_linear_solve` refuses any gamma for which that takes more
-    than 4096 panels per unit.
+    At most half a unit, and short enough that exp(-b_max s) decays by at
+    most e^10 across one; :func:`capped_linear_solve` refuses past 4096.
     """
-    return max(math.ceil(1.0 / limit), math.ceil(float(sol.b_vec.max()) / 10.0))
+    return max(2, math.ceil(float(sol.b_vec.max()) / 10.0))
 
 
-def _blocks(sol, rows):
-    """Row slices of ``rows`` x 24 Gauss nodes with at most _BUDGET basis terms each."""
-    step = max(1, _BUDGET // (24 * sol.n))
-    return (slice(i, i + step) for i in range(0, rows, step))
+def _blocks(sol, points):
+    """Slices of ``points`` evaluation points with at most _BUDGET basis terms each."""
+    step = max(1, _BUDGET // sol.n)
+    return (slice(i, i + step) for i in range(0, points, step))
 
 
-def _moments(sol, lo, hi):
-    """Gauss sums of phi(s) and s phi(s) over each panel [lo_i, hi_i]: shape (2, panels)."""
-    out = np.empty((2, lo.size))
-    for rows in _blocks(sol, lo.size):
-        x, w = gauss_panels(lo[rows], hi[rows])
-        wphi = w * eval_capped_linear(sol, x)
-        out[:, rows] = wphi.sum(axis=1), (wphi * x).sum(axis=1)
-    return out
+def _head_moments(sol, r):
+    """int_0^r u^p (e^{-b(1-u)} + J e^{-bu}) du per basis term, p = 0 and 1: (2, ..., n).
+
+    With x = b r these are -expm1(-x) (e^{-b(1-r)} + J) / b and
+    (e^{-b(1-r)} em1p(x) - J (em1p(x) + x expm1(-x))) / b^2: no exponent is positive.
+    """
+    b, Jd = sol.b_vec, _alternating(sol.n)
+    x = np.multiply.outer(r, b)
+    late = np.exp(-np.multiply.outer(1.0 - r, b))
+    rise, em1p = -np.expm1(-x), _em1p(x)
+    return np.stack((rise * (late + Jd) / b, (late * em1p - Jd * (em1p - x * rise)) / b**2))
 
 
 def _capped_convolution(sol: CappedLinearSolution, t):
-    """(G * phi)(t) = int_0^n (1 - |t-s|)^+ phi(s) ds, vectorized over t.
+    """(G * phi)(t) = int_0^n (1 - |t-s|)^+ phi(s) ds in closed form, vectorized over t.
 
-    G is linear on either side of s = t, so the convolution needs only the
-    prefix moments P0(x) = int_0^x phi and P1(x) = int_0^x s phi(s) ds at
-    t-1, t and t+1 (clipped to [0, n]):
+    With t = k + r, the window [t-1, t+1] meets segment k-1 on [r, 1], segment
+    k whole and segment k+1 on [0, r] (segments outside [0, n) are empty).
+    On the local clock u the weights are u - r, 1 - |u - r| and r - u, so with
+    whole-segment moments W_p = int_0^1 u^p phi_i and g_i = int_0^r (r - u) phi_i
 
-        (1-t)[P0(t)-P0(t-1)] + [P1(t)-P1(t-1)] + (1+t)[P0(t+1)-P0(t)] - [P1(t+1)-P1(t)].
+        (G * phi)(t) = (W1 - r W0)_{k-1} + ((1 + r) W0 - W1)_k + g_{k-1} - 2 g_k + g_{k+1}.
 
-    A prefix moment is a cumulative Gauss sum over fixed panels that never
-    straddle an integer, plus one Gauss rule on the partial panel up to x.
+    Each term is bounded by one segment's moments: round-off does not grow with n.
     """
-    t = np.asarray(t, dtype=float)
-    k = panels_per_unit(sol, 0.25)
-    edges = np.arange(sol.n * k + 1) / k  # integers fall exactly on edges
-    prefix = np.cumsum(_moments(sol, edges[:-1], edges[1:]), axis=1)
-    prefix = np.concatenate((np.zeros((2, 1)), prefix), axis=1)
-    x = np.clip(t[..., None] + np.array([-1.0, 0.0, 1.0]), 0.0, float(sol.n))
-    panel = np.minimum((x * k).astype(int), sol.n * k - 1)
-    partial = _moments(sol, edges[panel].ravel(), x.ravel()).reshape((2,) + x.shape)
-    d0, d1 = np.diff(prefix[:, panel] + partial, axis=-1)
-    return (1.0 - t) * d0[..., 0] + d1[..., 0] + (1.0 + t) * d0[..., 1] - d1[..., 1]
+    k, r = np.divmod(np.asarray(t, dtype=float), 1.0)
+    seg = k.astype(int)[..., None] + np.array([-1, 0, 1])
+    rows = sol.Q[np.clip(seg, 0, sol.n - 1)] * ((seg >= 0) & (seg < sol.n))[..., None]
+    h0, h1 = np.einsum("...dj,p...j->p...d", rows, sol.a_vec * _head_moments(sol, r))
+    w0, w1 = np.einsum("...dj,pj->p...d", rows, sol.a_vec * _head_moments(sol, 1.0))
+    g = r[..., None] * h0 - h1
+    return (w1[..., 0] - r * w0[..., 0] + (1.0 + r) * w0[..., 1] - w1[..., 1]
+            + g[..., 0] - 2.0 * g[..., 1] + g[..., 2])
 
 
 def capped_linear_residual_max(sol: CappedLinearSolution, samples=500):
@@ -240,15 +240,15 @@ def capped_linear_residual_max(sol: CappedLinearSolution, samples=500):
 
 
 def capped_linear_energy(sol: CappedLinearSolution):
-    """J_gamma[phi] by quadrature, independent of the sigma = 2 J identity."""
-    k = panels_per_unit(sol, 0.5)
+    """J_gamma[phi] = int phi (gamma phi + G * phi) / 2 by quadrature, not from sigma = 2 J."""
+    k = panels_per_unit(sol)
     edges = np.arange(sol.n * k + 1) / k
-    x, w = gauss_panels(edges[:-1], edges[1:])
-    phi = np.concatenate([eval_capped_linear(sol, x[rows]) for rows in _blocks(sol, len(x))])
-    wphi = w * phi
-    return 0.5 * sol.gamma * float(np.sum(wphi * phi)) + 0.5 * float(
-        np.sum(wphi * _capped_convolution(sol, x))
-    )
+    x, w = (v.ravel() for v in gauss_panels(edges[:-1], edges[1:]))
+    total = 0.0
+    for blk in _blocks(sol, x.size):
+        phi = eval_capped_linear(sol, x[blk])
+        total += float(np.sum(w[blk] * phi * (sol.gamma * phi + _capped_convolution(sol, x[blk]))))
+    return 0.5 * total
 
 
 def _trig_defects(x):

@@ -66,9 +66,13 @@ def cell_double_integral(kernel, x0, x1, y0, y1):
     return val
 
 
-def operator_apply(kernel, phi, t, horizon):
-    """Reference for (G * phi)(t) = integral of G(|t-s|) phi(s) ds on [0, T]."""
+def operator_apply(kernel, phi, t, horizon, breakpoints=()):
+    """Reference for (G * phi)(t) = integral of G(|t-s|) phi(s) ds on [0, T].
+
+    ``breakpoints`` are points where phi itself is not smooth.
+    """
     pts = {t} | {t + k for k in kink_lags(kernel)} | {t - k for k in kink_lags(kernel)}
+    pts |= set(breakpoints)
     val, _ = quad(
         lambda s: kernel.evaluate(abs(t - s)) * phi(s),
         0.0,

@@ -255,9 +255,9 @@ def test_trig_pole_exits_0(tmp_path, capsys):
         assert all(summary["checks"].values()), summary["checks"]
 
 
-@pytest.mark.parametrize("gamma", [1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("gamma", [1e-4, 1e-5, 1e-6, 1e-8])
 def test_capped_boundary_layers_pass_every_check(tmp_path, capsys, gamma):
-    # boundary layers exp(-b s) with b up to ~2000 must be resolved by the
+    # boundary layers exp(-b s) with b up to ~18,000 must be resolved by the
     # verification quadrature, or a correct closed form is reported as failed;
     # at 1e-6, e^b would overflow in a basis of growing exponentials
     path = write_config(tmp_path / "c.json", kernel={"type": "capped_linear"},

@@ -65,15 +65,24 @@ def test_capped_residual_against_quadrature():
     assert capped_linear_residual_max(sol) <= 1e-9 * sol.sigma
 
 
-def test_capped_convolution_matches_quadrature():
-    # prefix-moment convolution against adaptive quadrature of the kernel's
-    # own definition, at integers, interior points and both ends
-    sol = capped_linear_solve(3, 0.1)
-    ts = [0.0, 0.4, 1.0, 1.5, 2.2, 3.0]
-    got = special._capped_convolution(sol, np.array(ts))
+@pytest.mark.parametrize("n, gamma", [(1, 0.5), (3, 0.1), (11, 0.01), (3, 1e4), (3, 1e-5)])
+def test_capped_convolution_matches_quadrature(n, gamma):
+    # closed-form convolution against adaptive quadrature of the kernel's own
+    # definition split at phi's junctions, at integers, interior points and
+    # both ends; gamma = 1e-5 has boundary layers exp(-b s) with b near 600
+    sol = capped_linear_solve(n, gamma)
+    ts = np.unique(np.clip([0.0, 0.4, 1.0, 1.5, 2.2, n / 2, n - 0.3, float(n)], 0.0, n))
+    got = special._capped_convolution(sol, ts)
     ref = [oracles.operator_apply(CappedLinear(cap=1.0), lambda s: eval_capped_linear(sol, s),
-                                  t, 3.0) for t in ts]
+                                  t, float(n), breakpoints=range(1, n)) for t in ts]
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
+
+
+def test_capped_residual_at_round_off_for_tiny_gamma():
+    # the basis is integrated exactly, so even steep boundary layers
+    # (b near 18,000 at gamma = 1e-8) leave the residual at round-off
+    sol = capped_linear_solve(3, 1e-8)
+    assert capped_linear_residual_max(sol) <= 1e-13 * sol.sigma
 
 
 def test_capped_residual_detects_perturbed_coefficients():
@@ -135,7 +144,7 @@ def test_capped_verification_panel_limit():
     for gamma in (2e-9, 1e-12, 1e-300, 5e-324):
         with pytest.raises(ValueError, match="gamma too small to verify"):
             capped_linear_solve(3, gamma)
-    assert 4000 < special.panels_per_unit(capped_linear_solve(3, 2.1e-9), 0.5) <= 4096
+    assert 4000 < special.panels_per_unit(capped_linear_solve(3, 2.1e-9)) <= 4096
 
 
 @settings(max_examples=20, deadline=None)
