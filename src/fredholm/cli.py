@@ -19,6 +19,7 @@ counterexample is a successful run.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -294,7 +295,7 @@ def _float_repr(x):
 
 
 def _write_csv(path, cfg: RunConfig, res: RunResult):
-    lines = [
+    header = [
         "# kernel: " + json.dumps(cfg.kernel.spec(), separators=(", ", ": "), allow_nan=False),
         "# gamma: " + _float_repr(cfg.gamma),
         "# horizon: " + _float_repr(cfg.horizon),
@@ -304,9 +305,10 @@ def _write_csv(path, cfg: RunConfig, res: RunResult):
         "# residual_max: " + _float_repr(res.residual_max),
         "t,phi",
     ]
-    lines.extend("%.17g,%.17g" % (tv, pv) for tv, pv in zip(res.t, res.phi))
+    flat = np.column_stack((res.t, res.phi)).ravel().tolist()  # t0, phi0, t1, phi1, ...
+    body = ("%.17g,%.17g\n" * res.t.size) % tuple(flat)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n" + body)
 
 
 def _finite(doc):
@@ -349,20 +351,20 @@ def run(cfg: RunConfig) -> int:
         spacing=res.grid_spacing,
     )
     summary = _summary(cfg, res, report)
+    text = _dumps(summary)
     if cfg.out_path:
         base = cfg.out_path
         for suffix in (".csv", ".json"):
             if base.endswith(suffix):
                 base = base[: -len(suffix)]
-        doc = dict(summary)
         if cfg.out_format == "csv":
             _write_csv(base + ".csv", cfg, res)
+            doc_text = text
         else:
-            doc["t"] = [float(v) for v in res.t]
-            doc["phi"] = [float(v) for v in res.phi]
+            doc_text = _dumps({**summary, "t": res.t.tolist(), "phi": res.phi.tolist()})
         with open(base + ".json", "w") as fh:
-            fh.write(_dumps(doc))
-    _emit(summary)
+            fh.write(doc_text)
+    sys.stdout.write(text)
     if not summary["passed"]:
         failed = [name for name, ok in summary["checks"].items() if not ok]
         return _error("invariant checks failed", {"failed": failed})
@@ -446,6 +448,7 @@ def _cmd_verify(args):
     return 0
 
 
+@functools.cache  # argparse parsers are not changed by parsing, so one serves every main call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fredholm",

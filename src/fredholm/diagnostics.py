@@ -13,9 +13,12 @@ by sum |C(k,i)| = 2^k, so verdicts compare the *raw* difference minima
 against tol * 2^k, while the report also carries the h^k-normalized
 (derivative-like) minima for plotting and inspection.
 
-`analyze` accepts any uniform grid: inclusive endpoint grids (the closed
-forms are usually sampled that way) via the defaults, or cell-midpoint
-grids from the discrete solver via start=h/2, spacing=h.
+`analyze` accepts any increasing uniform grid: inclusive endpoint grids
+(the closed forms are usually sampled that way) via the defaults, or
+cell-midpoint grids from the discrete solver via start=h/2, spacing=h.  On
+an increasing grid the admissible windows of each order k and step r*h
+(x > T/2, window ending before T) are one range of start indices, so the
+scan slices it instead of masking.
 """
 
 import math
@@ -64,21 +67,6 @@ class SampledSolution:
     sigma: float
 
 
-def _difference_min(values, x, k, r, horizon):
-    """Min of the order-k forward difference with step r*spacing, admissible windows only."""
-    n = values.size
-    if k * r >= n:
-        return None
-    coeffs = [(-1.0) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
-    window_sum = np.zeros(n - k * r)
-    for i, cf in enumerate(coeffs):
-        window_sum += cf * values[i * r : n - k * r + i * r]
-    admissible = (x[: n - k * r] > horizon / 2.0) & (x[k * r :] < horizon)
-    if not np.any(admissible):
-        return None
-    return float(np.min(window_sum[admissible]))
-
-
 def require_samples(n, max_order):
     """Raise ValueError unless n samples are enough to scan differences up to max_order."""
     if n < 8 * max_order:
@@ -112,7 +100,13 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
     if spacing is None:
         spacing = horizon / (n - 1)
     spacing = float(spacing)
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"grid spacing must be positive and finite, got {spacing!r}")
     x = start + spacing * np.arange(n)
+    # x increases, so the windows of order k and step r with x_s > T/2 and
+    # x_{s+kr} < T are exactly the starts s = first .. inside - k*r - 1
+    first = int(np.searchsorted(x, horizon / 2.0, "right"))
+    inside = int(np.searchsorted(x, horizon, "left"))
     if tol is None:
         tol = 1e-7 * float(np.max(np.abs(values)))
     tol = float(tol)
@@ -129,14 +123,20 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
     convexity_defect = float(interior.min() / spacing**2)
 
     diff_orders = []
+    products = {}  # signed binomial coefficient c -> c * values, shared by every order and step
     for k in range(1, max_order + 1):
+        coeffs = [(-1.0) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
+        for c in coeffs:
+            if c not in products:
+                products[c] = c * values
         best_raw = None
         best_scaled = None
         r = 1
-        while True:
-            m = _difference_min(values, x, k, r, horizon)
-            if m is None:
-                break
+        while (stop := inside - k * r) > first:
+            window_sum = np.zeros(stop - first)
+            for i, c in enumerate(coeffs):
+                window_sum += products[c][first + i * r : stop + i * r]
+            m = float(window_sum.min())
             if best_raw is None or m < best_raw:
                 best_raw = m
             scaled = m / (r * spacing) ** k

@@ -83,11 +83,15 @@ def operator_apply(kernel, phi, t, horizon, breakpoints=()):
     return val
 
 
-def fredholm_residual(kernel, phi, sigma, gamma, horizon, ts):
-    """Max residual of the integral equation at the sample points ts."""
+def fredholm_residual(kernel, phi, sigma, gamma, horizon, ts, breakpoints=()):
+    """Max residual of the integral equation at the sample points ts.
+
+    ``breakpoints`` are points where phi itself is not smooth.
+    """
     worst = 0.0
     for t in np.atleast_1d(ts):
-        r = gamma * float(phi(t)) + operator_apply(kernel, phi, float(t), horizon) - sigma
+        r = (gamma * float(phi(t))
+             + operator_apply(kernel, phi, float(t), horizon, breakpoints) - sigma)
         worst = max(worst, abs(r))
     return worst
 

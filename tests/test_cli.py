@@ -479,6 +479,54 @@ def test_every_route_runs_without_scipy(tmp_path, request, overrides):
     assert strict_json(proc.stdout)["method"] == request.node.callspec.id
 
 
+def test_main_reused_in_process_matches_fresh_processes(tmp_path, monkeypatch):
+    # one process calls main repeatedly, after an argparse exit too, and
+    # writes the same bytes as a fresh `python -m fredholm` for every argv
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    routes = {
+        "exp": {},
+        "capped": {"kernel": {"type": "capped_linear"}, "horizon": 3.0, "gamma": 0.1},
+        "trig": {"kernel": {"type": "trigonometric", "rho": 0.5}, "gamma": 0.001},
+        "discrete": {"kernel": {"type": "power_law", "alpha": 0.5}},
+    }
+    configs = {name: write_config(tmp_path / f"{name}.json", **o) for name, o in routes.items()}
+    runs = {"bad": ["bogus"]}
+    for name, path in configs.items():
+        for fmt in ("csv", "json"):
+            runs[f"{name}-{fmt}"] = ["solve", "--config", path, "--format", fmt,
+                                     "--out", f"{name}-{fmt}"]
+    runs["verify"] = ["verify", "--config", configs["exp"]]
+    reused_dir, fresh_dir = tmp_path / "reused", tmp_path / "fresh"
+    reused_dir.mkdir()
+    fresh_dir.mkdir()
+    monkeypatch.chdir(reused_dir)
+    # the fresh processes run in fresh_dir, so they import this same package by absolute path
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+    stdout = {}
+    for name, argv in runs.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "fredholm", *argv],
+                               capture_output=True, text=True, cwd=fresh_dir, env=env)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), name
+        assert code == (2 if name == "bad" else 0), name
+        stdout[name] = out.getvalue()
+
+    reused = {p.name: p.read_bytes() for p in sorted(reused_dir.iterdir())}
+    assert len(reused) == 3 * len(routes)  # csv runs write .csv and .json, json runs .json
+    assert reused == {p.name: p.read_bytes() for p in sorted(fresh_dir.iterdir())}
+    for name in routes:
+        assert reused[f"{name}-csv.json"] == stdout[f"{name}-csv"].encode()
+
+
 def test_module_entry_point(tmp_path):
     path = write_config(tmp_path / "c.json", cells=64)
     proc = subprocess.run(

@@ -1,5 +1,7 @@
 """Shape diagnostics: symmetric total monotonicity via finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,59 @@ def test_grid_validation():
     # start/spacing that do not cover [0, T] symmetrically
     with pytest.raises(ValueError, match="symmetric"):
         analyze(np.ones(64), 1.0, max_order=2, start=0.0, spacing=0.01)
+    # a decreasing grid is symmetric about T/2 but its windows are not one index range
+    with pytest.raises(ValueError, match="spacing"):
+        analyze(np.ones(64), 1.0, max_order=2, start=1.0, spacing=-1.0 / 63)
+
+
+def _masked_diff_orders(values, horizon, max_order, start, spacing):
+    """(min_raw, min_scaled) per order by the boolean-mask scan: every window
+    of length n - k*r is summed, then the admissible ones are picked out."""
+    n = values.size
+    x = start + spacing * np.arange(n)
+    out = []
+    for k in range(1, max_order + 1):
+        coeffs = [(-1.0) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
+        best_raw = best_scaled = None
+        r = 1
+        while k * r < n:
+            window_sum = np.zeros(n - k * r)
+            for i, cf in enumerate(coeffs):
+                window_sum += cf * values[i * r : n - k * r + i * r]
+            admissible = (x[: n - k * r] > horizon / 2.0) & (x[k * r :] < horizon)
+            if not np.any(admissible):
+                break
+            m = float(np.min(window_sum[admissible]))
+            if best_raw is None or m < best_raw:
+                best_raw = m
+            scaled = m / (r * spacing) ** k
+            if best_scaled is None or scaled < best_scaled:
+                best_scaled = scaled
+            r *= 2
+        out.append((best_raw, best_scaled))
+    return out
+
+
+@pytest.mark.parametrize("data", ["smooth", "random"])
+@pytest.mark.parametrize("n", [48, 49, 50, 1025, 2048])
+@pytest.mark.parametrize("grid", ["inclusive", "midpoint"])
+def test_difference_scan_is_bit_exact(grid, n, data):
+    # the one-range scan must reproduce every float of the masked scan exactly
+    horizon = 2.7
+    if grid == "inclusive":
+        start, spacing = 0.0, horizon / (n - 1)
+    else:
+        start, spacing = horizon / (2 * n), horizon / n
+    x = start + spacing * np.arange(n)
+    if data == "smooth":
+        values = np.cosh(1.3 * (x - horizon / 2.0))
+    else:
+        values = np.random.default_rng(n).standard_normal(n)
+    for max_order in range(2, min(8, n // 8) + 1):
+        report = analyze(values, horizon, max_order=max_order, start=start, spacing=spacing)
+        got = [(e["min_raw"], e["min_scaled"]) for e in report.diff_orders]
+        want = _masked_diff_orders(values, horizon, max_order, start, spacing)
+        assert [tuple(map(repr, g)) for g in got] == [tuple(map(repr, w)) for w in want]
 
 
 def test_midpoint_grid_accepted():
