@@ -22,8 +22,12 @@ or above gamma h: that theory margin, checked against a bound on the lag
 row's rounding, is the positive-definiteness certificate, and preconditioned
 conjugate gradients with T. Chan's optimal circulant preconditioner solve
 2H x = 1 in O(m log m), in a number of iterations that does not grow with m
-(the equation is of the second kind).  Any other kernel, or a run whose
-margin fails or whose iteration misses its cap, is solved by the O(m^2)
+(the equation is of the second kind).  One iteration serves every caller:
+it runs on a (k, m) block of right-hand sides, one row per gamma, so each
+operator or preconditioner application is one 2-D FFT over the rows still
+iterating; a single solve is the block with one row, a gamma sweep the
+block with one row per gamma.  Any other kernel, or a row whose margin
+fails or whose iteration misses its cap, is solved alone by the O(m^2)
 Levinson-Durbin recursion, whose prediction errors certify (or refute)
 positive definiteness directly.
 """
@@ -170,27 +174,14 @@ def _levinson_ones(col):
     return x / col[0]
 
 
-class _Toeplitz:
-    """Symmetric Toeplitz matrix with first column ``col``, applied by FFT.
+def _embedding_spectrum(col):
+    """Eigenvalues (rfft order) of the 2m-point circulant (col, 0, col[m-1:0:-1]).
 
-    It is the leading m x m block of the 2m-point circulant with first column
-    (col, 0, col[m-1:0:-1]), whose eigenvalues are the rfft of that column,
-    so ``op @ v`` is one rfft and one irfft.  Adding s to col[0] adds s to
-    every eigenvalue: ``shifted(s)`` reuses the spectrum.
+    Its leading m x m block is the symmetric Toeplitz matrix with first column
+    ``col``, so that matrix times v is irfft(spectrum * rfft(v, 2m), 2m)[:m].
+    Adding s to col[0] adds s to every eigenvalue.
     """
-
-    def __init__(self, col=None, spectrum=None):
-        if spectrum is None:
-            spectrum = np.fft.rfft(np.concatenate((col, [0.0], col[:0:-1])))
-        self.spectrum = spectrum
-        self.m = len(spectrum) - 1
-
-    def shifted(self, s):
-        return _Toeplitz(spectrum=self.spectrum + s)
-
-    def __matmul__(self, v):
-        n = 2 * self.m
-        return np.fft.irfft(self.spectrum * np.fft.rfft(v, n), n)[:self.m]
+    return np.fft.rfft(np.concatenate((col, [0.0], col[:0:-1])))
 
 
 def _chan_eigenvalues(col):
@@ -208,86 +199,122 @@ def _chan_eigenvalues(col):
 # that does not grow with m; past this many the run falls back to Levinson
 _PCG_MAX_ITER = 200
 _PCG_RTOL = 1e-14
-
-
-def _pcg_ones(op, precond):
-    """Solve op x = 1 by preconditioned CG from x = 0; None when it stalls.
-
-    ``precond`` holds the eigenvalues of a symmetric positive definite
-    circulant.  Stops at |r| <= 1e-14 |1|; returns None after
-    ``_PCG_MAX_ITER`` steps, or when a search direction has p' op p <= 0.
-    """
-    m = op.m
-    x = np.zeros(m)
-    r = np.ones(m)
-    stop = _PCG_RTOL * math.sqrt(m)
-    z = np.fft.irfft(np.fft.rfft(r) / precond, m)
-    p = z
-    rz = r @ z
-    for _ in range(_PCG_MAX_ITER):
-        q = op @ p
-        curvature = p @ q
-        if not curvature > 0:
-            return None
-        alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * q
-        if math.sqrt(r @ r) <= stop:
-            return x
-        z = np.fft.irfft(np.fft.rfft(r) / precond, m)
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    return None
+# a sweep's rows are iterated in blocks of at most this many cells in total, so
+# a block's working arrays stay near the size of one solve at large m
+_BLOCK_CELLS = 1 << 16
 
 
 class _Operators:
     """The gamma-free FFT operators of one grid, shared by every gamma of a sweep.
 
-    ``lags`` is the lag row of K, ``kernel`` applies K, ``chan`` holds the
-    eigenvalues of K's T. Chan circulant, and ``midpoints`` applies the
-    single-cell integrals at the cell midpoints (the residual's convolution).
-    ``certifiable`` holds when theory puts every eigenvalue of K at or above
-    0 (the kernel is of positive type), and ``rounding`` bounds how far
-    rounding in the computed lag row can move them: a symmetric Toeplitz
-    perturbation d has norm at most 2 |d|_1, and m/2 ulps of every entry
-    are allowed for.
+    ``lags`` is the lag row of K, ``kernel`` the spectrum of K's circulant
+    embedding, ``chan`` the eigenvalues of K's T. Chan circulant, and
+    ``midpoints`` the embedding spectrum of the single-cell integrals at the
+    cell midpoints (the residual's convolution).  ``certifiable`` holds when
+    theory puts every eigenvalue of K at or above 0 (the kernel is of
+    positive type), and ``rounding`` bounds how far rounding in the computed
+    lag row can move them: a symmetric Toeplitz perturbation d has norm at
+    most 2 |d|_1, and m/2 ulps of every entry are allowed for.
     """
 
     def __init__(self, problem: Problem, lags):
         m = len(lags)
         h = problem.horizon / m
         self.lags = lags
-        self.kernel = _Toeplitz(lags)
+        self.kernel = _embedding_spectrum(lags)
         self.chan = _chan_eigenvalues(lags)
-        self.midpoints = _Toeplitz(problem.kernel.cell_integral(0.0, h, (np.arange(m) + 0.5) * h))
+        self.midpoints = _embedding_spectrum(problem.kernel.cell_integral(0.0, h, (np.arange(m) + 0.5) * h))
         self.certifiable = problem.kernel.classify().positive_type_known
         self.rounding = m * np.finfo(float).eps * float(np.sum(np.abs(lags)))
 
 
-def _solve(problem: Problem, ops: _Operators) -> SolutionGrid:
-    m = len(ops.lags)
-    h = problem.horizon / m
-    ridge = problem.gamma * h  # 2H = ridge I + K
-    op = ops.kernel.shifted(ridge)
-    x = None
-    if ops.certifiable and ridge > ops.rounding:  # lambda_min(2H) >= ridge > 0
-        x = _pcg_ones(op, ops.chan + ridge)
-    if x is None:
-        x = _levinson_ones(_column(problem, ops.lags))
-    mass = h * math.fsum(x)  # 2H phi = sigma w and w = h*1, so phi ~ x
-    phi = x / mass
-    sigma = 1.0 / (h * mass)
+def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
+    """Solve 2H x = 1 on one grid for each gamma, one row of a (k, m) block each.
 
-    energy = 0.5 * float(phi @ (op @ phi))
-    resid = problem.gamma * phi + ops.midpoints @ phi - sigma
-    return SolutionGrid(
-        cells=m,
-        values=phi,
-        sigma=sigma,
-        energy=energy,
-        residual_max=float(np.max(np.abs(resid))),
-        horizon=problem.horizon,
-    )
+    A row whose margin gamma h clears ``ops.rounding`` under the positive-type
+    certificate runs preconditioned CG from x = 0 with T. Chan's circulant,
+    whose eigenvalues shifted by gamma h are the preconditioner's.  Every
+    operator and preconditioner application is one 2-D rfft/irfft over the
+    rows still iterating.  A row leaves the block when |r| <= 1e-14 |1|; it
+    gives up when a search direction has p' 2H p <= 0 or after
+    ``_PCG_MAX_ITER`` steps.  A row that gives up, or was never certified, is
+    solved alone by Levinson-Durbin.  Each row does the arithmetic of a
+    one-row block, so a sweep matches the single solves bit for bit.
+    """
+    m = len(ops.lags)
+    n = 2 * m
+    h = problem.horizon / m
+    gammas = np.array(gammas)[:, None]  # (k, 1), like every per-row scalar below
+    ridges = gammas * h  # 2H = ridge I + K
+    spectra = ops.kernel + ridges
+    x_rows = [None] * len(gammas)
+
+    # the block's bookkeeping is Python lists: at small m, numpy calls on a
+    # handful of per-row scalars would cost as much as the FFTs
+    rows = [i for i, ridge in enumerate(ridges[:, 0].tolist())
+            if ops.certifiable and ridge > ops.rounding]
+    if rows:  # lambda_min(2H) >= ridge > 0 on every row
+        spec, precond = spectra[rows], ops.chan + ridges[rows]
+        r = np.ones((len(rows), m))
+        x = np.zeros_like(r)
+        stop = _PCG_RTOL * math.sqrt(m)
+        # 1 is an eigenvector of every circulant, so this z is 1 / precond[:, :1]
+        # up to rounding; the round trip stays because the two differ in the
+        # last bit unless m is a power of two, and that bit reaches every output
+        z = np.fft.irfft(np.fft.rfft(r[0]) / precond, m)
+        p = z
+        rz = np.vecdot(r, z, keepdims=True)
+        for _ in range(_PCG_MAX_ITER):
+            q = np.fft.irfft(spec * np.fft.rfft(p, n), n)[:, :m]
+            curvature = np.vecdot(p, q, keepdims=True)
+            keep = [c > 0 for (c,) in curvature.tolist()]
+            if not all(keep):  # these rows give up
+                rows = [i for i, kept in zip(rows, keep) if kept]
+                x, r, p, q, rz, curvature, spec, precond = (
+                    a[keep] for a in (x, r, p, q, rz, curvature, spec, precond))
+                if not rows:
+                    break
+            alpha = rz / curvature
+            x += alpha * p
+            r -= alpha * q
+            keep = [math.sqrt(rr) > stop for rr in np.vecdot(r, r).tolist()]
+            if not all(keep):  # these rows converged
+                # a stored row is a view of x, which the compaction below
+                # replaces before the next in-place update
+                for i, x_row, kept in zip(rows, x, keep):
+                    if not kept:
+                        x_rows[i] = x_row
+                if not any(keep):
+                    break
+                rows = [i for i, kept in zip(rows, keep) if kept]
+                x, r, p, rz, spec, precond = (a[keep] for a in (x, r, p, rz, spec, precond))
+            z = np.fft.irfft(np.fft.rfft(r) / precond, m)
+            rz, rz_old = np.vecdot(r, z, keepdims=True), rz
+            p = z + (rz / rz_old) * p
+    for i, x_row in enumerate(x_rows):
+        if x_row is None:
+            x_rows[i] = _levinson_ones(_column(replace(problem, gamma=float(gammas[i, 0])), ops.lags))
+
+    # 2H phi = sigma w and w = h*1, so phi ~ x
+    x_rows = np.array(x_rows)
+    mass = h * np.array([[math.fsum(x_row)] for x_row in x_rows.tolist()])
+    phi = x_rows / mass
+    sigma = 1.0 / (h * mass)
+    phi_hat = np.fft.rfft(phi, n)  # shared by the energy and the residual
+    energy = 0.5 * np.vecdot(phi, np.fft.irfft(spectra * phi_hat, n)[:, :m])
+    resid = gammas * phi + np.fft.irfft(ops.midpoints * phi_hat, n)[:, :m] - sigma
+    residual_max = np.max(np.abs(resid), axis=1)
+    return [
+        SolutionGrid(
+            cells=m,
+            values=phi[i],
+            sigma=float(sigma[i, 0]),
+            energy=float(energy[i]),
+            residual_max=float(residual_max[i]),
+            horizon=problem.horizon,
+        )
+        for i in range(len(gammas))
+    ]
 
 
 def solve(problem: Problem, m: int) -> SolutionGrid:
@@ -304,7 +331,9 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     and raises :class:`~fredholm.errors.IndefiniteKernelError` when H is
     not positive definite (the kernel is not of positive type at this
     resolution).  The energy phi' H phi and the midpoint residual are FFT
-    Toeplitz products; no m x m matrix is formed.
+    Toeplitz products that share one rfft of phi; no m x m matrix is formed.
+    This is the one-row case of the block iteration :func:`gamma_sweep`
+    runs, so both give the same bits.
 
     The midpoint residual shrinks with the cell width h at a rate the kernel
     sets: like h^2 for the bounded families (a 4x finer grid divides it by
@@ -312,7 +341,7 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     singularity at lag 0 sits in every diagonal cell (a 4x finer grid
     divides it by 4^(1 - alpha), that is 2 at alpha = 0.5).
     """
-    return _solve(problem, _Operators(problem, _lags(problem, m)))
+    return _solve_rows(problem, _Operators(problem, _lags(problem, m)), [problem.gamma])[0]
 
 
 def sweep_gammas(gammas) -> list:
@@ -337,15 +366,21 @@ def gamma_sweep(problem: Problem, m: int, gammas) -> list:
     The gamma-free lag row, the FFT spectra of K and of the midpoint
     convolution, and the eigenvalues of K's circulant preconditioner are
     computed once; each gamma only adds gamma h to the spectrum of K and to
-    the preconditioner's eigenvalues.  Every gamma is solved as
-    :func:`solve` would: conjugate gradients under the positive-type
-    certificate, Levinson-Durbin otherwise.  Used to watch mass migrate
-    toward the endpoints as the quadratic penalty vanishes; no convergence
-    claim is attached.
+    the preconditioner's eigenvalues.  The gammas are one block of rows:
+    conjugate gradients iterate every certified row at once, one 2-D FFT per
+    operator or preconditioner application, and a row leaves the block when
+    it converges; rows that are not certified, or give up, are solved one
+    by one by Levinson-Durbin.  Every gamma gets the bits :func:`solve`
+    gives it.  A block holds at most 2^16 cells in total, or one row when m
+    is larger, so memory stays that of one solve at large m.  Used
+    to watch mass migrate toward the endpoints as the quadratic penalty
+    vanishes; no convergence claim is attached.
     """
     gammas = sweep_gammas(gammas)
     ops = _Operators(problem, _lags(problem, m))
-    return [_solve(replace(problem, gamma=g), ops) for g in gammas]
+    step = max(1, _BLOCK_CELLS // m)
+    return [grid for i in range(0, len(gammas), step)
+            for grid in _solve_rows(problem, ops, gammas[i:i + step])]
 
 
 def endpoint_mass(grid: SolutionGrid) -> float:

@@ -1,5 +1,6 @@
 """Shape diagnostics: symmetric total monotonicity via finite differences."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,6 +164,16 @@ def test_report_dict_round_trips_to_json():
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["verdicts"]["totally_monotone"] is True
     assert len(doc["diff_orders"]) >= 2
+
+    # the same document dataclasses.asdict builds, key order included, and
+    # the caller owns its containers
+    d = report.to_dict()
+    assert json.dumps(d) == json.dumps(dataclasses.asdict(report))
+    d["diff_orders"][0]["min_raw"] = -1.0
+    d["diff_orders"].clear()
+    d["verdicts"]["symmetric"] = False
+    assert report.to_dict() == dataclasses.asdict(report)
+    assert report.diff_orders[0]["min_raw"] != -1.0 and report.verdicts["symmetric"]
 
 
 @settings(max_examples=40, deadline=None)

@@ -197,17 +197,56 @@ def test_gamma_sweep_orders_and_endpoint_mass():
     assert sigmas[0] > sigmas[1] > sigmas[2] > 0
 
 
-@pytest.mark.parametrize("problem", [
-    EXP1,
-    Problem(gamma=0.3, horizon=3.0,
-            kernel=Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05))),
-], ids=["exp1", "tabulated"])
-def test_gamma_sweep_matches_independent_solves(problem):
-    gammas = [1.0, 0.1, 0.003]
-    for g, grid in zip(gammas, gamma_sweep(problem, 96, gammas)):
-        ref = solve(replace(problem, gamma=g), 96)
-        assert grid.sigma == pytest.approx(ref.sigma, rel=1e-13)
-        np.testing.assert_allclose(grid.values, ref.values, rtol=1e-13, atol=0)
+@pytest.mark.parametrize("problem, m, gammas", [
+    (EXP1, 96, [1.0, 0.1, 0.003]),
+    (Problem(gamma=0.3, horizon=3.0,
+             kernel=Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05))),
+     96, [1.0, 0.1, 0.003]),
+    # rows leave the block at different iterations; the two smallest gammas
+    # run to the iteration cap and fall back to Levinson-Durbin
+    (Problem(gamma=1.0, horizon=20.0, kernel=Trigonometric(rho=0.5)), 256, [1e-2, 1e-3, 1e-5, 1e-8]),
+    # the last row's margin gamma h does not clear the rounding bound
+    (EXP1, 64, [1.0, 1e-3, 5e-15]),
+], ids=["exp1", "tabulated", "trig_cap", "exp1_margin"])
+def test_gamma_sweep_matches_independent_solves(monkeypatch, problem, m, gammas):
+    # a sweep iterates its gammas as one block, or as blocks of two rows when
+    # a block is capped at 2m cells; every row must carry the bits of its own
+    # single solve and take the same route
+    calls = []
+    levinson = discrete._levinson_ones
+    monkeypatch.setattr(discrete, "_levinson_ones", lambda col: calls.append(1) or levinson(col))
+    refs = [solve(replace(problem, gamma=g), m) for g in gammas]
+    solve_calls = len(calls)
+    for block_cells in (discrete._BLOCK_CELLS, 2 * m):
+        monkeypatch.setattr(discrete, "_BLOCK_CELLS", block_cells)
+        calls.clear()
+        grids = gamma_sweep(problem, m, gammas)
+        assert len(calls) == solve_calls
+        for grid, ref in zip(grids, refs, strict=True):
+            assert (grid.sigma, grid.energy, grid.residual_max) == (ref.sigma, ref.energy, ref.residual_max)
+            np.testing.assert_array_equal(grid.values, ref.values)
+
+
+def test_sweep_row_losing_curvature_falls_back(monkeypatch):
+    # with the certificate forced on for a kernel that is not of positive
+    # type, the gamma <= 0.1 rows meet p' 2H p <= 0 long before any cap: they
+    # leave the block while the gamma = 1 row iterates on, and Levinson-Durbin
+    # names the pivot a single solve names
+    kernel = Tabulated(t=(0.0, 0.2, 0.4, 1.0), g=(0.1, 1.0, 0.1, 0.0))
+    init = discrete._Operators.__init__
+
+    def certified(self, problem, lags):
+        init(self, problem, lags)
+        self.certifiable = True
+
+    monkeypatch.setattr(discrete._Operators, "__init__", certified)
+    monkeypatch.setattr(discrete, "_PCG_MAX_ITER", 10_000)
+    problem = Problem(gamma=1.0, horizon=1.0, kernel=kernel)
+    with pytest.raises(IndefiniteKernelError) as single:
+        solve(replace(problem, gamma=0.1), 64)
+    with pytest.raises(IndefiniteKernelError) as swept:
+        gamma_sweep(problem, 64, [1.0, 0.1, 0.01])
+    assert swept.value.pivot == single.value.pivot == 32
 
 
 def test_gamma_sweep_validation():
