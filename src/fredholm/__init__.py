@@ -20,9 +20,7 @@ from .discrete import (
 )
 from .errors import IllConditionedError, IndefiniteKernelError
 from .exponential import (
-    CauchyFactors,
     ExpClosedForm,
-    SecularSpectrum,
     build_closed_form,
     cauchy_factors,
     eval_closed_form,
@@ -69,8 +67,6 @@ __all__ = [
     "solve",
     "gamma_sweep",
     "endpoint_mass",
-    "SecularSpectrum",
-    "CauchyFactors",
     "ExpClosedForm",
     "secular_roots",
     "cauchy_factors",

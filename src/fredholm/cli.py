@@ -117,12 +117,11 @@ def _closed_form(cfg: RunConfig, evaluate, sigma, energy, residual, **mass_quad)
 
 def _solve_exp(cfg: RunConfig) -> RunResult:
     cf = exponential.build_closed_form(cfg.kernel, cfg.gamma, cfg.horizon)
-    fastest = math.sqrt(max(max(cf.c), max(cfg.kernel.b)))
     return _closed_form(
         cfg, lambda s: exponential.eval_closed_form(cf, s), cf.sigma,
         exponential.quadrature_energy(cfg.kernel, cf),
         exponential.fredholm_residual_max(cfg.kernel, cf),
-        max_panel=min(cfg.horizon / 16.0, 4.0 / fastest),
+        max_panel=exponential.quadrature_panel(cfg.kernel, cf),
     )
 
 
@@ -140,7 +139,7 @@ def _solve_trig(cfg: RunConfig) -> RunResult:
     return _closed_form(
         cfg, lambda s: special.eval_trig(sol, s), sol.sigma,
         special.trig_energy(sol), special.trig_residual_max(sol),
-        max_panel=min(cfg.horizon / 8.0, 1.0 / sol.rho),
+        max_panel=special.trig_panel(sol),
     )
 
 

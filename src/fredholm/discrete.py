@@ -340,6 +340,14 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     about 16), but only like h^(1 - alpha) for ``PowerLaw``, whose
     singularity at lag 0 sits in every diagonal cell (a 4x finer grid
     divides it by 4^(1 - alpha), that is 2 at alpha = 0.5).
+
+    Known limits of the Levinson-Durbin route.  It is an O(m^2) Python
+    loop: a kernel with no positive-type claim takes about 1 s at m = 16384,
+    so near the CLI's 2^22 cell ceiling a solve takes hours.  Its solution
+    meets sigma = 2 J only to its own relative residual: for the cosine
+    kernel at rho 0.5, gamma 1e-5, T 20, where the iteration reaches its
+    cap and falls back, the defect is 1.5e-9 sigma at m = 200 and 3.5e-9
+    sigma at m = 256, so the CLI's 1e-9 check fails there; m = 1024 passes.
     """
     return _solve_rows(problem, _Operators(problem, _lags(problem, m)), [problem.gamma])[0]
 

@@ -28,6 +28,7 @@ All exponentials are arranged so that only nonpositive arguments are ever
 exponentiated; the formulas survive sqrt(c) * T far beyond 700.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,6 @@ from .errors import IllConditionedError
 from .kernels import ExponentialSum
 
 __all__ = [
-    "SecularSpectrum",
-    "CauchyFactors",
     "ExpClosedForm",
     "secular_roots",
     "cauchy_factors",
@@ -46,26 +45,9 @@ __all__ = [
     "eval_closed_form",
     "verify_step_identities",
     "fredholm_residual_max",
+    "quadrature_panel",
     "quadrature_energy",
 ]
-
-
-@dataclass(frozen=True)
-class SecularSpectrum:
-    """Eigenvalues c of M (ascending), the rates b they interlace, and lambda = 1/gamma."""
-
-    c: tuple
-    b: tuple
-    lam: float
-
-
-@dataclass(frozen=True, eq=False)
-class CauchyFactors:
-    """Qtilde with its explicit inverse scalings: Qtilde^{-1} = D1 Qtilde' D2."""
-
-    Qtilde: np.ndarray
-    D1: np.ndarray
-    D2: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +80,7 @@ def _secular_values(x, b, w):
     return 1.0 - np.sum(w / (x - b))
 
 
-def secular_roots(kernel: ExponentialSum, lam) -> SecularSpectrum:
+def secular_roots(kernel: ExponentialSum, lam) -> np.ndarray:
     """Roots of f(x) = 1 - 2*lam*sum_k a_k*sqrt(b_k)/(x - b_k) for the kernel's a, b.
 
     Bisection inside the guaranteed brackets (b_k, b_{k+1}) and
@@ -106,7 +88,7 @@ def secular_roots(kernel: ExponentialSum, lam) -> SecularSpectrum:
     increasing between poles, so the polish cannot leave the bracket
     unnoticed -- steps outside are rejected).  Interlacing holds exactly by
     construction.  The kernel already guarantees positive a and strictly
-    increasing positive b.
+    increasing positive b.  Returns the n roots c, ascending.
     """
     a = np.asarray(kernel.a)
     b = np.asarray(kernel.b)
@@ -135,18 +117,17 @@ def secular_roots(kernel: ExponentialSum, lam) -> SecularSpectrum:
                 break
             x -= step
         roots.append(float(x))
-    return SecularSpectrum(c=tuple(roots), b=tuple(float(v) for v in b), lam=lam)
+    return np.array(roots)
 
 
-def cauchy_factors(spectrum: SecularSpectrum) -> CauchyFactors:
-    """Qtilde and the positive diagonals D1, D2 of its explicit inverse.
+def cauchy_factors(b, c):
+    """Qtilde_ij = 1/(c_j - b_i) and the positive diagonals of Qtilde^{-1} = D1 Qtilde' D2.
 
     D1_i = (c_i - b_i) prod_{l != i} (c_i - b_l)/(c_i - c_l) and
     D2_i = (c_i - b_i) prod_{l != i} (b_i - c_l)/(b_i - b_l); interlacing
-    makes every quotient positive.
+    makes every quotient positive.  ``b`` (the rates) and ``c`` (their
+    secular roots) are float arrays; returns (Qtilde, D1, D2).
     """
-    b = np.asarray(spectrum.b)
-    c = np.asarray(spectrum.c)
     n = b.size
     Qtilde = 1.0 / (c[None, :] - b[:, None])
     D1 = np.empty(n)
@@ -155,13 +136,19 @@ def cauchy_factors(spectrum: SecularSpectrum) -> CauchyFactors:
         mask = np.arange(n) != i
         D1[i] = (c[i] - b[i]) * np.prod((c[i] - b[mask]) / (c[i] - c[mask]))
         D2[i] = (c[i] - b[i]) * np.prod((b[i] - c[mask]) / (b[i] - b[mask]))
-    return CauchyFactors(Qtilde=Qtilde, D1=D1, D2=D2)
+    return Qtilde, D1, D2
 
 
 def _coth_half(x):
     """coth(x/2) = (e^x + 1)/(e^x - 1) without computing e^x."""
     emx = np.exp(-x)
     return (1.0 + emx) / (1.0 - emx)
+
+
+def _spectrum(kernel: ExponentialSum, gamma):
+    """lambda = 1/gamma, the kernel's a and b, and the secular roots c."""
+    lam = 1.0 / gamma
+    return lam, np.asarray(kernel.a), np.asarray(kernel.b), secular_roots(kernel, lam)
 
 
 def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
@@ -184,13 +171,8 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
     if not horizon > 0:
         raise ValueError("horizon must be positive")
 
-    lam = 1.0 / gamma
-    spectrum = secular_roots(kernel, lam)
-    a = np.asarray(kernel.a)
-    b = np.asarray(spectrum.b)
-    c = np.asarray(spectrum.c)
-    rb = np.sqrt(b)
-    rc = np.sqrt(c)
+    lam, a, b, c = _spectrum(kernel, gamma)
+    rb, rc = np.sqrt(b), np.sqrt(c)
     n = a.size
 
     d = 1.0 / (1.0 + 2.0 * lam * np.sum(a / rb))
@@ -258,31 +240,20 @@ def verify_step_identities(kernel: ExponentialSum, gamma, horizon=1.0) -> dict:
     the explicit Cauchy formulas they certify.  Failures are reported, not
     raised.
     """
-    gamma = float(gamma)
-    lam = 1.0 / gamma
-    spectrum = secular_roots(kernel, lam)
-    factors = cauchy_factors(spectrum)
-    Qt, D1, D2 = factors.Qtilde, factors.D1, factors.D2
-    a = np.asarray(kernel.a)
-    b = np.asarray(spectrum.b)
-    c = np.asarray(spectrum.c)
+    lam, a, b, c = _spectrum(kernel, float(gamma))
     rb, rc = np.sqrt(b), np.sqrt(c)
+    Qt, D1, D2 = cauchy_factors(b, c)
     n = a.size
-    eye = np.eye(n)
 
     schechter_inv = D1[:, None] * Qt.T * D2[None, :]
-    err_inverse = float(np.abs(Qt @ schechter_inv - eye).max())
+    err_inverse = float(np.abs(Qt @ schechter_inv - np.eye(n)).max())
 
     Q = (a * rb)[:, None] * Qt
     err_colsums = float(np.abs(2.0 * lam * Q.sum(axis=0) - 1.0).max())
 
     N2 = Qt.T @ ((D2 / rb)[:, None] * Qt)
-    N2_inv = np.linalg.inv(N2)
-    if n > 1:
-        off = N2_inv[~np.eye(n, dtype=bool)]
-        err_zmatrix = float(max(off.max(), 0.0))
-    else:
-        err_zmatrix = 0.0
+    off = np.linalg.inv(N2)[~np.eye(n, dtype=bool)]  # empty when n = 1
+    err_zmatrix = float(np.max(off, initial=0.0))
 
     N3 = np.diag(_coth_half(rc * horizon) / (D1 * rc))
     U = np.linalg.solve(N2 + N3, N2)
@@ -366,23 +337,21 @@ def fredholm_residual_max(kernel: ExponentialSum, cf: ExpClosedForm, samples=200
     return float(np.max(np.abs(resid)))
 
 
+def quadrature_panel(kernel: ExponentialSum, cf: ExpClosedForm):
+    """Longest Gauss panel on [0, T] that resolves the fastest boundary layer e^{-sqrt(c) t}."""
+    return min(cf.horizon / 16.0, 4.0 / math.sqrt(max(cf.c.max(), max(kernel.b))))
+
+
 def quadrature_energy(kernel: ExponentialSum, cf: ExpClosedForm):
-    """J_gamma[phi] by Gauss-Legendre quadrature (independent of sigma = 2 J).
+    """J_gamma[phi] = int phi (gamma phi + G * phi) / 2 by Gauss-Legendre quadrature.
 
-    The double integral is folded once: iint G phi phi = int phi(t) (G*phi)(t) dt
-    with the inner convolution analytic, so only one quadrature layer remains.
+    Independent of sigma = 2 J: the double integral is folded once,
+    iint G phi phi = int phi(t) (G*phi)(t) dt, with the inner convolution
+    analytic, so one quadrature layer remains and phi is evaluated once per node.
     """
-    T = cf.horizon
 
-    def sq(ts):
-        return eval_closed_form(cf, ts) ** 2
+    def integrand(ts):
+        phi = eval_closed_form(cf, ts)
+        return phi * (cf.gamma * phi + _convolution(kernel, cf, ts))
 
-    def cross(ts):
-        return eval_closed_form(cf, ts) * _convolution(kernel, cf, ts)
-
-    # panels short enough to resolve the fastest boundary layer e^{-sqrt(c) t}
-    fastest = max(np.sqrt(np.max(cf.c)), np.sqrt(max(kernel.b)))
-    max_panel = min(T / 16.0, 4.0 / fastest)
-    return 0.5 * cf.gamma * panel_gauss(sq, 0.0, T, max_panel=max_panel) + 0.5 * panel_gauss(
-        cross, 0.0, T, max_panel=max_panel
-    )
+    return 0.5 * panel_gauss(integrand, 0.0, cf.horizon, max_panel=quadrature_panel(kernel, cf))

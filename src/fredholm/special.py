@@ -39,6 +39,7 @@ __all__ = [
     "eval_trig",
     "trig_residual_max",
     "trig_energy",
+    "trig_panel",
 ]
 
 
@@ -317,9 +318,14 @@ def eval_trig(sol: TrigSolution, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
+def trig_panel(sol: TrigSolution):
+    """Longest Gauss panel on [0, T] for integrands of phi and cos, sin(rho t)."""
+    return min(sol.horizon / 8.0, 1.0 / sol.rho)
+
+
 def _trig_moments(sol: TrigSolution):
     """Mc = int cos(rho s) phi(s) ds and Ms = int sin(rho s) phi(s) ds by quadrature."""
-    mp = min(sol.horizon / 8.0, 1.0 / sol.rho)
+    mp = trig_panel(sol)
     Mc = panel_gauss(
         lambda s: np.cos(sol.rho * s) * eval_trig(sol, s), 0.0, sol.horizon, max_panel=mp
     )
@@ -346,6 +352,6 @@ def trig_residual_max(sol: TrigSolution, samples=500):
 def trig_energy(sol: TrigSolution):
     """J_gamma[phi] via iint cos(rho(t-s)) phi phi = Mc^2 + Ms^2."""
     Mc, Ms = _trig_moments(sol)
-    mp = min(sol.horizon / 8.0, 1.0 / sol.rho)
-    quad_sq = panel_gauss(lambda s: eval_trig(sol, s) ** 2, 0.0, sol.horizon, max_panel=mp)
+    quad_sq = panel_gauss(lambda s: eval_trig(sol, s) ** 2, 0.0, sol.horizon,
+                          max_panel=trig_panel(sol))
     return 0.5 * sol.gamma * quad_sq + 0.5 * (Mc**2 + Ms**2)
