@@ -35,9 +35,10 @@ from .kernels import CappedLinear, ExponentialSum, Trigonometric, kernel_from_sp
 
 __all__ = ["RunConfig", "MAX_CELLS", "main", "run", "compare_cmd"]
 
-# peak memory of a solve grows by about 250 bytes a cell with a CSV artifact
-# and 400 with a JSON one (measured at 2^20 cells), so 2^22 cells need
-# about 1.1 and 1.7 GB
+# peak memory of a discrete solve grows by about 300 bytes a cell with a CSV
+# artifact and 380 with a JSON one, above the 31 MB of the imports (measured
+# at 2^20 cells on a 200-knot tabulated kernel and on a two-term exponential
+# sum, alike), so 2^22 cells need about 1.3 and 1.6 GB
 MAX_CELLS = 1 << 22
 
 
@@ -503,6 +504,8 @@ def main(argv=None) -> int:
         return _error(exc)
     except OSError as exc:
         return _error(f"i/o failure: {exc}")
+    except MemoryError as exc:  # the unwound stack has freed what the solve held
+        return _error(f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -109,14 +109,15 @@ class DiscreteKernelRow:
     Gn: np.ndarray
 
 
-def _lags(problem: Problem, m: int):
-    """Cell double integrals of the kernel at lags 0..m-1 (no gamma term)."""
+def _grid_rows(problem: Problem, m: int):
+    """The kernel's rows on m cells: cell double integrals at lags 0..m-1
+    (no gamma term) and the midpoint row (see ``Kernel.grid_rows``)."""
     if m < 2:
         raise ValueError("need at least two cells")
-    row = problem.kernel.lag_row(problem.horizon / m, m)
-    if not np.all(np.isfinite(row)):
+    lags, midpoints = problem.kernel.grid_rows(problem.horizon / m, m)
+    if not np.all(np.isfinite(lags)):
         raise ValueError("kernel produced non-finite cell integrals")
-    return row
+    return lags, midpoints
 
 
 def _column(problem: Problem, lags):
@@ -134,13 +135,13 @@ def discretize(problem: Problem, m: int):
     symmetric Toeplitz, so only the first row is integrated.
     """
     i = np.arange(m)
-    H = 0.5 * _column(problem, _lags(problem, m))[np.abs(np.subtract.outer(i, i))]
+    H = 0.5 * _column(problem, _grid_rows(problem, m)[0])[np.abs(np.subtract.outer(i, i))]
     return H, np.full(m, problem.horizon / m)
 
 
 def kernel_row(problem: Problem, m: int) -> DiscreteKernelRow:
     """Lag sequence of the discretized kernel (diagonal value plus off-diagonals)."""
-    lags = _lags(problem, m)
+    lags = _grid_rows(problem, m)[0]
     return DiscreteKernelRow(Gn0=0.5 * problem.gamma * (problem.horizon / m) + lags[0], Gn=lags[1:])
 
 
@@ -207,23 +208,25 @@ _BLOCK_CELLS = 1 << 16
 class _Operators:
     """The gamma-free FFT operators of one grid, shared by every gamma of a sweep.
 
-    ``lags`` is the lag row of K, ``kernel`` the spectrum of K's circulant
-    embedding, ``chan`` the eigenvalues of K's T. Chan circulant, and
-    ``midpoints`` the embedding spectrum of the single-cell integrals at the
-    cell midpoints (the residual's convolution).  ``certifiable`` holds when
+    Both rows come from one ``Kernel.grid_rows`` call, so a kernel that
+    builds them from a shared table (``Tabulated``'s half-cell moments)
+    builds it once per solve or sweep.  ``lags`` is the lag row of K,
+    ``kernel`` the spectrum of K's circulant embedding, ``chan`` the
+    eigenvalues of K's T. Chan circulant, and ``midpoints`` the embedding
+    spectrum of the midpoint row, the single-cell integrals at the cell
+    midpoints (the residual's convolution).  ``certifiable`` holds when
     theory puts every eigenvalue of K at or above 0 (the kernel is of
     positive type), and ``rounding`` bounds how far rounding in the computed
     lag row can move them: a symmetric Toeplitz perturbation d has norm at
     most 2 |d|_1, and m/2 ulps of every entry are allowed for.
     """
 
-    def __init__(self, problem: Problem, lags):
-        m = len(lags)
-        h = problem.horizon / m
+    def __init__(self, problem: Problem, m: int):
+        lags, midpoints = _grid_rows(problem, m)
         self.lags = lags
         self.kernel = _embedding_spectrum(lags)
         self.chan = _chan_eigenvalues(lags)
-        self.midpoints = _embedding_spectrum(problem.kernel.cell_integral(0.0, h, (np.arange(m) + 0.5) * h))
+        self.midpoints = _embedding_spectrum(midpoints)
         self.certifiable = problem.kernel.classify().positive_type_known
         self.rounding = m * np.finfo(float).eps * float(np.sum(np.abs(lags)))
 
@@ -349,7 +352,7 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     cap and falls back, the defect is 1.5e-9 sigma at m = 200 and 3.5e-9
     sigma at m = 256, so the CLI's 1e-9 check fails there; m = 1024 passes.
     """
-    return _solve_rows(problem, _Operators(problem, _lags(problem, m)), [problem.gamma])[0]
+    return _solve_rows(problem, _Operators(problem, m), [problem.gamma])[0]
 
 
 def sweep_gammas(gammas) -> list:
@@ -385,7 +388,7 @@ def gamma_sweep(problem: Problem, m: int, gammas) -> list:
     vanishes; no convergence claim is attached.
     """
     gammas = sweep_gammas(gammas)
-    ops = _Operators(problem, _lags(problem, m))
+    ops = _Operators(problem, m)
     step = max(1, _BLOCK_CELLS // m)
     return [grid for i in range(0, len(gammas), step)
             for grid in _solve_rows(problem, ops, gammas[i:i + step])]

@@ -4,9 +4,14 @@ Every kernel offers pointwise evaluation, exact integration of G(|t - s|)
 over cells and rectangles, and a structure report (nonincreasing, convex,
 completely monotone, positive type).  `Kernel.lag_row` is the assembly
 path of the discretized energy: one vectorized call yields the double
-integrals of a uniform cell against every lag.  `cell_double_integral` is
-the helper for a general rectangle, and `cell_integral` integrates over one
-cell for residual checks.
+integrals of a uniform cell against every lag.  `Kernel.grid_rows` is the
+discrete solver's hook: it returns that lag row together with the midpoint
+row, the integrals of G over one cell seen from every cell midpoint, which
+the solver's residual convolves with.  By default the midpoint row is one
+vectorized `cell_integral` call; `Tabulated` overrides both `grid_rows` and
+`lag_row` and builds the two rows from one table of half-cell moments in
+O(m + knots).  `cell_double_integral` is the helper for a general rectangle,
+and `cell_integral` integrates over one cell for residual checks.
 
 The base class does the shared work (lag checks, scalar-or-array returns,
 JSON specs, rectangle splitting).  A family is a frozen dataclass whose
@@ -125,6 +130,15 @@ class Kernel:
         edges = np.arange(m + 1) * h
         lo, hi = edges[1:-1], edges[2:]
         return np.concatenate(([2.0 * self._g2(h)], self._one_signed(lo - h, h, hi - lo)))
+
+    def grid_rows(self, h, m):
+        """The lag row and the midpoint row of m uniform cells of width h.
+
+        The lag row is ``lag_row(h, m)``; the midpoint row holds
+        int_0^h G(|(k + 1/2) h - s|) ds for k = 0..m-1, the single-cell
+        integrals the discrete residual convolves with.
+        """
+        return self.lag_row(h, m), self.cell_integral(0.0, h, (np.arange(m) + 0.5) * h)
 
     def cell_double_integral(self, x_lo, x_hi, y_lo, y_hi):
         """Exact integral of G(|t - s|) ds dt over [x_lo,x_hi] x [y_lo,y_hi]."""
@@ -413,6 +427,11 @@ class Tabulated(Kernel):
     otherwise.  Outside the table the kernel extends flat.  Every integral,
     single-cell or double, is exact: the interpolant is integrated piece by
     piece in closed form.
+
+    The rows of a uniform grid (``lag_row`` and ``grid_rows``) come from one
+    table of half-cell moments, not from a rectangle per lag: the 2m half
+    cells of width h/2 are split only at the knots inside them, so the work
+    and memory are O(m + knots).  Both rows are sums of nonnegative moments.
     """
 
     kind: ClassVar[str] = "tabulated"
@@ -455,18 +474,29 @@ class Tabulated(Kernel):
         head, one segment or the flat tail, where G is exponential or linear:
         a closed form with nonnegative terms.  Vectorized over lo, hi, cuts.
         """
-        xs, ys = self._arrays
         lo, hi, *cuts = np.broadcast_arrays(lo, hi, *cuts)
-        knots = np.clip(xs, lo[..., None], hi[..., None])
+        knots = np.clip(self._arrays[0], lo[..., None], hi[..., None])
         pts = np.sort(np.concatenate([np.stack([lo, hi, *cuts], axis=-1), knots], axis=-1))
         a, b = pts[..., :-1], pts[..., 1:]
-        if self.log_interpolated:
-            la, lb = np.interp(a, xs, np.log(ys)), np.interp(b, xs, np.log(ys))
-            wa, wb = np.exp(la) * _e2(lb - la), np.exp(lb) * _e2(la - lb)
-        else:
-            ga, gb = np.interp(a, xs, ys), np.interp(b, xs, ys)
-            wa, wb = (2.0 * ga + gb) / 6.0, (ga + 2.0 * gb) / 6.0
+        wa, wb = self._piece_weights(pts)
         return np.sum((b - a) * (weight(a) * wa + weight(b) * wb), axis=-1)
+
+    def _piece_weights(self, pts):
+        """End weights of the pieces between consecutive points (last axis).
+
+        On a piece [a, b] free of knots, int_a^b G(w) weight(w) dw equals
+        (b - a) * (weight(a) * wa + weight(b) * wb) for every weight linear
+        on it: G is exponential there in log mode (the `_e2` weights) and
+        linear otherwise.  Both weights are nonnegative.
+        """
+        xs, ys = self._arrays
+        if self.log_interpolated:
+            lg = np.interp(pts, xs, np.log(ys))
+            g, d = np.exp(lg), np.diff(lg)
+            return g[..., :-1] * _e2(d), g[..., 1:] * _e2(-d)
+        g = np.interp(pts, xs, ys)
+        ga, gb = g[..., :-1], g[..., 1:]
+        return (2.0 * ga + gb) / 6.0, (ga + 2.0 * gb) / 6.0
 
     def _g1(self, u):
         return self._integral(0.0, u, lambda w: 1.0)
@@ -486,6 +516,47 @@ class Tabulated(Kernel):
             return np.minimum(np.minimum(w - gap[..., None], end[..., None] - w), side)
 
         return self._integral(gap, end, overlap, (gap + dx, gap + dy))
+
+    def _half_cell_moments(self, h, m):
+        """A_j = int G(u) (1 - s) du and B_j = int G(u) s du, j = 0..2m-1.
+
+        The integrals run over the half cell [j h/2, (j+1) h/2], whose local
+        clock is s = u / (h/2) - j.  A half cell is split at the knots inside
+        it, and `_piece_weights` gives both moments of each piece as sums of
+        nonnegative terms.  Clocks are taken relative to the half cell, so a
+        piece without a knot spans exactly [0, 1] whatever the rounding of
+        its edges.
+        """
+        xs = self._arrays[0]
+        n, half = 2 * m, 0.5 * h
+        edges = np.arange(n + 1) * half
+        inside = xs[(xs > 0.0) & (xs < edges[-1])]
+        at = np.searchsorted(edges, inside, side="right")  # knot in half cell at - 1
+        # points in order: every edge, each knot after the left edge of its half cell
+        x = np.insert(edges, at, inside)
+        clock = np.insert(np.zeros(n + 1), at, np.minimum((inside - edges[at - 1]) / half, 1.0))
+        is_edge = np.insert(np.ones(n + 1, dtype=bool), at, False)
+        cell = np.insert(np.arange(n), at, at - 1)  # half cell of the piece each point starts
+        sa, sb = clock[:-1], np.where(is_edge[1:], 1.0, clock[1:])
+        wa, wb = self._piece_weights(x)
+        length = (sb - sa) * half
+        a = np.bincount(cell, length * ((1.0 - sa) * wa + (1.0 - sb) * wb), minlength=n)
+        b = np.bincount(cell, length * (sa * wa + sb * wb), minlength=n)
+        return a, b
+
+    def lag_row(self, h, m):
+        return self.grid_rows(h, m)[0]
+
+    def grid_rows(self, h, m):
+        a, b = self._half_cell_moments(h, m)
+        # the overlap triangle of lag k covers half cells 2k-2 .. 2k+1:
+        # row[k] = h (r[k-1] + f[k]) with f[k] = A_2k + B_2k/2 + A_2k+1/2
+        # and r[k] = B_2k/2 + A_2k+1/2 + B_2k+1; row[0] = 2 h f[0]
+        shared = 0.5 * (b[0::2] + a[1::2])
+        f, r = a[0::2] + shared, shared + b[1::2]
+        mass = a + b  # int G over each half cell
+        return (h * np.concatenate(([2.0 * f[0]], r[:-1] + f[1:])),
+                np.concatenate(([2.0 * mass[0]], mass[1:-1:2] + mass[2::2])))
 
     def classify(self):
         """Structure of the interpolant actually used, flat head and tail included.

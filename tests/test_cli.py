@@ -527,6 +527,26 @@ def test_main_reused_in_process_matches_fresh_processes(tmp_path, monkeypatch):
         assert reused[f"{name}-csv.json"] == stdout[f"{name}-csv"].encode()
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status and relies on RLIMIT_AS")
+def test_memory_exhaustion_is_one_json_error(tmp_path):
+    # gamma 1e-8 at T 200 makes the exponential route's energy check ask for
+    # 40.6 million quadrature nodes; with 512 MB of address space left after
+    # the imports, that solve runs out of memory and must end as one JSON
+    # error, not a traceback
+    path = write_config(tmp_path / "c.json", gamma=1e-8, horizon=200.0, cells=1024,
+                        kernel={"type": "exponential_sum", "a": [1, 1, 0.5], "b": [1, 4, 30]})
+    prelude = ("import resource, numpy; "
+               "vm = next(int(line.split()[1]) for line in open('/proc/self/status') "
+               "if line.startswith('VmSize:')); "
+               "resource.setrlimit(resource.RLIMIT_AS, ((vm << 10) + (512 << 20),) * 2); ")
+    proc = run_module(path, prelude)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    doc = strict_json(proc.stderr)
+    assert doc["error"].startswith("out of memory")
+
+
 def test_module_entry_point(tmp_path):
     path = write_config(tmp_path / "c.json", cells=64)
     proc = subprocess.run(

@@ -139,7 +139,7 @@ def test_indefinite_pivot_matches_dense_cholesky(m, gamma):
 
 def _levinson_solution(problem, m):
     """(sigma, phi) from the Levinson-Durbin solve of 2H x = 1."""
-    x = discrete._levinson_ones(discrete._column(problem, discrete._lags(problem, m)))
+    x = discrete._levinson_ones(discrete._column(problem, discrete._grid_rows(problem, m)[0]))
     mass = (problem.horizon / m) * math.fsum(x)
     return 1.0 / ((problem.horizon / m) * mass), x / mass
 
@@ -235,8 +235,8 @@ def test_sweep_row_losing_curvature_falls_back(monkeypatch):
     kernel = Tabulated(t=(0.0, 0.2, 0.4, 1.0), g=(0.1, 1.0, 0.1, 0.0))
     init = discrete._Operators.__init__
 
-    def certified(self, problem, lags):
-        init(self, problem, lags)
+    def certified(self, problem, m):
+        init(self, problem, m)
         self.certifiable = True
 
     monkeypatch.setattr(discrete._Operators, "__init__", certified)

@@ -1,6 +1,7 @@
 """Kernel evaluation and analytic cell integrals vs quadrature oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,8 @@ def test_power_law_diverges_at_zero():
 
 # ------------------------------------------------------- analytic vs oracle
 
+TAB4 = Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05))
+
 ORACLE_KERNELS = [
     ExponentialSum(a=(1.0,), b=(1.0,)),
     ExponentialSum(a=(0.4, 1.1, 0.6), b=(0.7, 2.3, 9.0)),
@@ -125,7 +128,7 @@ ORACLE_KERNELS = [
     Trigonometric(rho=2.0),
     PowerLaw(alpha=0.5, scale=1.0),
     PowerLaw(alpha=0.9, scale=2.0),
-    Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05)),
+    TAB4,
     Tabulated(t=(0.0, 1.0, 2.0), g=(1.0, 0.5, 0.0)),  # linear mode
     Tabulated(t=(0.5, 1.0, 2.0), g=(1.0, 0.6, 0.3)),  # flat head below t[0]
     Tabulated(t=(0.0, 0.4, 0.5, 0.6, 1.0), g=(0.01, 0.2, 1.0, 0.2, 0.01)),  # rising log segments
@@ -162,20 +165,71 @@ def test_cell_integral_matches_quadrature(kernel):
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-13), (y0, y1, t)
 
 
-@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=lambda k: repr(k)[:40])
+def _decay_table(count):
+    t = np.concatenate(([0.0], np.geomspace(0.01, 2.5, count - 1)))
+    return Tabulated(t=tuple(t), g=tuple(2.0 * np.exp(-1.3 * t) + 0.05 / (1.0 + t)))
+
+
+# tables whose knots test the half-cell split of the tabulated rows at h = 0.07
+# and m = 40 (T = 2.8): knots on a half-cell edge (0.035), on a cell edge
+# (0.07) and one ulp below one (0.7 < 10 * 0.07 in floats), linear mode with a
+# zero inside [0, T], knots past T behind a flat head, and 200 knots
+ROW_KERNELS = ORACLE_KERNELS + [
+    Tabulated(t=(0.0, 0.035, 0.07, 0.7), g=(2.0, 1.2, 0.9, 0.1)),
+    Tabulated(t=(0.0, 0.035, 0.07, 0.7, 2.0), g=(2.0, 1.2, 0.9, 0.1, 0.0)),
+    Tabulated(t=(0.2, 1.0, 3.5, 9.0), g=(1.0, 0.7, 0.2, 0.1)),
+    _decay_table(200),
+]
+
+
+@pytest.mark.parametrize("kernel", ROW_KERNELS, ids=lambda k: repr(k)[:40])
 def test_lag_row_matches_cell_loop(kernel):
-    # the vectorized lag row against one scalar rectangle integral per cell
+    # the vectorized rows against one scalar integral per cell: a rectangle
+    # for the lag row, and the cell seen from each midpoint for the other
     h, m = 0.07, 40
     row = kernel.lag_row(h, m)
     ref = [kernel.cell_double_integral(0.0, h, k * h, (k + 1) * h) for k in range(m)]
     np.testing.assert_allclose(row, ref, rtol=1e-14, atol=1e-18)
+    lags, midpoints = kernel.grid_rows(h, m)
+    np.testing.assert_array_equal(lags, row)
+    ref = [kernel.cell_integral(0.0, h, (k + 0.5) * h) for k in range(m)]
+    # the loop differences G1, which costs it a few ulps of G1(T) at any lag
+    slack = 8.0 * np.finfo(float).eps * kernel.cell_integral(0.0, m * h, 0.0)
+    np.testing.assert_allclose(midpoints, ref, rtol=1e-13, atol=slack)
 
 
-@pytest.mark.parametrize("kernel", [Trigonometric(rho=0.5), PowerLaw(alpha=0.5)],
-                         ids=["Trigonometric", "PowerLaw"])
+def test_tabulated_midpoint_row_far_lags():
+    # summed half-cell integrals keep the midpoint row exact at far lags,
+    # where differences of G1 lose 4e-13 (lag 1000) and 2.4e-12 (lag 4095)
+    kernel = TAB4
+    m = 4096
+    h = 3.0 / m
+    midpoints = kernel.grid_rows(h, m)[1]
+    for lag in (1, 1000, 4095):
+        ref = oracles.cell_integral(kernel, (lag + 0.5) * h, 0.0, h)
+        assert midpoints[lag] == pytest.approx(ref, rel=1e-13, abs=0.0), lag
+
+
+def test_tabulated_rows_memory_is_linear():
+    # the half-cell table holds O(m + knots) numbers: a row that clipped
+    # every knot into every cell would need 2000 floats a cell here
+    kernel = _decay_table(2000)
+    m = 1 << 15
+    tracemalloc.start()
+    try:
+        kernel.grid_rows(3.0 / m, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * m
+
+
+@pytest.mark.parametrize("kernel", [Trigonometric(rho=0.5), PowerLaw(alpha=0.5), TAB4],
+                         ids=["Trigonometric", "PowerLaw", "Tabulated"])
 def test_lag_row_far_lags(kernel):
-    # product forms (cosine) and series in the inverse lag (power law) keep
-    # the lag row exact at fine grids, where plain second differences cancel
+    # product forms (cosine), series in the inverse lag (power law) and sums
+    # of nonnegative half-cell moments (tabulated) keep the lag row exact at
+    # fine grids, where plain second differences cancel
     m = 4096
     h = 2.0 / m
     row = kernel.lag_row(h, m)
