@@ -22,14 +22,20 @@ or above gamma h: that theory margin, checked against a bound on the lag
 row's rounding, is the positive-definiteness certificate, and preconditioned
 conjugate gradients with T. Chan's optimal circulant preconditioner solve
 2H x = 1 in O(m log m), in a number of iterations that does not grow with m
-(the equation is of the second kind).  One iteration serves every caller:
-it runs on a (k, m) block of right-hand sides, one row per gamma, so each
-operator or preconditioner application is one 2-D FFT over the rows still
-iterating; a single solve is the block with one row, a gamma sweep the
-block with one row per gamma.  Any other kernel, or a row whose margin
-fails or whose iteration misses its cap, is solved alone by the O(m^2)
-Levinson-Durbin recursion, whose prediction errors certify (or refute)
-positive definiteness directly.
+(the equation is of the second kind).  2H commutes with the reversal of the
+cells and the right-hand side is 1, so x is even about T/2, like the
+continuous minimizer (a series in even powers of t - T/2).  For even m
+the iteration runs on the right half: both products become symmetric
+convolutions (DCT-II/III pairs) evaluated by FFTs of length m and m/2
+instead of 2m and m, and the solution equals its reversal exactly.  Odd m
+has a cell on the midpoint and iterates on every cell.  One iteration
+serves every caller: it runs on a block of right-hand sides, one row per
+gamma, so each operator or preconditioner application is one 2-D FFT over
+the rows still iterating; a single solve is the block with one row, a
+gamma sweep the block with one row per gamma.  Any other kernel, or a row
+whose margin fails or whose iteration misses its cap, is solved alone by
+the O(m^2) Levinson-Durbin recursion, whose prediction errors certify (or
+refute) positive definiteness directly.
 """
 
 import math
@@ -196,6 +202,42 @@ def _chan_eigenvalues(col):
     return np.fft.rfft(((m - k) * col + k * col[(m - k) % m]) / m).real
 
 
+def _half_operator(spectrum, n, k):
+    """(A, D) of a symmetric product folded onto even vectors.
+
+    ``spectrum`` holds the real eigenvalues C_0..C_n (rfft order) of a
+    symmetric circulant of size 2n; S is that circulant (n = k) or its
+    leading 2k x 2k block (n = 2k).  A vector x of length 2k with
+    x = x[::-1] is held by its right half v = x[k:] in the order
+    u = (v[1::2][::-1], v[0::2]), and the right half of S x, in the same
+    order, is irfft(A U + D conj(U), n)[:k] with U = rfft(u, n),
+    A = (C_f + C_{n-f})/2 and D = (C_f - C_{n-f})/2 exp(i pi f (1 - 4 floor(k/2)) / n).
+    That is a DCT-II/III pair (symmetric convolution, Martucci 1994)
+    evaluated by Makhoul's n-point FFT (1980), with u rotated so that one
+    layout serves every k.  The solve folds K's 2m-point embedding (n = m)
+    and T. Chan's m-point circulant (n = m/2).  The twist's integer angle is
+    reduced mod 2n first: exp of an angle near pi k would lose its low
+    digits (2e-13 at k = 2048).
+    """
+    f = np.arange(n // 2 + 1)
+    # slices, not an index array: fancy indexing on the last axis returns
+    # column-major rows, which np.vecdot sums in another order than one row
+    low, high = spectrum[..., :n // 2 + 1], spectrum[..., n - n // 2:][..., ::-1]
+    twist = np.exp(1j * np.pi / n * (f * (1 - 4 * (k // 2)) % (2 * n)))
+    return 0.5 * (low + high), 0.5 * (low - high) * twist
+
+
+def _apply(a, d, v, n):
+    """irfft(a V + d conj(V), n) cut to v's length, with V = rfft(v, n).
+
+    With d None this is the circulant product of eigenvalues a, else the
+    folded product of ``_half_operator``.  Works along the last axis.
+    """
+    spectrum = np.fft.rfft(v, n)
+    spectrum = a * spectrum if d is None else a * spectrum + d * spectrum.conj()
+    return np.fft.irfft(spectrum, n)[..., :v.shape[-1]]
+
+
 # conjugate gradients on a second-kind equation converge in a number of steps
 # that does not grow with m; past this many the run falls back to Levinson
 _PCG_MAX_ITER = 200
@@ -219,6 +261,16 @@ class _Operators:
     positive type), and ``rounding`` bounds how far rounding in the computed
     lag row can move them: a symmetric Toeplitz perturbation d has norm at
     most 2 |d|_1, and m/2 ulps of every entry are allowed for.
+
+    2H commutes with the reversal of the cells and the right-hand side is 1,
+    so the solution is even about T/2.  For even m conjugate gradients
+    iterate on the ``unknowns`` = m/2 cells of the right half, in the order
+    of ``_half_operator``: K's product is (``product_a``, ``product_d``) at
+    transform length m, the preconditioner's at length m/2.  Odd m has a
+    cell on the midpoint, which needs a DCT-I and has no half-length FFT, so
+    it iterates on all m cells with the plain products (``product_d`` None)
+    at lengths 2m and m.  Either way K's transforms are twice as long as the
+    preconditioner's.  ``order`` unfolds an iterate to the m cells.
     """
 
     def __init__(self, problem: Problem, m: int):
@@ -229,23 +281,46 @@ class _Operators:
         self.midpoints = _embedding_spectrum(midpoints)
         self.certifiable = problem.kernel.classify().positive_type_known
         self.rounding = m * np.finfo(float).eps * float(np.sum(np.abs(lags)))
+        if m % 2:
+            self.unknowns, self.order = m, np.arange(m)
+            self.product_a, self.product_d = self.kernel, None
+        else:
+            k = self.unknowns = m // 2
+            half = np.empty(k, dtype=np.intp)  # v = u[half]
+            half[0::2] = np.arange(k // 2, k)
+            half[1::2] = np.arange(k // 2 - 1, -1, -1)
+            self.order = np.concatenate((half[::-1], half))
+            self.product_a, self.product_d = _half_operator(self.kernel.real, m, k)
+
+    def preconditioner(self, ridges):
+        """(a, d) of the inverse of T. Chan's circulant plus each ridge, one row each."""
+        inverse = 1.0 / (self.chan + ridges)
+        if self.unknowns == len(self.lags):
+            return inverse, None
+        return _half_operator(inverse, self.unknowns, self.unknowns)
 
 
 def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
-    """Solve 2H x = 1 on one grid for each gamma, one row of a (k, m) block each.
+    """Solve 2H x = 1 on one grid for each gamma, one row of a block each.
 
     A row whose margin gamma h clears ``ops.rounding`` under the positive-type
     certificate runs preconditioned CG from x = 0 with T. Chan's circulant,
-    whose eigenvalues shifted by gamma h are the preconditioner's.  Every
-    operator and preconditioner application is one 2-D rfft/irfft over the
-    rows still iterating.  A row leaves the block when |r| <= 1e-14 |1|; it
-    gives up when a search direction has p' 2H p <= 0 or after
-    ``_PCG_MAX_ITER`` steps.  A row that gives up, or was never certified, is
-    solved alone by Levinson-Durbin.  Each row does the arithmetic of a
-    one-row block, so a sweep matches the single solves bit for bit.
+    whose eigenvalues shifted by gamma h are the preconditioner's.  The
+    block's rows hold ``ops.unknowns`` cells: the right half of x for even
+    m, all of x for odd m.  Every operator and preconditioner application is
+    one 2-D rfft/irfft over the rows still iterating, of length 2 and 1
+    times ``ops.unknowns``.  A row leaves the block when the full residual
+    has |r| <= 1e-14 |1| (for even m the half holds |r|^2 / 2); it gives up
+    when a search direction has p' 2H p <= 0 or after ``_PCG_MAX_ITER``
+    steps.  A converged row is unfolded to all m cells, so for even m the
+    solution equals its reversal exactly.  A row that gives up, or was never
+    certified, is solved alone by Levinson-Durbin.  Each row does the
+    arithmetic of a one-row block, so a sweep matches the single solves bit
+    for bit.
     """
     m = len(ops.lags)
     n = 2 * m
+    width = ops.unknowns
     h = problem.horizon / m
     gammas = np.array(gammas)[:, None]  # (k, 1), like every per-row scalar below
     ridges = gammas * h  # 2H = ridge I + K
@@ -257,24 +332,26 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     rows = [i for i, ridge in enumerate(ridges[:, 0].tolist())
             if ops.certifiable and ridge > ops.rounding]
     if rows:  # lambda_min(2H) >= ridge > 0 on every row
-        spec, precond = spectra[rows], ops.chan + ridges[rows]
-        r = np.ones((len(rows), m))
+        kern_a, kern_d = ops.product_a + ridges[rows], ops.product_d
+        pre_a, pre_d = ops.preconditioner(ridges[rows])
+        r = np.ones((len(rows), width))
         x = np.zeros_like(r)
-        stop = _PCG_RTOL * math.sqrt(m)
-        # 1 is an eigenvector of every circulant, so this z is 1 / precond[:, :1]
+        stop = _PCG_RTOL * math.sqrt(width)
+        # 1 is an eigenvector of every circulant, so this z is 1 / (chan[0] + ridge)
         # up to rounding; the round trip stays because the two differ in the
         # last bit unless m is a power of two, and that bit reaches every output
-        z = np.fft.irfft(np.fft.rfft(r[0]) / precond, m)
+        z = _apply(pre_a, pre_d, r[0], width)
         p = z
         rz = np.vecdot(r, z, keepdims=True)
         for _ in range(_PCG_MAX_ITER):
-            q = np.fft.irfft(spec * np.fft.rfft(p, n), n)[:, :m]
+            q = _apply(kern_a, kern_d, p, 2 * width)
             curvature = np.vecdot(p, q, keepdims=True)
             keep = [c > 0 for (c,) in curvature.tolist()]
             if not all(keep):  # these rows give up
                 rows = [i for i, kept in zip(rows, keep) if kept]
-                x, r, p, q, rz, curvature, spec, precond = (
-                    a[keep] for a in (x, r, p, q, rz, curvature, spec, precond))
+                x, r, p, q, rz, curvature, kern_a, pre_a, pre_d = (
+                    a if a is None else a[keep]
+                    for a in (x, r, p, q, rz, curvature, kern_a, pre_a, pre_d))
                 if not rows:
                     break
             alpha = rz / curvature
@@ -282,16 +359,15 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
             r -= alpha * q
             keep = [math.sqrt(rr) > stop for rr in np.vecdot(r, r).tolist()]
             if not all(keep):  # these rows converged
-                # a stored row is a view of x, which the compaction below
-                # replaces before the next in-place update
                 for i, x_row, kept in zip(rows, x, keep):
                     if not kept:
-                        x_rows[i] = x_row
+                        x_rows[i] = x_row[ops.order]
                 if not any(keep):
                     break
                 rows = [i for i, kept in zip(rows, keep) if kept]
-                x, r, p, rz, spec, precond = (a[keep] for a in (x, r, p, rz, spec, precond))
-            z = np.fft.irfft(np.fft.rfft(r) / precond, m)
+                x, r, p, rz, kern_a, pre_a, pre_d = (
+                    a if a is None else a[keep] for a in (x, r, p, rz, kern_a, pre_a, pre_d))
+            z = _apply(pre_a, pre_d, r, width)
             rz, rz_old = np.vecdot(r, z, keepdims=True), rz
             p = z + (rz / rz_old) * p
     for i, x_row in enumerate(x_rows):
@@ -329,7 +405,9 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     2H at or above gamma h; when that margin exceeds the bound
     m * eps * |lag row|_1 on the lag row's rounding, preconditioned
     conjugate gradients with T. Chan's circulant preconditioner solve the
-    system in O(m log m).  Otherwise, or when the iteration does not reach
+    system in O(m log m); for even m they iterate on the right half of the
+    even solution, with FFTs of length m and m/2, and ``values`` equals its
+    reversal exactly.  Otherwise, or when the iteration does not reach
     |r| <= 1e-14 |1| within its cap, Levinson-Durbin solves it in O(m^2),
     and raises :class:`~fredholm.errors.IndefiniteKernelError` when H is
     not positive definite (the kernel is not of positive type at this
@@ -376,16 +454,17 @@ def gamma_sweep(problem: Problem, m: int, gammas) -> list:
 
     The gamma-free lag row, the FFT spectra of K and of the midpoint
     convolution, and the eigenvalues of K's circulant preconditioner are
-    computed once; each gamma only adds gamma h to the spectrum of K and to
-    the preconditioner's eigenvalues.  The gammas are one block of rows:
-    conjugate gradients iterate every certified row at once, one 2-D FFT per
-    operator or preconditioner application, and a row leaves the block when
-    it converges; rows that are not certified, or give up, are solved one
-    by one by Levinson-Durbin.  Every gamma gets the bits :func:`solve`
-    gives it.  A block holds at most 2^16 cells in total, or one row when m
-    is larger, so memory stays that of one solve at large m.  Used
-    to watch mass migrate toward the endpoints as the quadratic penalty
-    vanishes; no convergence claim is attached.
+    computed once, and so are the half-length operators of an even m;
+    each gamma only adds gamma h to K's spectrum and to the preconditioner's
+    eigenvalues.  The gammas are one block of rows: conjugate gradients
+    iterate every certified row at once (the right half of each for even m),
+    one 2-D FFT per operator or preconditioner application, and a row
+    leaves the block when it converges; rows that are not certified, or
+    give up, are solved one by one by Levinson-Durbin.  Every gamma gets the
+    bits :func:`solve` gives it.  A block holds at most 2^16 cells in total,
+    or one row when m is larger, so memory stays that of one solve at large
+    m.  Used to watch mass migrate toward the endpoints as the quadratic
+    penalty vanishes; no convergence claim is attached.
     """
     gammas = sweep_gammas(gammas)
     ops = _Operators(problem, m)

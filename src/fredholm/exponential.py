@@ -76,8 +76,19 @@ class ExpClosedForm:
         return self.gamma * self.normalization
 
 
-def _secular_values(x, b, w):
-    return 1.0 - np.sum(w / (x - b))
+def _secular_sum(x, b, w, power):
+    """sum_k w_k / (x - b_k)^power for power 1 or 2, on Python floats.
+
+    The terms are added left to right, as ``np.sum`` adds fewer than eight;
+    a zero denominator gives +inf, as numpy's division of a positive w does.
+    """
+    total = 0.0
+    for bk, wk in zip(b, w):
+        d = x - bk
+        if power == 2:
+            d *= d
+        total += wk / d if d else math.inf
+    return total
 
 
 def secular_roots(kernel: ExponentialSum, lam) -> np.ndarray:
@@ -88,35 +99,38 @@ def secular_roots(kernel: ExponentialSum, lam) -> np.ndarray:
     increasing between poles, so the polish cannot leave the bracket
     unnoticed -- steps outside are rejected).  Interlacing holds exactly by
     construction.  The kernel already guarantees positive a and strictly
-    increasing positive b.  Returns the n roots c, ascending.
+    increasing positive b.  Returns the n roots c, ascending.  The
+    arithmetic is scalar: 60 bisection steps per root cost more as numpy
+    calls on n-element arrays than the sums themselves.
     """
-    a = np.asarray(kernel.a)
-    b = np.asarray(kernel.b)
     lam = float(lam)
     if not lam > 0:
         raise ValueError("lambda must be positive")
 
-    n = a.size
-    w = 2.0 * lam * a * np.sqrt(b)
+    b = kernel.b
+    w = [2.0 * lam * ak * math.sqrt(bk) for ak, bk in zip(kernel.a, b)]
+    n = len(b)
+    reach = 0.0  # sum of w, left to right
+    for wk in w:
+        reach += wk
     roots = []
     for k in range(n):
         lo = b[k]
-        hi = b[k + 1] if k + 1 < n else b[-1] + w.sum()
+        hi = b[k + 1] if k + 1 < n else b[-1] + reach
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if _secular_values(mid, b, w) < 0.0:
+            if 1.0 - _secular_sum(mid, b, w, 1) < 0.0:
                 lo = mid
             else:
                 hi = mid
         x = 0.5 * (lo + hi)
         for _ in range(3):
-            fx = _secular_values(x, b, w)
-            dfx = np.sum(w / (x - b) ** 2)
-            step = fx / dfx
-            if not np.isfinite(step) or not lo <= x - step <= hi:
+            dfx = _secular_sum(x, b, w, 2)
+            step = (1.0 - _secular_sum(x, b, w, 1)) / dfx if dfx else math.nan
+            if not math.isfinite(step) or not lo <= x - step <= hi:
                 break
             x -= step
-        roots.append(float(x))
+        roots.append(x)
     return np.array(roots)
 
 

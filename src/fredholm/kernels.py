@@ -243,12 +243,29 @@ class ExponentialSum(Kernel):
         return np.sum((a / b) * _em1p(rate * u[..., None]), axis=-1)
 
     def _one_signed(self, gap, dx, dy):
+        _, _, rate = self._arrays
+        return self._decayed(np.exp(-rate * np.asarray(gap, dtype=float)[..., None]), dx, dy)
+
+    def _decayed(self, decay, dx, dy):
+        """``_one_signed`` given the table decay = exp(-sqrt(b) * gap)."""
         # expm1 product form: no cancellation however far the cells are apart
         a, b, rate = self._arrays
-        gap, dx, dy = (np.asarray(v, dtype=float)[..., None] for v in (gap, dx, dy))
-        return np.sum(
-            (a / b) * np.exp(-rate * gap) * np.expm1(-rate * dx) * np.expm1(-rate * dy), axis=-1
-        )
+        dx, dy = (np.asarray(v, dtype=float)[..., None] for v in (dx, dy))
+        return np.sum((a / b) * decay * np.expm1(-rate * dx) * np.expm1(-rate * dy), axis=-1)
+
+    def grid_rows(self, h, m):
+        # one table exp(-sqrt(b) (k - 1) h), k = 1..m-1, feeds both rows: the
+        # lag row as lag_row builds it, and the midpoint row in product form,
+        # int_0^h G((k + 1/2) h - s) ds = sum a exp(-sqrt(b) (k - 1/2) h)
+        # (1 - exp(-sqrt(b) h)) / sqrt(b), where differences of G1 would cancel
+        a, _, rate = self._arrays
+        edges = np.arange(m + 1) * h
+        lo, hi = edges[1:-1], edges[2:]
+        decay = np.exp(-rate * (lo - h)[:, None])
+        lags = np.concatenate(([2.0 * self._g2(h)], self._decayed(decay, h, hi - lo)))
+        weight = -(a / rate) * np.expm1(-rate * h) * np.exp(-0.5 * rate * h)
+        midpoints = np.concatenate(([2.0 * self._g1(0.5 * h)], np.sum(weight * decay, axis=-1)))
+        return lags, midpoints
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,8 @@ POSITIVE_TYPE = {
 }
 
 
-@pytest.mark.parametrize("m", [2, 3, 256, 4096])
+# odd m, and even m with m/2 even and odd (the half iteration's two layouts)
+@pytest.mark.parametrize("m", [2, 3, 6, 255, 256, 1026, 4096])
 @pytest.mark.parametrize("name", POSITIVE_TYPE)
 def test_pcg_matches_levinson(monkeypatch, name, m):
     # every positive-type family runs conjugate gradients; they must land on
@@ -167,6 +168,33 @@ def test_pcg_matches_levinson(monkeypatch, name, m):
     grid = solve(problem, m)
     assert grid.sigma == pytest.approx(sigma, rel=1e-14)
     assert np.max(np.abs(grid.values - phi)) <= 1e-12 * np.max(np.abs(phi))
+    if m % 2 == 0:  # iterated on the right half and unfolded
+        np.testing.assert_array_equal(grid.values, grid.values[::-1])
+
+
+@pytest.mark.parametrize("m", [2, 6, 1026, 4096])
+def test_half_products_match_full_products(m):
+    # the folded products of an even vector must be as accurate as the
+    # full-length FFT products; random rows and a random vector give every
+    # frequency weight, where an unreduced twist angle would put 2e-13 into
+    # them at m = 4096
+    rng = np.random.default_rng(m)
+    k = m // 2
+    order = discrete._Operators(EXP1, m).order
+    x = rng.standard_normal(k)
+    x = np.concatenate((x[::-1], x))
+    u = np.empty(k)
+    u[order[k:]] = x[k:]
+    col = rng.standard_normal(m)
+    toeplitz = discrete._embedding_spectrum(col)
+    circulant = discrete._chan_eigenvalues(col)
+    for half, full in [
+        (discrete._apply(*discrete._half_operator(toeplitz.real, m, k), u, m),
+         np.fft.irfft(toeplitz * np.fft.rfft(x, 2 * m), 2 * m)[:m]),
+        (discrete._apply(*discrete._half_operator(circulant, k, k), u, k),
+         np.fft.irfft(circulant * np.fft.rfft(x), m)),
+    ]:
+        assert np.max(np.abs(half[order] - full)) <= 4e-15 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("cause", ["iteration_cap", "margin"])
@@ -207,7 +235,12 @@ def test_gamma_sweep_orders_and_endpoint_mass():
     (Problem(gamma=1.0, horizon=20.0, kernel=Trigonometric(rho=0.5)), 256, [1e-2, 1e-3, 1e-5, 1e-8]),
     # the last row's margin gamma h does not clear the rounding bound
     (EXP1, 64, [1.0, 1e-3, 5e-15]),
-], ids=["exp1", "tabulated", "trig_cap", "exp1_margin"])
+    # odd m iterates on every cell, m = 2 mod 4 on an odd half
+    (EXP1, 97, [1.0, 0.1, 0.003]),
+    (Problem(gamma=0.3, horizon=3.0,
+             kernel=Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05))),
+     98, [1.0, 0.1, 0.003]),
+], ids=["exp1", "tabulated", "trig_cap", "exp1_margin", "exp1_odd", "tabulated_2mod4"])
 def test_gamma_sweep_matches_independent_solves(monkeypatch, problem, m, gammas):
     # a sweep iterates its gammas as one block, or as blocks of two rows when
     # a block is capped at 2m cells; every row must carry the bits of its own

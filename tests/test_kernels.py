@@ -198,12 +198,17 @@ def test_lag_row_matches_cell_loop(kernel):
     np.testing.assert_allclose(midpoints, ref, rtol=1e-13, atol=slack)
 
 
-def test_tabulated_midpoint_row_far_lags():
-    # summed half-cell integrals keep the midpoint row exact at far lags,
-    # where differences of G1 lose 4e-13 (lag 1000) and 2.4e-12 (lag 4095)
-    kernel = TAB4
+@pytest.mark.parametrize("kernel, horizon", [
+    (TAB4, 3.0),
+    (ExponentialSum(a=(1.0, 1.0), b=(1.0, 4.0)), 2.0),
+], ids=["Tabulated", "ExponentialSum"])
+def test_midpoint_row_far_lags(kernel, horizon):
+    # summed half-cell integrals (tabulated) and the product form of an
+    # exponential sum keep the midpoint row exact at far lags, where
+    # differences of G1 lose 4e-13 (tabulated, lag 1000) to 2.6e-12 (exp2,
+    # lag 4095)
     m = 4096
-    h = 3.0 / m
+    h = horizon / m
     midpoints = kernel.grid_rows(h, m)[1]
     for lag in (1, 1000, 4095):
         ref = oracles.cell_integral(kernel, (lag + 0.5) * h, 0.0, h)
