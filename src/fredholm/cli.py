@@ -122,7 +122,7 @@ def _solve_exp(cfg: RunConfig) -> RunResult:
         cfg, lambda s: exponential.eval_closed_form(cf, s), cf.sigma,
         exponential.quadrature_energy(cfg.kernel, cf),
         exponential.fredholm_residual_max(cfg.kernel, cf),
-        max_panel=exponential.quadrature_panel(cfg.kernel, cf),
+        breakpoints=exponential.quadrature_edges(cf),
     )
 
 
@@ -131,7 +131,7 @@ def _solve_capped(cfg: RunConfig) -> RunResult:
     return _closed_form(
         cfg, lambda s: special.eval_capped_linear(sol, s), sol.sigma,
         special.capped_linear_energy(sol), special.capped_linear_residual_max(sol),
-        breakpoints=list(range(1, sol.n)), max_panel=1.0 / special.panels_per_unit(sol),
+        breakpoints=special.capped_linear_edges(sol),
     )
 
 

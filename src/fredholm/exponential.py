@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import panel_gauss
+from ._quad import graded_edges, panel_gauss
 from .errors import IllConditionedError
 from .kernels import ExponentialSum
 
@@ -45,7 +45,7 @@ __all__ = [
     "eval_closed_form",
     "verify_step_identities",
     "fredholm_residual_max",
-    "quadrature_panel",
+    "quadrature_edges",
     "quadrature_energy",
 ]
 
@@ -351,9 +351,9 @@ def fredholm_residual_max(kernel: ExponentialSum, cf: ExpClosedForm, samples=200
     return float(np.max(np.abs(resid)))
 
 
-def quadrature_panel(kernel: ExponentialSum, cf: ExpClosedForm):
-    """Longest Gauss panel on [0, T] that resolves the fastest boundary layer e^{-sqrt(c) t}."""
-    return min(cf.horizon / 16.0, 4.0 / math.sqrt(max(cf.c.max(), max(kernel.b))))
+def quadrature_edges(cf: ExpClosedForm):
+    """Gauss panel edges on [0, T] graded toward e^{-sqrt(c_n) t}, the fastest layer (c_n > b_n)."""
+    return graded_edges(0.0, cf.horizon, math.sqrt(cf.c.max()))
 
 
 def quadrature_energy(kernel: ExponentialSum, cf: ExpClosedForm):
@@ -361,11 +361,11 @@ def quadrature_energy(kernel: ExponentialSum, cf: ExpClosedForm):
 
     Independent of sigma = 2 J: the double integral is folded once,
     iint G phi phi = int phi(t) (G*phi)(t) dt, with the inner convolution
-    analytic, so one quadrature layer remains and phi is evaluated once per node.
+    analytic, so one pass over the panels of :func:`quadrature_edges` remains.
     """
 
     def integrand(ts):
         phi = eval_closed_form(cf, ts)
         return phi * (cf.gamma * phi + _convolution(kernel, cf, ts))
 
-    return 0.5 * panel_gauss(integrand, 0.0, cf.horizon, max_panel=quadrature_panel(kernel, cf))
+    return 0.5 * panel_gauss(integrand, 0.0, cf.horizon, breakpoints=quadrature_edges(cf))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gauss_panels, panel_gauss
+from ._quad import gauss_panels, graded_edges, panel_gauss
 from .kernels import _em1p
 
 __all__ = [
@@ -86,11 +86,6 @@ class TrigSolution:
     swing: float
 
 
-# quadrature panels per unit grow like b_max ~ gamma^(-1/2); 4096 of them
-# (gamma down to about 2e-9) take the energy check about 0.3 s at n = 3
-_MAX_PANELS = 1 << 12
-
-
 def _alternating(n):
     return (-1.0) ** (np.arange(1, n + 1) + 1)
 
@@ -112,8 +107,8 @@ def capped_linear_solve(n, gamma) -> CappedLinearSolution:
     central diagonal entry when n is even.
 
     Raises ValueError when gamma is too small for the solution to be
-    verified (see :func:`panels_per_unit`), before anything is solved: the
-    junction system loses its digits long before it becomes singular.
+    verified (b_max above 40,960), before anything is solved: the junction
+    system loses its digits long before it becomes singular.
     """
     if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
         raise ValueError("capped-linear closed form needs a positive integer horizon")
@@ -124,11 +119,12 @@ def capped_linear_solve(n, gamma) -> CappedLinearSolution:
 
     i = np.arange(1, n + 1)
     lam = 2.0 * (1.0 - np.cos(i * np.pi / (n + 1)))
-    # b_max / 10 <= _MAX_PANELS, squared so that no gamma overflows lam / gamma
-    if not lam[-1] <= gamma * (10.0 * _MAX_PANELS) ** 2:
+    # the junction system loses digits as b_max grows (its continuity gap is 4.4e-9 at
+    # b_max 40,320 for n = 3): cap b_max, squared so that no gamma overflows lam / gamma
+    if not lam[-1] <= gamma * 40960.0**2:
         raise ValueError(
-            f"gamma too small to verify the closed form: its boundary layers need "
-            f"more than {_MAX_PANELS} quadrature panels per unit"
+            "gamma too small to verify the closed form: the junction system loses its "
+            "digits once the boundary-layer rate sqrt(lambda_max/gamma) exceeds 40960"
         )
     b = np.sqrt(lam / gamma)
     Q = np.sin(np.outer(i, i) * np.pi / (n + 1))
@@ -183,13 +179,9 @@ def eval_capped_linear(sol: CappedLinearSolution, t):
 _BUDGET = 1 << 13
 
 
-def panels_per_unit(sol: CappedLinearSolution):
-    """Equal panels per unit segment for Gauss quadrature of phi.
-
-    At most half a unit, and short enough that exp(-b_max s) decays by at
-    most e^10 across one; :func:`capped_linear_solve` refuses past 4096.
-    """
-    return max(2, math.ceil(float(sol.b_vec.max()) / 10.0))
+def capped_linear_edges(sol: CappedLinearSolution):
+    """Gauss panel edges on [0, n], graded toward the layers e^{-b_max s} at every integer."""
+    return graded_edges(0.0, sol.n, float(sol.b_vec.max()), range(1, sol.n))
 
 
 def _blocks(sol, points):
@@ -241,9 +233,11 @@ def capped_linear_residual_max(sol: CappedLinearSolution, samples=500):
 
 
 def capped_linear_energy(sol: CappedLinearSolution):
-    """J_gamma[phi] = int phi (gamma phi + G * phi) / 2 by quadrature, not from sigma = 2 J."""
-    k = panels_per_unit(sol)
-    edges = np.arange(sol.n * k + 1) / k
+    """J_gamma[phi] = int phi (gamma phi + G * phi) / 2, not from sigma = 2 J.
+
+    One blocked Gauss pass on :func:`capped_linear_edges`, about n log(b_max) nodes.
+    """
+    edges = capped_linear_edges(sol)
     x, w = (v.ravel() for v in gauss_panels(edges[:-1], edges[1:]))
     total = 0.0
     for blk in _blocks(sol, x.size):

@@ -269,6 +269,24 @@ def test_capped_boundary_layers_pass_every_check(tmp_path, capsys, gamma):
     assert all(summary["checks"].values()), summary["checks"]
 
 
+_STEEP_EXP = {"type": "exponential_sum", "a": [1, 1, 0.5], "b": [1, 4, 30]}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"kernel": {"type": "capped_linear"}, "gamma": 2.1e-9, "horizon": 3.0},
+    {"kernel": {"type": "capped_linear"}, "gamma": 1e-6, "horizon": 40.0},
+    {"kernel": _STEEP_EXP, "gamma": 1e-8, "horizon": 2.0},
+    {"kernel": _STEEP_EXP, "gamma": 1e-8, "horizon": 200.0},
+])
+def test_steep_layers_keep_energy_and_mass(tmp_path, overrides):
+    # the graded panels of the energy and mass integrals resolve layers of
+    # rate 4e4 (capped) and 3.4e4 (exponential) within the unit-mass tolerance
+    cfg = cli.parse_config(write_config(tmp_path / "c.json", cells=64, **overrides))
+    res = cli._ROUTES[cfg.method].solve(cfg)
+    assert abs(res.sigma - 2.0 * res.energy) <= 1e-12 * res.sigma
+    assert res.mass_defect <= 1e-12
+
+
 @pytest.mark.parametrize(
     "method, overrides",
     [
@@ -527,24 +545,40 @@ def test_main_reused_in_process_matches_fresh_processes(tmp_path, monkeypatch):
         assert reused[f"{name}-csv.json"] == stdout[f"{name}-csv"].encode()
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="reads /proc/self/status and relies on RLIMIT_AS")
+# leaves 512 MB of address space above what the imports take
+_MEMORY_LIMIT = ("import resource, numpy; "
+                 "vm = next(int(line.split()[1]) for line in open('/proc/self/status') "
+                 "if line.startswith('VmSize:')); "
+                 "resource.setrlimit(resource.RLIMIT_AS, ((vm << 10) + (512 << 20),) * 2); ")
+_linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                 reason="reads /proc/self/status and relies on RLIMIT_AS")
+
+
+@_linux_only
 def test_memory_exhaustion_is_one_json_error(tmp_path):
-    # gamma 1e-8 at T 200 makes the exponential route's energy check ask for
-    # 40.6 million quadrature nodes; with 512 MB of address space left after
-    # the imports, that solve runs out of memory and must end as one JSON
-    # error, not a traceback
-    path = write_config(tmp_path / "c.json", gamma=1e-8, horizon=200.0, cells=1024,
-                        kernel={"type": "exponential_sum", "a": [1, 1, 0.5], "b": [1, 4, 30]})
-    prelude = ("import resource, numpy; "
-               "vm = next(int(line.split()[1]) for line in open('/proc/self/status') "
-               "if line.startswith('VmSize:')); "
-               "resource.setrlimit(resource.RLIMIT_AS, ((vm << 10) + (512 << 20),) * 2); ")
-    proc = run_module(path, prelude)
+    # a discrete solve at the 2^22-cell ceiling needs more than the 512 MB of
+    # address space left after the imports: it runs out of memory and must end
+    # as one JSON error, not a traceback
+    path = write_config(tmp_path / "c.json", gamma=0.5, horizon=2.0, method="discrete",
+                        cells=cli.MAX_CELLS,
+                        kernel={"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]})
+    proc = run_module(path, _MEMORY_LIMIT)
     assert proc.returncode == 1
     assert proc.stdout == ""
     doc = strict_json(proc.stderr)
     assert doc["error"].startswith("out of memory")
+
+
+@_linux_only
+def test_steep_exponential_layers_fit_in_memory(tmp_path):
+    # gamma 1e-8 at T 200 puts layers of rate 3.4e4 at both ends; equal panels
+    # as short as those layers once needed 1.69 million of them, which ran out
+    # of this memory, while graded panels need 42
+    path = write_config(tmp_path / "c.json", gamma=1e-8, horizon=200.0, cells=1024,
+                        kernel=_STEEP_EXP)
+    proc = run_module(path, _MEMORY_LIMIT)
+    assert proc.returncode == 0, proc.stderr
+    assert strict_json(proc.stdout)["passed"] is True
 
 
 def test_module_entry_point(tmp_path):

@@ -138,13 +138,28 @@ def test_capped_input_validation():
 
 
 def test_capped_verification_panel_limit():
-    # verification needs panels ~ gamma^(-1/2); past 4096 per unit (gamma
-    # below about 2.03e-9 at n = 3) the solve refuses before solving, where
-    # the junction system would lose its digits, turn singular or overflow
+    # past boundary-layer rate 40960 (gamma below about 2.03e-9 at n = 3) the
+    # solve refuses before solving, where the junction system would lose its
+    # digits, turn singular or overflow
     for gamma in (2e-9, 1e-12, 1e-300, 5e-324):
         with pytest.raises(ValueError, match="gamma too small to verify"):
             capped_linear_solve(3, gamma)
-    assert 4000 < special.panels_per_unit(capped_linear_solve(3, 2.1e-9)) <= 4096
+    # graded panels: the steepest accepted layers need few of them
+    assert special.capped_linear_edges(capped_linear_solve(3, 2.1e-9)).size - 1 <= 100
+
+
+def test_capped_edges_grade_toward_every_integer():
+    # gentle layers: two panels per unit; steep ones: edges 4/b_max 2^j from every integer
+    assert np.array_equal(special.capped_linear_edges(capped_linear_solve(3, 0.1)),
+                          np.arange(7) / 2.0)
+    sol = capped_linear_solve(3, 2.1e-9)
+    edges = special.capped_linear_edges(sol)
+    widths = np.diff(edges)
+    assert edges[0] == 0.0 and edges[-1] == 3.0 and np.all(widths > 0)
+    assert {0.5, 1.0, 1.5, 2.0, 2.5} <= set(edges.tolist())
+    assert widths[0] == pytest.approx(4.0 / sol.b_vec.max(), rel=1e-15)
+    assert widths[1] == pytest.approx(widths[0], rel=1e-15)
+    assert widths[2] == pytest.approx(2.0 * widths[0], rel=1e-15)
 
 
 @settings(max_examples=20, deadline=None)
