@@ -45,7 +45,9 @@ def panel_gauss(f, a, b, breakpoints=(), max_panel=None):
     """Integrate ``f``, a map of 1-D abscissa arrays to values, over [a, b] in one call of ``f``.
 
     Panels never straddle ``breakpoints``, where the integrand loses
-    smoothness, and are no longer than ``max_panel`` when it is given.
+    smoothness, and are no longer than ``max_panel`` when it is given.  An
+    ``f`` that returns a tuple of value arrays, integrands sharing the
+    abscissae, gets the tuple of their integrals.
     """
     if b <= a:
         return 0.0
@@ -56,4 +58,7 @@ def panel_gauss(f, a, b, breakpoints=(), max_panel=None):
         edges.append(np.linspace(lo, hi, k + 1)[1:])
     edges = np.concatenate(edges)
     x, w = gauss_panels(edges[:-1], edges[1:])
-    return float(np.sum(w * f(x.ravel()).reshape(x.shape)))
+    values = f(x.ravel())
+    if isinstance(values, tuple):
+        return tuple(float(np.sum(w * v.reshape(x.shape))) for v in values)
+    return float(np.sum(w * values.reshape(x.shape)))

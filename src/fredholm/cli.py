@@ -504,6 +504,8 @@ def main(argv=None) -> int:
         return _error(exc)
     except OSError as exc:
         return _error(f"i/o failure: {exc}")
+    except OverflowError as exc:  # e.g. a horizon near the float limit
+        return _error(f"numeric overflow: {exc}")
     except MemoryError as exc:  # the unwound stack has freed what the solve held
         return _error(f"out of memory: {exc}")
 

@@ -250,9 +250,8 @@ _BLOCK_CELLS = 1 << 16
 class _Operators:
     """The gamma-free FFT operators of one grid, shared by every gamma of a sweep.
 
-    Both rows come from one ``Kernel.grid_rows`` call, so a kernel that
-    builds them from a shared table (``Tabulated``'s half-cell moments)
-    builds it once per solve or sweep.  ``lags`` is the lag row of K,
+    Both rows come from one ``Kernel.grid_rows`` call, so the grid table a
+    family builds them from is built once per solve or sweep.  ``lags`` is the lag row of K,
     ``kernel`` the spectrum of K's circulant embedding, ``chan`` the
     eigenvalues of K's T. Chan circulant, and ``midpoints`` the embedding
     spectrum of the midpoint row, the single-cell integrals at the cell
@@ -317,6 +316,11 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     certified, is solved alone by Levinson-Durbin.  Each row does the
     arithmetic of a one-row block, so a sweep matches the single solves bit
     for bit.
+
+    The mass sum x is correctly rounded (``math.fsum``).  A converged
+    even-m row takes it on the half it iterated, as 2 fsum(half) before
+    unfolding: x is the half twice, so this is the same number in half the
+    time.  Odd-m and Levinson rows sum all m cells.
     """
     m = len(ops.lags)
     n = 2 * m
@@ -326,6 +330,7 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     ridges = gammas * h  # 2H = ridge I + K
     spectra = ops.kernel + ridges
     x_rows = [None] * len(gammas)
+    sums = [None] * len(gammas)  # math.fsum of each x_row, taken before unfolding
 
     # the block's bookkeeping is Python lists: at small m, numpy calls on a
     # handful of per-row scalars would cost as much as the FFTs
@@ -362,6 +367,7 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
                 for i, x_row, kept in zip(rows, x, keep):
                     if not kept:
                         x_rows[i] = x_row[ops.order]
+                        sums[i] = m // width * math.fsum(x_row.tolist())
                 if not any(keep):
                     break
                 rows = [i for i, kept in zip(rows, keep) if kept]
@@ -373,10 +379,11 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     for i, x_row in enumerate(x_rows):
         if x_row is None:
             x_rows[i] = _levinson_ones(_column(replace(problem, gamma=float(gammas[i, 0])), ops.lags))
+            sums[i] = math.fsum(x_rows[i].tolist())
 
     # 2H phi = sigma w and w = h*1, so phi ~ x
     x_rows = np.array(x_rows)
-    mass = h * np.array([[math.fsum(x_row)] for x_row in x_rows.tolist()])
+    mass = h * np.array(sums)[:, None]
     phi = x_rows / mass
     sigma = 1.0 / (h * mass)
     phi_hat = np.fft.rfft(phi, n)  # shared by the energy and the residual
@@ -427,8 +434,9 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     so near the CLI's 2^22 cell ceiling a solve takes hours.  Its solution
     meets sigma = 2 J only to its own relative residual: for the cosine
     kernel at rho 0.5, gamma 1e-5, T 20, where the iteration reaches its
-    cap and falls back, the defect is 1.5e-9 sigma at m = 200 and 3.5e-9
-    sigma at m = 256, so the CLI's 1e-9 check fails there; m = 1024 passes.
+    cap and falls back, the defect is 3.5e-9 sigma at m = 256, so the CLI's
+    1e-9 check fails there; it is -9.7e-10 sigma at m = 200, just inside,
+    and 9.1e-10 at m = 1024.
     """
     return _solve_rows(problem, _Operators(problem, m), [problem.gamma])[0]
 

@@ -191,7 +191,9 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
 
     d = 1.0 / (1.0 + 2.0 * lam * np.sum(a / rb))
 
-    coth = _coth_half(rc * horizon)
+    with np.errstate(over="ignore"):  # sqrt(c) T = inf has the right limits below
+        rcT = rc * horizon
+    coth = _coth_half(rcT)
     Ntilde = (rb[:, None] * rc[None, :] + b[:, None] * coth[None, :]) / (
         c[None, :] - b[:, None]
     )
@@ -201,7 +203,7 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
     y = np.linalg.solve(Ntilde, np.ones(n))
 
     # z_i = y_i / (e^{sqrt(c_i) T} - 1), kept in decayed form throughout
-    emT = np.exp(-rc * horizon)
+    emT = np.exp(-rcT)
     z_raw = y * emT / (1.0 - emT)
     z_raw_min = float(z_raw.min())
     if z_raw_min < -1e-12:

@@ -2,16 +2,20 @@
 
 Every kernel offers pointwise evaluation, exact integration of G(|t - s|)
 over cells and rectangles, and a structure report (nonincreasing, convex,
-completely monotone, positive type).  `Kernel.lag_row` is the assembly
-path of the discretized energy: one vectorized call yields the double
-integrals of a uniform cell against every lag.  `Kernel.grid_rows` is the
-discrete solver's hook: it returns that lag row together with the midpoint
-row, the integrals of G over one cell seen from every cell midpoint, which
-the solver's residual convolves with.  By default the midpoint row is one
-vectorized `cell_integral` call; `Tabulated` overrides both `grid_rows` and
-`lag_row` and builds the two rows from one table of half-cell moments in
-O(m + knots).  `cell_double_integral` is the helper for a general rectangle,
-and `cell_integral` integrates over one cell for residual checks.
+completely monotone, positive type).  `Kernel.grid_rows` is the assembly
+path of the discretized energy and the discrete solver's one hook: on m
+uniform cells it returns the lag row, the double integrals of a cell against
+every lag, and the midpoint row, the integrals of G over one cell seen from
+every cell midpoint, which the solver's residual convolves with.  Every
+entry depends on the lag index k alone, so each family builds both rows from
+one table on the grid in O(m) elementwise work: by default second
+differences of `_nl2` at j*h and first differences of `_g1` at (j + 1/2)*h
+(`CappedLinear`, `PowerCapped`); where differences would cancel, a product
+form on one table of exp(-sqrt(b) k h) (`ExponentialSum`) or cos(rho k h)
+(`Trigonometric`), a series in 1/k^2 for the far lags of `PowerLaw`, and
+half-cell moments in O(m + knots) for `Tabulated`.  `Kernel.lag_row` is the
+first of the two rows.  `cell_double_integral` is the helper for a general
+rectangle, and `cell_integral` integrates over one cell for residual checks.
 
 The base class does the shared work (lag checks, scalar-or-array returns,
 JSON specs, rectangle splitting).  A family is a frozen dataclass whose
@@ -127,18 +131,31 @@ class Kernel:
 
     def lag_row(self, h, m):
         """Double integrals of G(|t - s|) over [0, h] x [k*h, (k+1)*h], k = 0..m-1."""
-        edges = np.arange(m + 1) * h
-        lo, hi = edges[1:-1], edges[2:]
-        return np.concatenate(([2.0 * self._g2(h)], self._one_signed(lo - h, h, hi - lo)))
+        return self.grid_rows(h, m)[0]
 
     def grid_rows(self, h, m):
         """The lag row and the midpoint row of m uniform cells of width h.
 
         The lag row is ``lag_row(h, m)``; the midpoint row holds
         int_0^h G(|(k + 1/2) h - s|) ds for k = 0..m-1, the single-cell
-        integrals the discrete residual convolves with.
+        integrals the discrete residual convolves with.  Both are functions
+        of the lag index k alone, so each comes from one table on the grid
+        in O(m): here ``_grid_lags`` and ``_grid_midpoints``, while a family
+        whose differences would cancel overrides this with a product form.
         """
-        return self.lag_row(h, m), self.cell_integral(0.0, h, (np.arange(m) + 0.5) * h)
+        return self._grid_lags(h, m), self._grid_midpoints(h, m)
+
+    def _grid_lags(self, h, m):
+        """Lag row from one table nl[j] = _nl2(j h), j = 0..m: 2 G2(h), then
+        the second differences nl[k+1] - 2 nl[k] + nl[k-1] in ``_one_signed``'s order."""
+        nl = self._nl2(np.arange(m + 1) * h)
+        return np.concatenate(([2.0 * self._g2(h)], nl[2:] - nl[1:-1] - nl[1:-1] + nl[:-2]))
+
+    def _grid_midpoints(self, h, m):
+        """Midpoint row from one table G1((j + 1/2) h), j = 0..m-1: 2 G1(h/2),
+        then G1((k + 1/2) h) - G1((k - 1/2) h)."""
+        g1 = self._g1((np.arange(m) + 0.5) * h)
+        return np.concatenate(([2.0 * self._g1(0.5 * h)], g1[1:] - g1[:-1]))
 
     def cell_double_integral(self, x_lo, x_hi, y_lo, y_hi):
         """Exact integral of G(|t - s|) ds dt over [x_lo,x_hi] x [y_lo,y_hi]."""
@@ -243,28 +260,28 @@ class ExponentialSum(Kernel):
         return np.sum((a / b) * _em1p(rate * u[..., None]), axis=-1)
 
     def _one_signed(self, gap, dx, dy):
-        _, _, rate = self._arrays
-        return self._decayed(np.exp(-rate * np.asarray(gap, dtype=float)[..., None]), dx, dy)
-
-    def _decayed(self, decay, dx, dy):
-        """``_one_signed`` given the table decay = exp(-sqrt(b) * gap)."""
         # expm1 product form: no cancellation however far the cells are apart
         a, b, rate = self._arrays
-        dx, dy = (np.asarray(v, dtype=float)[..., None] for v in (dx, dy))
+        gap, dx, dy = (np.asarray(v, dtype=float)[..., None] for v in (gap, dx, dy))
+        decay = np.exp(-rate * gap)
         return np.sum((a / b) * decay * np.expm1(-rate * dx) * np.expm1(-rate * dy), axis=-1)
 
     def grid_rows(self, h, m):
-        # one table exp(-sqrt(b) (k - 1) h), k = 1..m-1, feeds both rows: the
-        # lag row as lag_row builds it, and the midpoint row in product form,
+        # one term-major table exp(-sqrt(b) (k - 1) h), k = 1..m-1, feeds both
+        # rows in product form, where differences of G2 or G1 would cancel:
+        # lag k is sum (a/b) expm1(-sqrt(b) h)^2 exp(-sqrt(b) (k - 1) h), and
         # int_0^h G((k + 1/2) h - s) ds = sum a exp(-sqrt(b) (k - 1/2) h)
-        # (1 - exp(-sqrt(b) h)) / sqrt(b), where differences of G1 would cancel
-        a, _, rate = self._arrays
-        edges = np.arange(m + 1) * h
-        lo, hi = edges[1:-1], edges[2:]
-        decay = np.exp(-rate * (lo - h)[:, None])
-        lags = np.concatenate(([2.0 * self._g2(h)], self._decayed(decay, h, hi - lo)))
-        weight = -(a / rate) * np.expm1(-rate * h) * np.exp(-0.5 * rate * h)
-        midpoints = np.concatenate(([2.0 * self._g1(0.5 * h)], np.sum(weight * decay, axis=-1)))
+        # (1 - exp(-sqrt(b) h)) / sqrt(b)
+        a, b, rate = self._arrays
+        step = np.expm1(-rate * h)
+        lag_weight = (a / b) * step * step
+        mid_weight = -(a / rate) * step * np.exp(-0.5 * rate * h)
+        decay = np.exp(np.outer(-rate, np.arange(m - 1) * h))
+        lags, midpoints = np.zeros(m), np.zeros(m)
+        lags[0], midpoints[0] = 2.0 * self._g2(h), 2.0 * self._g1(0.5 * h)
+        for row, lag_w, mid_w in zip(decay, lag_weight.tolist(), mid_weight.tolist()):
+            lags[1:] += lag_w * row
+            midpoints[1:] += mid_w * row
         return lags, midpoints
 
 
@@ -381,6 +398,17 @@ class Trigonometric(Kernel):
             r * (gap + 0.5 * (dx + dy))
         ) / r**2
 
+    def grid_rows(self, h, m):
+        # one table cos(rho k h) feeds both product forms: lag k is
+        # 4 sin^2(rho h/2) cos(rho k h) / rho^2, as _one_signed has it, and
+        # midpoint k is 2 sin(rho h/2) cos(rho k h) / rho
+        r = self.rho
+        half = math.sin(0.5 * r * h)
+        table = np.cos(r * (np.arange(m) * h))
+        lags = 4.0 * half * half * table / r**2
+        lags[0] = 2.0 * self._g2(h)
+        return lags, 2.0 * half / r * table
+
 
 @dataclass(frozen=True)
 class PowerLaw(Kernel):
@@ -426,13 +454,35 @@ class PowerLaw(Kernel):
         c = gap + 0.5 * (dx + dy)
         ra2, rb2 = (0.5 * (dx + dy) / c) ** 2, (0.5 * (dx - dy) / c) ** 2
         e1 = dx * dy / c**2  # E_1 = ra2 - rb2 without the subtraction
-        e, rb2j, binom, series = e1, rb2, 1.0, 0.0
-        for k in range(0, 24, 2):  # E_{j+1} = ra2 E_j + rb2^j E_1
-            binom *= (p - k) * (p - k - 1) / ((k + 1) * (k + 2))
+        e, rb2j, series = e1, rb2, 0.0
+        for binom in self._binomials:  # E_{j+1} = ra2 E_j + rb2^j E_1
             series = series + binom * e
             e, rb2j = ra2 * e + rb2j * e1, rb2j * rb2
         far = 2.0 * series * c**p * self.scale / ((1.0 - self.alpha) * p)
         return np.where(ra2 <= 1.0 / 16.0, far, super()._one_signed(gap, dx, dy))
+
+    @cached_property
+    def _binomials(self):
+        """C(p, 2j) for j = 1..12, p = 2 - alpha: the far series' coefficients."""
+        p, binom, out = 2.0 - self.alpha, 1.0, []
+        for k in range(0, 24, 2):
+            binom *= (p - k) * (p - k - 1) / ((k + 1) * (k + 2))
+            out.append(binom)
+        return tuple(out)
+
+    def _grid_lags(self, h, m):
+        # on the grid _one_signed has c = k h, ra2 = 1/k^2 and rb2 = 0, so its
+        # far series is 1/k^2 times a polynomial in 1/k^2 (Horner), times
+        # (k h)^p; lags below 4 (ra2 > 1/16) keep the direct second difference
+        near = super()._grid_lags(h, min(m, 4))
+        k = np.arange(len(near), m, dtype=float)
+        x = 1.0 / (k * k)
+        poly = 0.0
+        for binom in reversed(self._binomials):
+            poly = poly * x + binom
+        p = 2.0 - self.alpha
+        far = 2.0 * self.scale / ((1.0 - self.alpha) * p) * (x * poly) * (k * h) ** p
+        return np.concatenate((near, far))
 
 
 @dataclass(frozen=True)
@@ -560,9 +610,6 @@ class Tabulated(Kernel):
         a = np.bincount(cell, length * ((1.0 - sa) * wa + (1.0 - sb) * wb), minlength=n)
         b = np.bincount(cell, length * (sa * wa + sb * wb), minlength=n)
         return a, b
-
-    def lag_row(self, h, m):
-        return self.grid_rows(h, m)[0]
 
     def grid_rows(self, h, m):
         a, b = self._half_cell_moments(h, m)

@@ -318,15 +318,15 @@ def trig_panel(sol: TrigSolution):
 
 
 def _trig_moments(sol: TrigSolution):
-    """Mc = int cos(rho s) phi(s) ds and Ms = int sin(rho s) phi(s) ds by quadrature."""
-    mp = trig_panel(sol)
-    Mc = panel_gauss(
-        lambda s: np.cos(sol.rho * s) * eval_trig(sol, s), 0.0, sol.horizon, max_panel=mp
-    )
-    Ms = panel_gauss(
-        lambda s: np.sin(sol.rho * s) * eval_trig(sol, s), 0.0, sol.horizon, max_panel=mp
-    )
-    return Mc, Ms
+    """Mc = int cos(rho s) phi(s) ds, Ms = int sin(rho s) phi(s) ds and int phi^2.
+
+    One quadrature pass: phi is evaluated once on the Gauss nodes.
+    """
+    def integrands(s):
+        phi = eval_trig(sol, s)
+        return np.cos(sol.rho * s) * phi, np.sin(sol.rho * s) * phi, phi**2
+
+    return panel_gauss(integrands, 0.0, sol.horizon, max_panel=trig_panel(sol))
 
 
 def trig_residual_max(sol: TrigSolution, samples=500):
@@ -336,7 +336,7 @@ def trig_residual_max(sol: TrigSolution, samples=500):
     (G * phi)(t) = Mc cos(rho t) + Ms sin(rho t) with the moments computed
     by quadrature (independent of the closed-form derivation).
     """
-    Mc, Ms = _trig_moments(sol)
+    Mc, Ms, _ = _trig_moments(sol)
     ts = np.linspace(0.0, sol.horizon, samples)
     conv = Mc * np.cos(sol.rho * ts) + Ms * np.sin(sol.rho * ts)
     resid = sol.gamma * eval_trig(sol, ts) + conv - sol.sigma
@@ -345,7 +345,5 @@ def trig_residual_max(sol: TrigSolution, samples=500):
 
 def trig_energy(sol: TrigSolution):
     """J_gamma[phi] via iint cos(rho(t-s)) phi phi = Mc^2 + Ms^2."""
-    Mc, Ms = _trig_moments(sol)
-    quad_sq = panel_gauss(lambda s: eval_trig(sol, s) ** 2, 0.0, sol.horizon,
-                          max_panel=trig_panel(sol))
+    Mc, Ms, quad_sq = _trig_moments(sol)
     return 0.5 * sol.gamma * quad_sq + 0.5 * (Mc**2 + Ms**2)

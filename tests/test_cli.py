@@ -408,6 +408,20 @@ def test_capped_tiny_gamma_refused(tmp_path, gamma):
     assert "gamma too small" in strict_json(proc.stderr)["error"]
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(horizon=1e300, method="discrete", cells=64),  # overflows in diagnostics.analyze
+    dict(horizon=1e308),  # overflows in the graded panels of the exponential checks
+], ids=["discrete-1e300", "exp_closed_form-1e308"])
+def test_huge_horizon_is_one_json_error(tmp_path, overrides):
+    path = write_config(tmp_path / "c.json", gamma=1e-4,
+                        kernel={"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]},
+                        **overrides)
+    proc = run_module(path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert isinstance(strict_json(proc.stderr), dict), proc.stderr
+
+
 # ------------------------------------------------------------ other commands
 
 def test_compare_exp_vs_discrete(tmp_path, capsys):

@@ -194,19 +194,20 @@ def test_lag_row_matches_cell_loop(kernel):
     np.testing.assert_array_equal(lags, row)
     ref = [kernel.cell_integral(0.0, h, (k + 0.5) * h) for k in range(m)]
     # the loop differences G1, which costs it a few ulps of G1(T) at any lag
-    slack = 8.0 * np.finfo(float).eps * kernel.cell_integral(0.0, m * h, 0.0)
+    slack = 8.0 * np.finfo(float).eps * abs(kernel.cell_integral(0.0, m * h, 0.0))
     np.testing.assert_allclose(midpoints, ref, rtol=1e-13, atol=slack)
 
 
 @pytest.mark.parametrize("kernel, horizon", [
     (TAB4, 3.0),
     (ExponentialSum(a=(1.0, 1.0), b=(1.0, 4.0)), 2.0),
-], ids=["Tabulated", "ExponentialSum"])
+    (Trigonometric(rho=0.5), 2.0),
+], ids=["Tabulated", "ExponentialSum", "Trigonometric"])
 def test_midpoint_row_far_lags(kernel, horizon):
-    # summed half-cell integrals (tabulated) and the product form of an
-    # exponential sum keep the midpoint row exact at far lags, where
-    # differences of G1 lose 4e-13 (tabulated, lag 1000) to 2.6e-12 (exp2,
-    # lag 4095)
+    # summed half-cell integrals (tabulated) and the product forms of an
+    # exponential sum and of the cosine keep the midpoint row exact at far
+    # lags, where differences of G1 lose 4e-13 (tabulated, lag 1000) to
+    # 2.6e-12 (exp2, lag 4095)
     m = 4096
     h = horizon / m
     midpoints = kernel.grid_rows(h, m)[1]
