@@ -16,7 +16,7 @@ free constant sigma of the equivalent second-kind integral equation
 and equals twice the minimal energy.
 
 No m x m matrix is formed.  Toeplitz products go through the FFT of a
-2m-point circulant embedding.  For a kernel of positive type the cell
+circulant embedding.  For a kernel of positive type the cell
 averages form a Gram matrix K, so 2H = gamma h I + K has every eigenvalue at
 or above gamma h: that theory margin, checked against a bound on the lag
 row's rounding, is the positive-definiteness certificate, and preconditioned
@@ -24,22 +24,25 @@ conjugate gradients with T. Chan's optimal circulant preconditioner solve
 2H x = 1 in O(m log m), in a number of iterations that does not grow with m
 (the equation is of the second kind).  2H commutes with the reversal of the
 cells and the right-hand side is 1, so x is even about T/2, like the
-continuous minimizer (a series in even powers of t - T/2).  For even m
-the iteration runs on the right half: both products become symmetric
-convolutions (DCT-II/III pairs) evaluated by FFTs of length m and m/2
-instead of 2m and m, and the solution equals its reversal exactly.  Odd m
-has a cell on the midpoint and iterates on every cell.  One iteration
-serves every caller: it runs on a block of right-hand sides, one row per
+continuous minimizer (a series in even powers of t - T/2).  For even m a
+solve holds x by its right half from the first FFT to the mass, energy and
+residual: every product becomes a symmetric convolution (DCT-II/III pair)
+evaluated by FFTs of length m and m/2 instead of 2m and m.  Odd m has a
+cell on the midpoint and holds every cell, with the circulant embeddings
+padded to a length of small prime factors.  One iteration serves every
+caller: it runs on a block of right-hand sides, one row per
 gamma, so each operator or preconditioner application is one 2-D FFT over
 the rows still iterating; a single solve is the block with one row, a
 gamma sweep the block with one row per gamma.  Any other kernel, or a row
 whose margin fails or whose iteration misses its cap, is solved alone by
 the O(m^2) Levinson-Durbin recursion, whose prediction errors certify (or
-refute) positive definiteness directly.
+refute) positive definiteness directly.  A solution found on all m cells
+is replaced by its average with its reversal, so every solution equals its
+reversal exactly.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,19 +120,24 @@ class DiscreteKernelRow:
 
 def _grid_rows(problem: Problem, m: int):
     """The kernel's rows on m cells: cell double integrals at lags 0..m-1
-    (no gamma term) and the midpoint row (see ``Kernel.grid_rows``)."""
+    (no gamma term) and the midpoint row (see ``Kernel.grid_rows``).
+
+    A horizon near the float limit overflows the rows; numpy's warnings are
+    silenced so that the non-finite check below reports it as one error.
+    """
     if m < 2:
         raise ValueError("need at least two cells")
-    lags, midpoints = problem.kernel.grid_rows(problem.horizon / m, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lags, midpoints = problem.kernel.grid_rows(problem.horizon / m, m)
     if not np.all(np.isfinite(lags)):
         raise ValueError("kernel produced non-finite cell integrals")
     return lags, midpoints
 
 
-def _column(problem: Problem, lags):
-    """First column of the symmetric Toeplitz matrix 2H: lags plus the gamma ridge."""
+def _column(lags, ridge):
+    """First column of the symmetric Toeplitz matrix 2H: lags plus the ridge gamma h."""
     col = lags.copy()
-    col[0] += problem.gamma * (problem.horizon / len(lags))
+    col[0] += ridge
     return col
 
 
@@ -141,7 +149,8 @@ def discretize(problem: Problem, m: int):
     symmetric Toeplitz, so only the first row is integrated.
     """
     i = np.arange(m)
-    H = 0.5 * _column(problem, _grid_rows(problem, m)[0])[np.abs(np.subtract.outer(i, i))]
+    col = _column(_grid_rows(problem, m)[0], problem.gamma * (problem.horizon / m))
+    H = 0.5 * col[np.abs(np.subtract.outer(i, i))]
     return H, np.full(m, problem.horizon / m)
 
 
@@ -181,14 +190,28 @@ def _levinson_ones(col):
     return x / col[0]
 
 
-def _embedding_spectrum(col):
-    """Eigenvalues (rfft order) of the 2m-point circulant (col, 0, col[m-1:0:-1]).
+def _embedding_spectrum(col, n):
+    """Eigenvalues of the n-point circulant (col, 0, ..., 0, col[m-1:0:-1]), n >= 2m - 1.
 
     Its leading m x m block is the symmetric Toeplitz matrix with first column
-    ``col``, so that matrix times v is irfft(spectrum * rfft(v, 2m), 2m)[:m].
-    Adding s to col[0] adds s to every eigenvalue.
+    ``col``, so that matrix times v is irfft(spectrum * rfft(v, n), n)[:m].
+    The circulant is symmetric, so its eigenvalues (rfft order) are real.
+    Adding s to col[0] adds s to every eigenvalue.  Works along the last axis.
     """
-    return np.fft.rfft(np.concatenate((col, [0.0], col[:0:-1])))
+    zeros = np.zeros(col.shape[:-1] + (n - 2 * col.shape[-1] + 1,))
+    return np.fft.rfft(np.concatenate((col, zeros, col[..., :0:-1]), axis=-1)).real
+
+
+def _smooth_length(n):
+    """The least 2^a 3^b 5^c >= n, a length the FFT transforms fast."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _chan_eigenvalues(col):
@@ -214,10 +237,10 @@ def _half_operator(spectrum, n, k):
     A = (C_f + C_{n-f})/2 and D = (C_f - C_{n-f})/2 exp(i pi f (1 - 4 floor(k/2)) / n).
     That is a DCT-II/III pair (symmetric convolution, Martucci 1994)
     evaluated by Makhoul's n-point FFT (1980), with u rotated so that one
-    layout serves every k.  The solve folds K's 2m-point embedding (n = m)
-    and T. Chan's m-point circulant (n = m/2).  The twist's integer angle is
-    reduced mod 2n first: exp of an angle near pi k would lose its low
-    digits (2e-13 at k = 2048).
+    layout serves every k.  The solve folds the 2m-point embeddings of K and
+    of the midpoint row (n = m) and T. Chan's m-point circulant (n = m/2).
+    The twist's integer angle is reduced mod 2n first: exp of an angle near
+    pi k would lose its low digits (2e-13 at k = 2048).
     """
     f = np.arange(n // 2 + 1)
     # slices, not an index array: fancy indexing on the last axis returns
@@ -251,45 +274,48 @@ class _Operators:
     """The gamma-free FFT operators of one grid, shared by every gamma of a sweep.
 
     Both rows come from one ``Kernel.grid_rows`` call, so the grid table a
-    family builds them from is built once per solve or sweep.  ``lags`` is the lag row of K,
-    ``kernel`` the spectrum of K's circulant embedding, ``chan`` the
-    eigenvalues of K's T. Chan circulant, and ``midpoints`` the embedding
-    spectrum of the midpoint row, the single-cell integrals at the cell
-    midpoints (the residual's convolution).  ``certifiable`` holds when
-    theory puts every eigenvalue of K at or above 0 (the kernel is of
-    positive type), and ``rounding`` bounds how far rounding in the computed
-    lag row can move them: a symmetric Toeplitz perturbation d has norm at
-    most 2 |d|_1, and m/2 ulps of every entry are allowed for.
+    family builds them from is built once per solve or sweep.  ``lags`` is the
+    lag row of K and ``chan`` the eigenvalues of K's T. Chan circulant.
+    ``certifiable`` holds when theory puts every eigenvalue of K at or above
+    0 (the kernel is of positive type), and ``rounding`` bounds how far
+    rounding in the computed lag row can move them: a symmetric Toeplitz
+    perturbation d has norm at most 2 |d|_1, and m/2 ulps of every entry are
+    allowed for.
 
     2H commutes with the reversal of the cells and the right-hand side is 1,
-    so the solution is even about T/2.  For even m conjugate gradients
-    iterate on the ``unknowns`` = m/2 cells of the right half, in the order
-    of ``_half_operator``: K's product is (``product_a``, ``product_d``) at
-    transform length m, the preconditioner's at length m/2.  Odd m has a
-    cell on the midpoint, which needs a DCT-I and has no half-length FFT, so
-    it iterates on all m cells with the plain products (``product_d`` None)
-    at lengths 2m and m.  Either way K's transforms are twice as long as the
-    preconditioner's.  ``order`` unfolds an iterate to the m cells.
+    so the solution is even about T/2; a solve holds it by its ``unknowns``:
+    the m/2 cells of the right half in ``_half_operator``'s order for even m,
+    all m cells for odd m (a cell on the midpoint needs a DCT-I, which has no
+    half-length FFT).  u = x[``fold``] and x = u[``order``].  K's product
+    (``product_a``, ``product_d``) and the residual's convolution with the
+    midpoint row (``residual_a``, ``residual_d``) transform at ``length``:
+    folded at m for even m; for odd m plain (``_d`` None) at the least
+    2^a 3^b 5^c >= 2m - 1, since 2m may have large prime factors.
     """
 
     def __init__(self, problem: Problem, m: int):
         lags, midpoints = _grid_rows(problem, m)
         self.lags = lags
-        self.kernel = _embedding_spectrum(lags)
         self.chan = _chan_eigenvalues(lags)
-        self.midpoints = _embedding_spectrum(midpoints)
         self.certifiable = problem.kernel.classify().positive_type_known
         self.rounding = m * np.finfo(float).eps * float(np.sum(np.abs(lags)))
+        rows = np.stack((lags, midpoints))
         if m % 2:
-            self.unknowns, self.order = m, np.arange(m)
-            self.product_a, self.product_d = self.kernel, None
+            self.unknowns, self.length = m, _smooth_length(2 * m - 1)
+            self.fold = self.order = np.arange(m)
+            self.product_a, self.residual_a = _embedding_spectrum(rows, self.length)
+            self.product_d = self.residual_d = None
         else:
             k = self.unknowns = m // 2
+            self.length = m
             half = np.empty(k, dtype=np.intp)  # v = u[half]
             half[0::2] = np.arange(k // 2, k)
             half[1::2] = np.arange(k // 2 - 1, -1, -1)
             self.order = np.concatenate((half[::-1], half))
-            self.product_a, self.product_d = _half_operator(self.kernel.real, m, k)
+            self.fold = np.empty(k, dtype=np.intp)
+            self.fold[half] = np.arange(k, m)
+            (self.product_a, self.residual_a), (self.product_d, self.residual_d) = (
+                _half_operator(_embedding_spectrum(rows, 2 * m), m, k))
 
     def preconditioner(self, ridges):
         """(a, d) of the inverse of T. Chan's circulant plus each ridge, one row each."""
@@ -302,35 +328,31 @@ class _Operators:
 def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     """Solve 2H x = 1 on one grid for each gamma, one row of a block each.
 
-    A row whose margin gamma h clears ``ops.rounding`` under the positive-type
-    certificate runs preconditioned CG from x = 0 with T. Chan's circulant,
-    whose eigenvalues shifted by gamma h are the preconditioner's.  The
-    block's rows hold ``ops.unknowns`` cells: the right half of x for even
-    m, all of x for odd m.  Every operator and preconditioner application is
-    one 2-D rfft/irfft over the rows still iterating, of length 2 and 1
-    times ``ops.unknowns``.  A row leaves the block when the full residual
-    has |r| <= 1e-14 |1| (for even m the half holds |r|^2 / 2); it gives up
-    when a search direction has p' 2H p <= 0 or after ``_PCG_MAX_ITER``
-    steps.  A converged row is unfolded to all m cells, so for even m the
-    solution equals its reversal exactly.  A row that gives up, or was never
-    certified, is solved alone by Levinson-Durbin.  Each row does the
-    arithmetic of a one-row block, so a sweep matches the single solves bit
-    for bit.
-
-    The mass sum x is correctly rounded (``math.fsum``).  A converged
-    even-m row takes it on the half it iterated, as 2 fsum(half) before
-    unfolding: x is the half twice, so this is the same number in half the
-    time.  Odd-m and Levinson rows sum all m cells.
+    Every row is held by its ``ops.unknowns`` u from the first FFT to the
+    output and unfolded once, into its ``SolutionGrid``.  A row whose margin
+    gamma h clears ``ops.rounding`` under the positive-type certificate runs
+    preconditioned CG from x = 0 with T. Chan's circulant shifted by gamma h;
+    each operator or preconditioner application is one 2-D rfft/irfft over
+    the rows still iterating.  A row leaves the block when the full residual
+    has |r| <= 1e-14 |1| (for even m the half holds |r|^2 / 2), or gives up
+    at the same step when a search direction has p' 2H p <= 0 (alpha = 0),
+    or after ``_PCG_MAX_ITER`` steps; then, or if never certified, it is
+    solved alone by Levinson-Durbin.  A row solved on all m cells
+    (Levinson-Durbin, or CG at odd m) enters as the average of x and its
+    reversal, u = x[``ops.fold``]: that projection onto even vectors commutes
+    with 2H, so it cannot raise the residual beyond rounding.  Each row does
+    the arithmetic of a one-row block, so a sweep matches the single solves
+    bit for bit.  Every row leaves by one output stage, where each u stands
+    for s = m // ``ops.unknowns`` cells: the mass sum x is s fsum(u),
+    correctly rounded, and the energy (s/2) phi' 2H phi and the midpoint
+    residual go through ``_apply``.
     """
     m = len(ops.lags)
-    n = 2 * m
     width = ops.unknowns
     h = problem.horizon / m
     gammas = np.array(gammas)[:, None]  # (k, 1), like every per-row scalar below
     ridges = gammas * h  # 2H = ridge I + K
-    spectra = ops.kernel + ridges
     x_rows = [None] * len(gammas)
-    sums = [None] * len(gammas)  # math.fsum of each x_row, taken before unfolding
 
     # the block's bookkeeping is Python lists: at small m, numpy calls on a
     # handful of per-row scalars would cost as much as the FFTs
@@ -349,25 +371,18 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
         p = z
         rz = np.vecdot(r, z, keepdims=True)
         for _ in range(_PCG_MAX_ITER):
-            q = _apply(kern_a, kern_d, p, 2 * width)
+            q = _apply(kern_a, kern_d, p, ops.length)
             curvature = np.vecdot(p, q, keepdims=True)
-            keep = [c > 0 for (c,) in curvature.tolist()]
-            if not all(keep):  # these rows give up
-                rows = [i for i, kept in zip(rows, keep) if kept]
-                x, r, p, q, rz, curvature, kern_a, pre_a, pre_d = (
-                    a if a is None else a[keep]
-                    for a in (x, r, p, q, rz, curvature, kern_a, pre_a, pre_d))
-                if not rows:
-                    break
-            alpha = rz / curvature
+            curved = [c > 0 for (c,) in curvature.tolist()]
+            # alpha = 0 on a row that is not curved: it leaves with the converged ones
+            alpha = rz / (curvature if all(curved) else np.where(curvature > 0, curvature, np.inf))
             x += alpha * p
             r -= alpha * q
-            keep = [math.sqrt(rr) > stop for rr in np.vecdot(r, r).tolist()]
-            if not all(keep):  # these rows converged
-                for i, x_row, kept in zip(rows, x, keep):
-                    if not kept:
-                        x_rows[i] = x_row[ops.order]
-                        sums[i] = m // width * math.fsum(x_row.tolist())
+            keep = [c and math.sqrt(rr) > stop for c, rr in zip(curved, np.vecdot(r, r).tolist())]
+            if not all(keep):  # these rows converged, or gave up if not curved
+                for i, x_row, c, kept in zip(rows, x, curved, keep):
+                    if c and not kept:
+                        x_rows[i] = x_row
                 if not any(keep):
                     break
                 rows = [i for i, kept in zip(rows, keep) if kept]
@@ -378,22 +393,23 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
             p = z + (rz / rz_old) * p
     for i, x_row in enumerate(x_rows):
         if x_row is None:
-            x_rows[i] = _levinson_ones(_column(replace(problem, gamma=float(gammas[i, 0])), ops.lags))
-            sums[i] = math.fsum(x_rows[i].tolist())
+            x_row = _levinson_ones(_column(ops.lags, float(ridges[i, 0])))
+        if len(x_row) == m:  # solved on all m cells
+            x_rows[i] = 0.5 * (x_row + x_row[::-1])[ops.fold]
 
     # 2H phi = sigma w and w = h*1, so phi ~ x
-    x_rows = np.array(x_rows)
-    mass = h * np.array(sums)[:, None]
-    phi = x_rows / mass
+    u = np.array(x_rows)
+    mass = h * np.array([m // width * math.fsum(row.tolist()) for row in u])[:, None]
+    phi = u / mass
     sigma = 1.0 / (h * mass)
-    phi_hat = np.fft.rfft(phi, n)  # shared by the energy and the residual
-    energy = 0.5 * np.vecdot(phi, np.fft.irfft(spectra * phi_hat, n)[:, :m])
-    resid = gammas * phi + np.fft.irfft(ops.midpoints * phi_hat, n)[:, :m] - sigma
+    energy = 0.5 * (m // width) * np.vecdot(
+        phi, _apply(ops.product_a + ridges, ops.product_d, phi, ops.length))
+    resid = gammas * phi + _apply(ops.residual_a, ops.residual_d, phi, ops.length) - sigma
     residual_max = np.max(np.abs(resid), axis=1)
     return [
         SolutionGrid(
             cells=m,
-            values=phi[i],
+            values=phi[i, ops.order],
             sigma=float(sigma[i, 0]),
             energy=float(energy[i]),
             residual_max=float(residual_max[i]),
@@ -412,16 +428,17 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     2H at or above gamma h; when that margin exceeds the bound
     m * eps * |lag row|_1 on the lag row's rounding, preconditioned
     conjugate gradients with T. Chan's circulant preconditioner solve the
-    system in O(m log m); for even m they iterate on the right half of the
-    even solution, with FFTs of length m and m/2, and ``values`` equals its
-    reversal exactly.  Otherwise, or when the iteration does not reach
+    system in O(m log m).  Otherwise, or when the iteration does not reach
     |r| <= 1e-14 |1| within its cap, Levinson-Durbin solves it in O(m^2),
     and raises :class:`~fredholm.errors.IndefiniteKernelError` when H is
     not positive definite (the kernel is not of positive type at this
-    resolution).  The energy phi' H phi and the midpoint residual are FFT
-    Toeplitz products that share one rfft of phi; no m x m matrix is formed.
-    This is the one-row case of the block iteration :func:`gamma_sweep`
-    runs, so both give the same bits.
+    resolution).  For even m the solve, the mass, the energy phi' H phi and
+    the midpoint residual all run on the right half of the even solution,
+    with FFTs of length m and m/2; a Levinson-Durbin solution enters that
+    half as the average of itself and its reversal.  ``values`` equals its
+    reversal exactly, for odd m too; no m x m matrix is formed.  This is
+    the one-row case of the block iteration :func:`gamma_sweep` runs, so
+    both give the same bits.
 
     The midpoint residual shrinks with the cell width h at a rate the kernel
     sets: like h^2 for the bounded families (a 4x finer grid divides it by
@@ -436,7 +453,7 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     kernel at rho 0.5, gamma 1e-5, T 20, where the iteration reaches its
     cap and falls back, the defect is 3.5e-9 sigma at m = 256, so the CLI's
     1e-9 check fails there; it is -9.7e-10 sigma at m = 200, just inside,
-    and 9.1e-10 at m = 1024.
+    and 9.1e-10 at m = 1024, with or without the even projection.
     """
     return _solve_rows(problem, _Operators(problem, m), [problem.gamma])[0]
 
@@ -460,11 +477,10 @@ def sweep_gammas(gammas) -> list:
 def gamma_sweep(problem: Problem, m: int, gammas) -> list:
     """Solve a strictly decreasing sequence of gamma values on a fixed grid.
 
-    The gamma-free lag row, the FFT spectra of K and of the midpoint
-    convolution, and the eigenvalues of K's circulant preconditioner are
-    computed once, and so are the half-length operators of an even m;
-    each gamma only adds gamma h to K's spectrum and to the preconditioner's
-    eigenvalues.  The gammas are one block of rows: conjugate gradients
+    The gamma-free lag row, the (for even m folded) FFT operators of K and
+    of the midpoint convolution, and the eigenvalues of K's circulant
+    preconditioner are computed once; each gamma only adds gamma h to K's
+    spectrum and to the preconditioner's eigenvalues.  The gammas are one block of rows: conjugate gradients
     iterate every certified row at once (the right half of each for even m),
     one 2-D FFT per operator or preconditioner application, and a row
     leaves the block when it converges; rows that are not certified, or

@@ -12,7 +12,7 @@ one table on the grid in O(m) elementwise work: by default second
 differences of `_nl2` at j*h and first differences of `_g1` at (j + 1/2)*h
 (`CappedLinear`, `PowerCapped`); where differences would cancel, a product
 form on one table of exp(-sqrt(b) k h) (`ExponentialSum`) or cos(rho k h)
-(`Trigonometric`), a series in 1/k^2 for the far lags of `PowerLaw`, and
+(`Trigonometric`), series in 1/k^2 for the far entries of `PowerLaw`, and
 half-cell moments in O(m + knots) for `Tabulated`.  `Kernel.lag_row` is the
 first of the two rows.  `cell_double_integral` is the helper for a general
 rectangle, and `cell_integral` integrates over one cell for residual checks.
@@ -470,6 +470,16 @@ class PowerLaw(Kernel):
             out.append(binom)
         return tuple(out)
 
+    @cached_property
+    def _odd_binomials(self):
+        """C(q, 2j+1) for j = 0..11, q = 1 - alpha: the midpoint series' coefficients."""
+        q = binom = 1.0 - self.alpha
+        out = [q]
+        for n in range(3, 24, 2):
+            binom *= (q - n + 2) * (q - n + 1) / ((n - 1) * n)
+            out.append(binom)
+        return tuple(out)
+
     def _grid_lags(self, h, m):
         # on the grid _one_signed has c = k h, ra2 = 1/k^2 and rb2 = 0, so its
         # far series is 1/k^2 times a polynomial in 1/k^2 (Horner), times
@@ -482,6 +492,22 @@ class PowerLaw(Kernel):
             poly = poly * x + binom
         p = 2.0 - self.alpha
         far = 2.0 * self.scale / ((1.0 - self.alpha) * p) * (x * poly) * (k * h) ** p
+        return np.concatenate((near, far))
+
+    def _grid_midpoints(self, h, m):
+        # G1((k + 1/2) h) - G1((k - 1/2) h) cancels at far lags; about c = k h it
+        # is (scale/q) c^q ((1 + e)^q - (1 - e)^q) with e = 1/(2k), q = 1 - alpha,
+        # that is (2 scale/q) c^q sum_j C(q, 2j+1) e^(2j+1), a polynomial in
+        # e^2 <= 1/16 (Horner); lags below 2 keep the direct difference
+        near = super()._grid_midpoints(h, min(m, 2))
+        k = np.arange(len(near), m, dtype=float)
+        e = 0.5 / k
+        x = e * e
+        poly = 0.0
+        for binom in reversed(self._odd_binomials):
+            poly = poly * x + binom
+        q = 1.0 - self.alpha
+        far = 2.0 * self.scale / q * (e * poly) * (k * h) ** q
         return np.concatenate((near, far))
 
 

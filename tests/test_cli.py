@@ -408,14 +408,21 @@ def test_capped_tiny_gamma_refused(tmp_path, gamma):
     assert "gamma too small" in strict_json(proc.stderr)["error"]
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(horizon=1e300, method="discrete", cells=64),  # overflows in diagnostics.analyze
-    dict(horizon=1e308),  # overflows in the graded panels of the exponential checks
-], ids=["discrete-1e300", "exp_closed_form-1e308"])
-def test_huge_horizon_is_one_json_error(tmp_path, overrides):
-    path = write_config(tmp_path / "c.json", gamma=1e-4,
-                        kernel={"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]},
-                        **overrides)
+EXP2_SPEC = {"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]}
+DISCRETE_HUGE = dict(horizon=1e300, method="discrete", cells=64)
+
+
+@pytest.mark.parametrize("kernel, overrides", [
+    (EXP2_SPEC, DISCRETE_HUGE),  # overflows in diagnostics.analyze
+    (EXP2_SPEC, dict(horizon=1e308)),  # overflows in the graded panels of the exponential checks
+    # the kernel rows overflow: no numpy warning may reach stderr first
+    ({"type": "power_law", "alpha": 0.5}, DISCRETE_HUGE),
+    ({"type": "capped_linear"}, DISCRETE_HUGE),
+    ({"type": "tabulated", "t": [0.0, 1.0], "g": [1.0, 0.5]}, DISCRETE_HUGE),
+], ids=["discrete-1e300", "exp_closed_form-1e308", "power_law-1e300", "capped_linear-1e300",
+        "tabulated-1e300"])
+def test_huge_horizon_is_one_json_error(tmp_path, kernel, overrides):
+    path = write_config(tmp_path / "c.json", gamma=1e-4, kernel=kernel, **overrides)
     proc = run_module(path)
     assert proc.returncode == 1
     assert proc.stdout == ""

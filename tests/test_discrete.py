@@ -138,10 +138,14 @@ def test_indefinite_pivot_matches_dense_cholesky(m, gamma):
 
 
 def _levinson_solution(problem, m):
-    """(sigma, phi) from the Levinson-Durbin solve of 2H x = 1."""
-    x = discrete._levinson_ones(discrete._column(problem, discrete._grid_rows(problem, m)[0]))
-    mass = (problem.horizon / m) * math.fsum(x)
-    return 1.0 / ((problem.horizon / m) * mass), x / mass
+    """(sigma, phi) from the Levinson-Durbin solve of 2H x = 1, made even as
+    the solver does: averaged with its reversal and held by its unknowns."""
+    h = problem.horizon / m
+    ops = discrete._Operators(problem, m)
+    x = discrete._levinson_ones(discrete._column(ops.lags, problem.gamma * h))
+    u = 0.5 * (x + x[::-1])[ops.fold]
+    mass = h * (m // ops.unknowns * math.fsum(u))
+    return 1.0 / (h * mass), (u / mass)[ops.order]
 
 
 POSITIVE_TYPE = {
@@ -168,8 +172,24 @@ def test_pcg_matches_levinson(monkeypatch, name, m):
     grid = solve(problem, m)
     assert grid.sigma == pytest.approx(sigma, rel=1e-14)
     assert np.max(np.abs(grid.values - phi)) <= 1e-12 * np.max(np.abs(phi))
-    if m % 2 == 0:  # iterated on the right half and unfolded
-        np.testing.assert_array_equal(grid.values, grid.values[::-1])
+    np.testing.assert_array_equal(grid.values, grid.values[::-1])
+
+
+BUMP = Tabulated(t=(0.0, 0.4, 0.5, 0.6, 1.0), g=(0.01, 0.2, 1.0, 0.2, 0.01))
+
+
+@pytest.mark.parametrize("problem, m", [
+    (POSITIVE_TYPE["exp2"], 1024),  # conjugate gradients on the right half
+    (replace(EXP1, gamma=5e-15), 64),  # margin below the rounding bound
+    (replace(EXP1, gamma=5e-15), 65),
+    (Problem(gamma=1.0, horizon=3.0, kernel=BUMP), 64),  # no positive-type claim
+], ids=["exp2-pcg", "exp1-levinson-64", "exp1-levinson-65", "bump-levinson"])
+def test_values_equal_their_reversal(problem, m):
+    # 2H commutes with the reversal of the cells, so the minimizer is even
+    # about T/2; a Levinson-Durbin solution, which rounding leaves 1e-12 off
+    # even, must come back as exactly even as the iterated one
+    grid = solve(problem, m)
+    np.testing.assert_array_equal(grid.values, grid.values[::-1])
 
 
 @pytest.mark.parametrize("m", [2, 6, 1026, 4096])
@@ -186,10 +206,10 @@ def test_half_products_match_full_products(m):
     u = np.empty(k)
     u[order[k:]] = x[k:]
     col = rng.standard_normal(m)
-    toeplitz = discrete._embedding_spectrum(col)
+    toeplitz = discrete._embedding_spectrum(col, 2 * m)
     circulant = discrete._chan_eigenvalues(col)
     for half, full in [
-        (discrete._apply(*discrete._half_operator(toeplitz.real, m, k), u, m),
+        (discrete._apply(*discrete._half_operator(toeplitz, m, k), u, m),
          np.fft.irfft(toeplitz * np.fft.rfft(x, 2 * m), 2 * m)[:m]),
         (discrete._apply(*discrete._half_operator(circulant, k, k), u, k),
          np.fft.irfft(circulant * np.fft.rfft(x), m)),

@@ -202,12 +202,13 @@ def test_lag_row_matches_cell_loop(kernel):
     (TAB4, 3.0),
     (ExponentialSum(a=(1.0, 1.0), b=(1.0, 4.0)), 2.0),
     (Trigonometric(rho=0.5), 2.0),
-], ids=["Tabulated", "ExponentialSum", "Trigonometric"])
+    (PowerLaw(alpha=0.9, scale=2.0), 1.3),
+], ids=["Tabulated", "ExponentialSum", "Trigonometric", "PowerLaw"])
 def test_midpoint_row_far_lags(kernel, horizon):
-    # summed half-cell integrals (tabulated) and the product forms of an
-    # exponential sum and of the cosine keep the midpoint row exact at far
-    # lags, where differences of G1 lose 4e-13 (tabulated, lag 1000) to
-    # 2.6e-12 (exp2, lag 4095)
+    # summed half-cell integrals (tabulated), the product forms of an
+    # exponential sum and of the cosine, and the power law's series in 1/k^2
+    # keep the midpoint row exact at far lags, where differences of G1 lose
+    # 4e-13 (tabulated, lag 1000) to 8.5e-12 (power law, lag 4095)
     m = 4096
     h = horizon / m
     midpoints = kernel.grid_rows(h, m)[1]
