@@ -16,7 +16,7 @@ free constant sigma of the equivalent second-kind integral equation
 and equals twice the minimal energy.
 
 No m x m matrix is formed.  Toeplitz products go through the FFT of a
-circulant embedding.  For a kernel of positive type the cell
+2m-point circulant embedding.  For a kernel of positive type the cell
 averages form a Gram matrix K, so 2H = gamma h I + K has every eigenvalue at
 or above gamma h: that theory margin, checked against a bound on the lag
 row's rounding, is the positive-definiteness certificate, and preconditioned
@@ -28,8 +28,7 @@ continuous minimizer (a series in even powers of t - T/2).  For even m a
 solve holds x by its right half from the first FFT to the mass, energy and
 residual: every product becomes a symmetric convolution (DCT-II/III pair)
 evaluated by FFTs of length m and m/2 instead of 2m and m.  Odd m has a
-cell on the midpoint and holds every cell, with the circulant embeddings
-padded to a length of small prime factors.  One iteration serves every
+cell on the midpoint and holds every cell.  One iteration serves every
 caller: it runs on a block of right-hand sides, one row per
 gamma, so each operator or preconditioner application is one 2-D FFT over
 the rows still iterating; a single solve is the block with one row, a
@@ -190,28 +189,16 @@ def _levinson_ones(col):
     return x / col[0]
 
 
-def _embedding_spectrum(col, n):
-    """Eigenvalues of the n-point circulant (col, 0, ..., 0, col[m-1:0:-1]), n >= 2m - 1.
+def _embedding_spectrum(col):
+    """Eigenvalues (rfft order) of the 2m-point circulant (col, 0, col[m-1:0:-1]).
 
     Its leading m x m block is the symmetric Toeplitz matrix with first column
-    ``col``, so that matrix times v is irfft(spectrum * rfft(v, n), n)[:m].
-    The circulant is symmetric, so its eigenvalues (rfft order) are real.
-    Adding s to col[0] adds s to every eigenvalue.  Works along the last axis.
+    ``col``, so that matrix times v is irfft(spectrum * rfft(v, 2m), 2m)[:m].
+    The circulant is symmetric, so its eigenvalues are real.  Adding s to
+    col[0] adds s to every eigenvalue.  Works along the last axis.
     """
-    zeros = np.zeros(col.shape[:-1] + (n - 2 * col.shape[-1] + 1,))
-    return np.fft.rfft(np.concatenate((col, zeros, col[..., :0:-1]), axis=-1)).real
-
-
-def _smooth_length(n):
-    """The least 2^a 3^b 5^c >= n, a length the FFT transforms fast."""
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    zero = np.zeros(col.shape[:-1] + (1,))
+    return np.fft.rfft(np.concatenate((col, zero, col[..., :0:-1]), axis=-1)).real
 
 
 def _chan_eigenvalues(col):
@@ -288,9 +275,9 @@ class _Operators:
     all m cells for odd m (a cell on the midpoint needs a DCT-I, which has no
     half-length FFT).  u = x[``fold``] and x = u[``order``].  K's product
     (``product_a``, ``product_d``) and the residual's convolution with the
-    midpoint row (``residual_a``, ``residual_d``) transform at ``length``:
-    folded at m for even m; for odd m plain (``_d`` None) at the least
-    2^a 3^b 5^c >= 2m - 1, since 2m may have large prime factors.
+    midpoint row (``residual_a``, ``residual_d``) transform at length
+    2 ``unknowns``: folded at m for even m, plain (``_d`` None) at 2m for
+    odd m.
     """
 
     def __init__(self, problem: Problem, m: int):
@@ -301,13 +288,12 @@ class _Operators:
         self.rounding = m * np.finfo(float).eps * float(np.sum(np.abs(lags)))
         rows = np.stack((lags, midpoints))
         if m % 2:
-            self.unknowns, self.length = m, _smooth_length(2 * m - 1)
+            self.unknowns = m
             self.fold = self.order = np.arange(m)
-            self.product_a, self.residual_a = _embedding_spectrum(rows, self.length)
+            self.product_a, self.residual_a = _embedding_spectrum(rows)
             self.product_d = self.residual_d = None
         else:
             k = self.unknowns = m // 2
-            self.length = m
             half = np.empty(k, dtype=np.intp)  # v = u[half]
             half[0::2] = np.arange(k // 2, k)
             half[1::2] = np.arange(k // 2 - 1, -1, -1)
@@ -315,7 +301,7 @@ class _Operators:
             self.fold = np.empty(k, dtype=np.intp)
             self.fold[half] = np.arange(k, m)
             (self.product_a, self.residual_a), (self.product_d, self.residual_d) = (
-                _half_operator(_embedding_spectrum(rows, 2 * m), m, k))
+                _half_operator(_embedding_spectrum(rows), m, k))
 
     def preconditioner(self, ridges):
         """(a, d) of the inverse of T. Chan's circulant plus each ridge, one row each."""
@@ -371,7 +357,7 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
         p = z
         rz = np.vecdot(r, z, keepdims=True)
         for _ in range(_PCG_MAX_ITER):
-            q = _apply(kern_a, kern_d, p, ops.length)
+            q = _apply(kern_a, kern_d, p, 2 * width)
             curvature = np.vecdot(p, q, keepdims=True)
             curved = [c > 0 for (c,) in curvature.tolist()]
             # alpha = 0 on a row that is not curved: it leaves with the converged ones
@@ -403,8 +389,8 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     phi = u / mass
     sigma = 1.0 / (h * mass)
     energy = 0.5 * (m // width) * np.vecdot(
-        phi, _apply(ops.product_a + ridges, ops.product_d, phi, ops.length))
-    resid = gammas * phi + _apply(ops.residual_a, ops.residual_d, phi, ops.length) - sigma
+        phi, _apply(ops.product_a + ridges, ops.product_d, phi, 2 * width))
+    resid = gammas * phi + _apply(ops.residual_a, ops.residual_d, phi, 2 * width) - sigma
     residual_max = np.max(np.abs(resid), axis=1)
     return [
         SolutionGrid(

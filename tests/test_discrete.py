@@ -206,7 +206,7 @@ def test_half_products_match_full_products(m):
     u = np.empty(k)
     u[order[k:]] = x[k:]
     col = rng.standard_normal(m)
-    toeplitz = discrete._embedding_spectrum(col, 2 * m)
+    toeplitz = discrete._embedding_spectrum(col)
     circulant = discrete._chan_eigenvalues(col)
     for half, full in [
         (discrete._apply(*discrete._half_operator(toeplitz, m, k), u, m),
