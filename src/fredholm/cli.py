@@ -100,7 +100,8 @@ def _requires_capped(kernel, horizon):
 def _closed_form(cfg: RunConfig, evaluate, sigma, energy, residual, **mass_quad) -> RunResult:
     """Result of a closed form: the curve sampled on the inclusive grid of cells + 1 points."""
     t = np.linspace(0.0, cfg.horizon, cfg.cells + 1)
-    mass = panel_gauss(evaluate, 0.0, cfg.horizon, **mass_quad)
+    # phi is even about T/2, an edge of every graded panel layout
+    mass = 2.0 * panel_gauss(evaluate, 0.0, 0.5 * cfg.horizon, **mass_quad)
     return RunResult(
         t=t,
         phi=evaluate(t),

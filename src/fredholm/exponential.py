@@ -296,14 +296,9 @@ def verify_step_identities(kernel: ExponentialSum, gamma, horizon=1.0) -> dict:
 
 
 def _phi1(x):
-    """(1 - e^{-x})/x, the confluent ratio, accurate near x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, x, 1.0)
-    series = 1.0 - xs / 2.0 * (1.0 - xs / 3.0 * (1.0 - xs / 4.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exact = -np.expm1(-x) / np.where(small, 1.0, x)
-    return np.where(small, series, exact)
+    """(1 - e^{-x})/x for x >= 0, with its limit 1 at x = 0; expm1 keeps it exact near 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
 
 
 def _convolution(kernel: ExponentialSum, cf: ExpClosedForm, t):
@@ -363,11 +358,12 @@ def quadrature_energy(kernel: ExponentialSum, cf: ExpClosedForm):
 
     Independent of sigma = 2 J: the double integral is folded once,
     iint G phi phi = int phi(t) (G*phi)(t) dt, with the inner convolution
-    analytic, so one pass over the panels of :func:`quadrature_edges` remains.
+    analytic.  That integrand is even, like phi: one pass over the panels of
+    :func:`quadrature_edges` up to T/2, doubled, meets no node near t = T.
     """
 
     def integrand(ts):
         phi = eval_closed_form(cf, ts)
         return phi * (cf.gamma * phi + _convolution(kernel, cf, ts))
 
-    return 0.5 * panel_gauss(integrand, 0.0, cf.horizon, breakpoints=quadrature_edges(cf))
+    return panel_gauss(integrand, 0.0, 0.5 * cf.horizon, breakpoints=quadrature_edges(cf))

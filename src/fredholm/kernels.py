@@ -13,9 +13,9 @@ differences of `_nl2` at j*h and first differences of `_g1` at (j + 1/2)*h
 (`CappedLinear`, `PowerCapped`); where differences would cancel, a product
 form on one table of exp(-sqrt(b) k h) (`ExponentialSum`) or cos(rho k h)
 (`Trigonometric`), series in 1/k^2 for the far entries of `PowerLaw`, and
-half-cell moments in O(m + knots) for `Tabulated`.  `Kernel.lag_row` is the
-first of the two rows.  `cell_double_integral` is the helper for a general
-rectangle, and `cell_integral` integrates over one cell for residual checks.
+half-cell moments in O(m + knots) for `Tabulated`.  `cell_double_integral`
+is the helper for a general rectangle, and `cell_integral` integrates over
+one cell for residual checks.
 
 The base class does the shared work (lag checks, scalar-or-array returns,
 JSON specs, rectangle splitting).  A family is a frozen dataclass whose
@@ -129,14 +129,11 @@ class Kernel:
         f = self._nl2
         return f(gap + dx + dy) - f(gap + dx) - f(gap + dy) + f(gap)
 
-    def lag_row(self, h, m):
-        """Double integrals of G(|t - s|) over [0, h] x [k*h, (k+1)*h], k = 0..m-1."""
-        return self.grid_rows(h, m)[0]
-
     def grid_rows(self, h, m):
         """The lag row and the midpoint row of m uniform cells of width h.
 
-        The lag row is ``lag_row(h, m)``; the midpoint row holds
+        The lag row holds the double integrals of G(|t - s|) over
+        [0, h] x [k h, (k + 1) h]; the midpoint row holds
         int_0^h G(|(k + 1/2) h - s|) ds for k = 0..m-1, the single-cell
         integrals the discrete residual convolves with.  Both are functions
         of the lag index k alone, so each comes from one table on the grid
@@ -394,18 +391,19 @@ class Trigonometric(Kernel):
         # product form of the cosine second difference: no cancellation at any lag
         r = self.rho
         gap, dx, dy = (np.asarray(v, dtype=float) for v in (gap, dx, dy))
-        return 4.0 * np.sin(0.5 * r * dx) * np.sin(0.5 * r * dy) * np.cos(
+        return 4.0 * (np.sin(0.5 * r * dx) / r) * (np.sin(0.5 * r * dy) / r) * np.cos(
             r * (gap + 0.5 * (dx + dy))
-        ) / r**2
+        )
 
     def grid_rows(self, h, m):
         # one table cos(rho k h) feeds both product forms: lag k is
-        # 4 sin^2(rho h/2) cos(rho k h) / rho^2, as _one_signed has it, and
+        # (2 sin(rho h/2) / rho)^2 cos(rho k h), as _one_signed has it (each
+        # sine divided by rho, so a tiny rho does not underflow rho^2), and
         # midpoint k is 2 sin(rho h/2) cos(rho k h) / rho
         r = self.rho
         half = math.sin(0.5 * r * h)
         table = np.cos(r * (np.arange(m) * h))
-        lags = 4.0 * half * half * table / r**2
+        lags = (2.0 * half / r) ** 2 * table
         lags[0] = 2.0 * self._g2(h)
         return lags, 2.0 * half / r * table
 
@@ -498,15 +496,17 @@ class PowerLaw(Kernel):
         # G1((k + 1/2) h) - G1((k - 1/2) h) cancels at far lags; about c = k h it
         # is (scale/q) c^q ((1 + e)^q - (1 - e)^q) with e = 1/(2k), q = 1 - alpha,
         # that is (2 scale/q) c^q sum_j C(q, 2j+1) e^(2j+1), a polynomial in
-        # e^2 <= 1/16 (Horner); lags below 2 keep the direct difference
-        near = super()._grid_midpoints(h, min(m, 2))
+        # e^2 <= 1/16 (Horner); lag 1, where it converges slowly, is
+        # G1(3h/2) - G1(h/2) = scale (h/2)^q expm1(q ln 3) / q, with no cancellation
+        q = 1.0 - self.alpha
+        near = np.array([2.0 * self._g1(0.5 * h),
+                         self.scale * (0.5 * h) ** q * math.expm1(q * math.log(3.0)) / q])[:m]
         k = np.arange(len(near), m, dtype=float)
         e = 0.5 / k
         x = e * e
         poly = 0.0
         for binom in reversed(self._odd_binomials):
             poly = poly * x + binom
-        q = 1.0 - self.alpha
         far = 2.0 * self.scale / q * (e * poly) * (k * h) ** q
         return np.concatenate((near, far))
 
@@ -521,7 +521,7 @@ class Tabulated(Kernel):
     single-cell or double, is exact: the interpolant is integrated piece by
     piece in closed form.
 
-    The rows of a uniform grid (``lag_row`` and ``grid_rows``) come from one
+    The rows of a uniform grid (``grid_rows``) come from one
     table of half-cell moments, not from a rectangle per lag: the 2m half
     cells of width h/2 are split only at the knots inside them, so the work
     and memory are O(m + knots).  Both rows are sums of nonnegative moments.

@@ -17,7 +17,9 @@ expression.  It is of positive type but not monotone, and for small gamma
 the minimizer dips below zero -- the standing counterexample that positive
 type alone does not buy nonnegative solutions.
 
-Both solvers normalize to unit mass and report sigma (= 2 J_gamma).
+Both solvers normalize to unit mass and report sigma (= 2 J_gamma).  Both
+minimizers are even about T/2, so every check integrates over [0, T/2] and
+doubles; the residuals are sampled on all of [0, T].
 """
 
 import math
@@ -235,32 +237,33 @@ def capped_linear_residual_max(sol: CappedLinearSolution, samples=500):
 def capped_linear_energy(sol: CappedLinearSolution):
     """J_gamma[phi] = int phi (gamma phi + G * phi) / 2, not from sigma = 2 J.
 
-    One blocked Gauss pass on :func:`capped_linear_edges`, about n log(b_max) nodes.
+    One blocked Gauss pass on the panels of :func:`capped_linear_edges` up to n/2, doubled.
     """
     edges = capped_linear_edges(sol)
+    edges = edges[edges <= 0.5 * sol.n]
     x, w = (v.ravel() for v in gauss_panels(edges[:-1], edges[1:]))
     total = 0.0
     for blk in _blocks(sol, x.size):
         phi = eval_capped_linear(sol, x[blk])
         total += float(np.sum(w[blk] * phi * (sol.gamma * phi + _capped_convolution(sol, x[blk]))))
-    return 0.5 * total
+    return total
 
 
 def _trig_defects(x):
-    """g = 2x + sin 2x - 4 sin x and h = (2x)^2 + 2x sin 2x - 8 sin^2 x.
+    """g/x and h/x^2 for g = 2x + sin 2x - 4 sin x and h = (2x)^2 + 2x sin 2x - 8 sin^2 x.
 
-    Both vanish to high order at x = 0 (g ~ -2x^3/3, h ~ (2x)^6/360), so
+    Both vanish to high order at x = 0 (g/x ~ -2x^2/3, h/x^2 ~ 8x^4/45), so
     for x <= 3/2 they are summed from their Taylor series
-    g = sum_{k>=1} (-1)^k (2^(2k+1) - 4) x^(2k+1) / (2k+1)!  and
-    h = sum_{n>=3} (-1)^(n-1) (2n - 4) (2x)^(2n) / (2n)!;
+    g/x = sum_{k>=1} (-1)^k (2^(2k+1) - 4) x^(2k) / (2k+1)!  and
+    h/x^2 = sum_{n>=3} (-1)^(n-1) (8n - 16) (2x)^(2n-2) / (2n)!;
     the first omitted terms are below 1e-17 relative there.
     """
     if x > 1.5:
-        return (2.0 * x + math.sin(2.0 * x) - 4.0 * math.sin(x),
-                4.0 * x * x + 2.0 * x * math.sin(2.0 * x) - 8.0 * math.sin(x) ** 2)
-    g = math.fsum((-1) ** k * (2.0 ** (2 * k + 1) - 4.0) * x ** (2 * k + 1)
+        return ((2.0 * x + math.sin(2.0 * x) - 4.0 * math.sin(x)) / x,
+                (4.0 * x * x + 2.0 * x * math.sin(2.0 * x) - 8.0 * math.sin(x) ** 2) / (x * x))
+    g = math.fsum((-1) ** k * (2.0 ** (2 * k + 1) - 4.0) * x ** (2 * k)
                   / math.factorial(2 * k + 1) for k in range(1, 17))
-    h = math.fsum((-1) ** (n - 1) * (2 * n - 4) * (2.0 * x) ** (2 * n)
+    h = math.fsum((-1) ** (n - 1) * (8 * n - 16) * (2.0 * x) ** (2 * n - 2)
                   / math.factorial(2 * n) for n in range(3, 19))
     return g, h
 
@@ -271,12 +274,13 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
     beta = 2 tan(x) / D with x = rho T/2 and D = rho (2 gamma + T) + sin(rho T),
     then sigma is fixed by unit mass through the analytic integral of the
     cosine terms.  With cos(rho t) + cos(rho (T-t)) = 2 cos(x) cos(rho (t-T/2))
-    and the half-angle form of 1 - cos, the curve and the mass become
+    and the half-angle form of 1 - cos, the curve and the mass become, scaled
+    by rho so that nothing underflows as rho -> 0,
 
-        phi(t) = rho (2 rho gamma + g + 8 sin(x) sin^2(rho (t-T/2)/2)) / N,
-        sigma = gamma rho D / N,  N = 2 rho^2 gamma T + h,
+        phi(t) = (2 gamma + (T/2) g/x + 8 (sin(x)/rho) sin^2(rho (t-T/2)/2)) / N,
+        sigma = gamma (D/rho) / N,  N = 2 gamma T + (T^2/4) h/x^2,
 
-    with g and h from :func:`_trig_defects`: nothing cancels as rho T -> 0,
+    with g/x and h/x^2 from :func:`_trig_defects`: nothing cancels as rho T -> 0,
     and tan(x) cancels against cos(x), so x = pi/2 + k pi is no pole.
     """
     rho = float(rho)
@@ -290,16 +294,15 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
         raise ValueError("horizon must be positive")
 
     x = 0.5 * rho * horizon
-    d = rho * (2.0 * gamma + horizon) + math.sin(rho * horizon)
-    g, h = _trig_defects(x)
-    n = 2.0 * rho * rho * gamma * horizon + h
+    gx, hx = _trig_defects(x)
+    n = 2.0 * gamma * horizon + 0.25 * horizon * horizon * hx
     return TrigSolution(
         rho=rho,
         gamma=gamma,
         horizon=horizon,
-        sigma=gamma * rho * d / n,
-        base=rho * (2.0 * rho * gamma + g) / n,
-        swing=8.0 * rho * math.sin(x) / n,
+        sigma=gamma * (2.0 * gamma + horizon + math.sin(rho * horizon) / rho) / n,
+        base=(2.0 * gamma + 0.5 * horizon * gx) / n,
+        swing=8.0 * math.sin(x) / rho / n,
     )
 
 
@@ -313,37 +316,36 @@ def eval_trig(sol: TrigSolution, t):
 
 
 def trig_panel(sol: TrigSolution):
-    """Longest Gauss panel on [0, T] for integrands of phi and cos, sin(rho t)."""
+    """Longest Gauss panel for integrands of phi and cos(rho (t - T/2))."""
     return min(sol.horizon / 8.0, 1.0 / sol.rho)
 
 
 def _trig_moments(sol: TrigSolution):
-    """Mc = int cos(rho s) phi(s) ds, Ms = int sin(rho s) phi(s) ds and int phi^2.
-
-    One quadrature pass: phi is evaluated once on the Gauss nodes.
-    """
+    """M = int cos(rho (s - T/2)) phi(s) ds and int phi^2: one pass over [0, T/2], doubled."""
     def integrands(s):
         phi = eval_trig(sol, s)
-        return np.cos(sol.rho * s) * phi, np.sin(sol.rho * s) * phi, phi**2
+        return np.cos(sol.rho * (s - 0.5 * sol.horizon)) * phi, phi**2
 
-    return panel_gauss(integrands, 0.0, sol.horizon, max_panel=trig_panel(sol))
+    return tuple(2.0 * v for v in panel_gauss(integrands, 0.0, 0.5 * sol.horizon,
+                                              max_panel=trig_panel(sol)))
 
 
 def trig_residual_max(sol: TrigSolution, samples=500):
-    """Residual of the integral equation; the convolution folds to two moments.
+    """Residual of the integral equation; the convolution folds to one moment.
 
-    cos(rho(t-s)) = cos(rho t)cos(rho s) + sin(rho t)sin(rho s), so
-    (G * phi)(t) = Mc cos(rho t) + Ms sin(rho t) with the moments computed
-    by quadrature (independent of the closed-form derivation).
+    cos(rho(t-s)) = cos(rho(t-T/2)) cos(rho(s-T/2)) + sin(rho(t-T/2)) sin(rho(s-T/2)),
+    and the sine moment of the even phi vanishes, so (G * phi)(t) =
+    M cos(rho(t-T/2)) with M computed by quadrature (independent of the
+    closed-form derivation).
     """
-    Mc, Ms, _ = _trig_moments(sol)
+    M, _ = _trig_moments(sol)
     ts = np.linspace(0.0, sol.horizon, samples)
-    conv = Mc * np.cos(sol.rho * ts) + Ms * np.sin(sol.rho * ts)
+    conv = M * np.cos(sol.rho * (ts - 0.5 * sol.horizon))
     resid = sol.gamma * eval_trig(sol, ts) + conv - sol.sigma
     return float(np.max(np.abs(resid)))
 
 
 def trig_energy(sol: TrigSolution):
-    """J_gamma[phi] via iint cos(rho(t-s)) phi phi = Mc^2 + Ms^2."""
-    Mc, Ms, quad_sq = _trig_moments(sol)
-    return 0.5 * sol.gamma * quad_sq + 0.5 * (Mc**2 + Ms**2)
+    """J_gamma[phi] via iint cos(rho(t-s)) phi phi = M^2."""
+    M, quad_sq = _trig_moments(sol)
+    return 0.5 * sol.gamma * quad_sq + 0.5 * M**2

@@ -320,6 +320,34 @@ def test_trig_small_rho_and_gamma_pass_every_check(tmp_path, capsys):
     assert all(summary["checks"].values()), summary["checks"]
 
 
+@pytest.mark.parametrize("method", ["auto", "discrete"])
+def test_trig_tiny_rho_is_the_constant_kernel(tmp_path, capsys, method):
+    # rho^2 underflows at rho 1e-200: the closed form works in rho-scaled
+    # terms and the lag row divides by rho before squaring, so both reach the
+    # G = 1 limit phi = 1/T, sigma = gamma/T + 1
+    gamma, horizon = 0.5, 2.0
+    path = write_config(tmp_path / "c.json", kernel={"type": "trigonometric", "rho": 1e-200},
+                        gamma=gamma, horizon=horizon, method=method, cells=1024)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 0, out + err
+    summary = json.loads(out)
+    assert summary["method"] == ("trig" if method == "auto" else "discrete")
+    assert summary["sigma"] == pytest.approx(gamma / horizon + 1.0, rel=0.0, abs=1e-12)
+
+
+def test_exponential_far_boundary_layer_keeps_unit_mass(tmp_path, capsys):
+    # a Gauss node near t = T carries ulp(T) into e^{-sqrt(c) (T - t)}: the
+    # mass, taken on [0, T/2] and doubled, meets no such node
+    path = write_config(tmp_path / "c.json",
+                        kernel={"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]},
+                        gamma=1e-12, horizon=2.0, cells=1024)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 0, out + err
+    summary = json.loads(out)
+    assert summary["checks"]["unit_mass"] is True
+    assert summary["mass_defect"] <= 1e-15
+
+
 def test_failed_check_reports_json_error(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path / "c.json")
     monkeypatch.setattr(cli, "_invariant_checks", lambda res: {"unit_mass": False})

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -126,6 +127,7 @@ ORACLE_KERNELS = [
     PowerCapped(rho=3.0, p=5),
     Trigonometric(rho=0.5),
     Trigonometric(rho=2.0),
+    Trigonometric(rho=1e-200),  # rho^2 underflows
     PowerLaw(alpha=0.5, scale=1.0),
     PowerLaw(alpha=0.9, scale=2.0),
     TAB4,
@@ -187,11 +189,9 @@ def test_lag_row_matches_cell_loop(kernel):
     # the vectorized rows against one scalar integral per cell: a rectangle
     # for the lag row, and the cell seen from each midpoint for the other
     h, m = 0.07, 40
-    row = kernel.lag_row(h, m)
-    ref = [kernel.cell_double_integral(0.0, h, k * h, (k + 1) * h) for k in range(m)]
-    np.testing.assert_allclose(row, ref, rtol=1e-14, atol=1e-18)
     lags, midpoints = kernel.grid_rows(h, m)
-    np.testing.assert_array_equal(lags, row)
+    ref = [kernel.cell_double_integral(0.0, h, k * h, (k + 1) * h) for k in range(m)]
+    np.testing.assert_allclose(lags, ref, rtol=1e-14, atol=1e-18)
     ref = [kernel.cell_integral(0.0, h, (k + 0.5) * h) for k in range(m)]
     # the loop differences G1, which costs it a few ulps of G1(T) at any lag
     slack = 8.0 * np.finfo(float).eps * abs(kernel.cell_integral(0.0, m * h, 0.0))
@@ -217,6 +217,19 @@ def test_midpoint_row_far_lags(kernel, horizon):
         assert midpoints[lag] == pytest.approx(ref, rel=1e-13, abs=0.0), lag
 
 
+def test_power_law_lag1_midpoint_near_alpha_one():
+    # G1(3h/2) - G1(h/2) cancels as q = 1 - alpha -> 0 (3.1e-14 relative
+    # at alpha 0.999 as a difference); against a 50-digit reference
+    alpha, m = 0.999, 4096
+    h = 1.0 / m
+    got = PowerLaw(alpha=alpha).grid_rows(h, m)[1][1]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = 1 - Decimal(alpha)
+        ref = ((q * Decimal(1.5 * h).ln()).exp() - (q * Decimal(0.5 * h).ln()).exp()) / q
+        assert float(abs(Decimal(got) - ref) / ref) <= 1e-15
+
+
 def test_tabulated_rows_memory_is_linear():
     # the half-cell table holds O(m + knots) numbers: a row that clipped
     # every knot into every cell would need 2000 floats a cell here
@@ -239,7 +252,7 @@ def test_lag_row_far_lags(kernel):
     # fine grids, where plain second differences cancel
     m = 4096
     h = 2.0 / m
-    row = kernel.lag_row(h, m)
+    row = kernel.grid_rows(h, m)[0]
     for lag in (1, 2, 1000, 4095):
         ref = oracles.cell_double_integral(kernel, 0.0, h, lag * h, (lag + 1) * h)
         assert row[lag] == pytest.approx(ref, rel=1e-13, abs=0.0), lag
