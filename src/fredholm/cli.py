@@ -97,6 +97,13 @@ def _requires_capped(kernel, horizon):
         return "method capped_linear requires an integer horizon"
 
 
+def _even(left, n):
+    """The n samples of a curve even about the middle of its grid, from its first (n + 1) // 2.
+
+    Every route builds ``RunResult.phi`` here, so it equals its reversal bit for bit."""
+    return np.concatenate((left, left[: n // 2][::-1]))
+
+
 def _closed_form(cfg: RunConfig, evaluate, sigma, energy, residual, **mass_quad) -> RunResult:
     """Result of a closed form: the curve sampled on the inclusive grid of cells + 1 points."""
     t = np.linspace(0.0, cfg.horizon, cfg.cells + 1)
@@ -104,7 +111,7 @@ def _closed_form(cfg: RunConfig, evaluate, sigma, energy, residual, **mass_quad)
     mass = 2.0 * panel_gauss(evaluate, 0.0, 0.5 * cfg.horizon, **mass_quad)
     return RunResult(
         t=t,
-        phi=evaluate(t),
+        phi=_even(evaluate(t[: (t.size + 1) // 2]), t.size),
         sigma=sigma,
         energy=energy,
         residual_max=residual,
@@ -150,7 +157,7 @@ def _solve_discrete(cfg: RunConfig) -> RunResult:
     h = grid.spacing
     return RunResult(
         t=grid.midpoints(),
-        phi=grid.values,
+        phi=_even(grid.values[: (grid.cells + 1) // 2], grid.cells),  # values are even already
         sigma=grid.sigma,
         energy=grid.energy,
         residual_max=grid.residual_max,
@@ -306,8 +313,14 @@ def _write_csv(path, cfg: RunConfig, res: RunResult):
         "# residual_max: " + _float_repr(res.residual_max),
         "t,phi",
     ]
-    flat = np.column_stack((res.t, res.phi)).ravel().tolist()  # t0, phi0, t1, phi1, ...
-    body = ("%.17g,%.17g\n" * res.t.size) % tuple(flat)
+    n = res.t.size
+    k = (n + 1) // 2
+    # phi is built by _even: format its left half once and mirror the strings
+    left = ("%.17g\n" * k % tuple(res.phi[:k].tolist())).split("\n")
+    flat = [None] * (2 * n)  # t0, phi0, t1, phi1, ...
+    flat[0::2] = res.t.tolist()
+    flat[1::2] = left[:k] + left[: n // 2][::-1]
+    body = ("%.17g,%s\n" * n) % tuple(flat)
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n" + body)
 

@@ -7,11 +7,14 @@ differences
     D_h^k phi(x) = sum_i (-1)^(k-i) C(k,i) phi(x + i h) >= 0
 
 are nonnegative (k = 1: nondecreasing toward the right edge, k = 2:
-convex, and so on).  On sampled data the property is only decidable to a
-finite order and tolerance: an order-k difference amplifies sample noise
-by sum |C(k,i)| = 2^k, so verdicts compare the *raw* difference minima
-against tol * 2^k, while the report also carries the h^k-normalized
-(derivative-like) minima for plotting and inspection.
+convex, and so on).  `analyze` takes D_h^k as k nested first differences
+D_h(D_h^(k-1) phi), one pass per order, instead of the binomial sum.  On
+sampled data the property is only decidable to a finite order and
+tolerance: each nested difference at most doubles the sample noise, so an
+order-k difference amplifies it by 2^k (= sum |C(k,i)|), and verdicts
+compare the *raw* difference minima against tol * 2^k, while the report
+also carries the h^k-normalized (derivative-like) minima for plotting and
+inspection.
 
 `analyze` accepts any increasing uniform grid: inclusive endpoint grids
 (the closed forms are usually sampled that way) via the defaults, or
@@ -131,27 +134,27 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
     interior = d2[1:-1] if d2.size > 2 else d2
     convexity_defect = float(interior.min() / spacing**2)
 
+    # D^k with step r is k nested differences d[r:] - d[:-r] of values[first:inside]:
+    # entry j of the k-th is the window starting at first + j, and windows of
+    # order k exist while inside - k*r > first
+    min_raw = [None] * max_order
+    min_scaled = [None] * max_order
+    r = 1
+    while inside - r > first:
+        d = values[first:inside]
+        for k in range(max_order):
+            d = d[r:] - d[:-r]
+            if d.size == 0:
+                break
+            m = float(d.min())
+            if min_raw[k] is None or m < min_raw[k]:
+                min_raw[k] = m
+            scaled = m / (r * spacing) ** (k + 1)
+            if min_scaled[k] is None or scaled < min_scaled[k]:
+                min_scaled[k] = scaled
+        r *= 2
     diff_orders = []
-    products = {}  # signed binomial coefficient c -> c * values, shared by every order and step
-    for k in range(1, max_order + 1):
-        coeffs = [(-1.0) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
-        for c in coeffs:
-            if c not in products:
-                products[c] = c * values
-        best_raw = None
-        best_scaled = None
-        r = 1
-        while (stop := inside - k * r) > first:
-            window_sum = np.zeros(stop - first)
-            for i, c in enumerate(coeffs):
-                window_sum += products[c][first + i * r : stop + i * r]
-            m = float(window_sum.min())
-            if best_raw is None or m < best_raw:
-                best_raw = m
-            scaled = m / (r * spacing) ** k
-            if best_scaled is None or scaled < best_scaled:
-                best_scaled = scaled
-            r *= 2
+    for k, (best_raw, best_scaled) in enumerate(zip(min_raw, min_scaled), start=1):
         if best_raw is None:
             raise ValueError(f"no admissible windows for difference order {k}")
         diff_orders.append(

@@ -316,7 +316,7 @@ class CappedLinear(Kernel):
     def _nl2(self, u):
         # G2(u) = affine(u) + (cap - u)^+^3 / 6; only the cube survives differencing
         w = np.maximum(self.cap - np.asarray(u, dtype=float), 0.0)
-        return w**3 / 6.0
+        return w * w * w / 6.0  # w**3 would call libm pow, several times slower
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,6 +198,34 @@ def test_solve_is_deterministic(tmp_path, capsys):
         outputs.append((out, (tmp_path / f"{tag}.csv").read_bytes(),
                         (tmp_path / f"{tag}.json").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+_HUMP = {"kernel": {"type": "capped_linear"}, "gamma": 0.01, "horizon": 11.0}
+_EXP2_DISCRETE = {"kernel": {"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]},
+                  "gamma": 0.5, "horizon": 2.0, "method": "discrete"}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"cells": 1024},
+    {"kernel": {"type": "trigonometric", "rho": 0.5}, "gamma": 0.001, "cells": 512},
+    {**_HUMP, "cells": 2047},
+    {**_HUMP, "cells": 2048},
+    {**_EXP2_DISCRETE, "cells": 1023},
+    {**_EXP2_DISCRETE, "cells": 1024},
+], ids=["exp", "trig", "capped-2047", "capped-2048", "discrete-1023", "discrete-1024"])
+def test_every_curve_is_even_and_its_csv_is_plain(tmp_path, capsys, overrides):
+    # every route's phi equals its reversal bit for bit, and the CSV that
+    # formats half of it once reads as the plain %.17g rows of (t, phi)
+    path = write_config(tmp_path / "c.json", **overrides)
+    cfg = cli.parse_config(path)
+    res = cli._ROUTES[cfg.method].solve(cfg)
+    assert res.phi.tobytes() == res.phi[::-1].tobytes()
+    code, out, err = run_main(["solve", "--config", path, "--out", str(tmp_path / "run")], capsys)
+    assert code == 0, out + err
+    assert json.loads(out)["monotonicity"]["symmetry_err"] == 0.0
+    text = (tmp_path / "run.csv").read_text()
+    flat = tuple(np.column_stack((res.t, res.phi)).ravel().tolist())
+    assert text.partition("t,phi\n")[2] == ("%.17g,%.17g\n" * res.t.size) % flat
 
 
 def test_discrete_method_run(tmp_path, capsys):

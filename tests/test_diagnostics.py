@@ -90,23 +90,23 @@ def test_grid_validation():
 
 
 def _masked_diff_orders(values, horizon, max_order, start, spacing):
-    """(min_raw, min_scaled) per order by the boolean-mask scan: every window
-    of length n - k*r is summed, then the admissible ones are picked out."""
+    """(min_raw, min_scaled) per order by the boolean-mask scan of nested
+    differences: the k-th difference d[r:] - d[:-r] of the whole curve is
+    taken at every start, then the admissible ones are picked out."""
     n = values.size
     x = start + spacing * np.arange(n)
     out = []
     for k in range(1, max_order + 1):
-        coeffs = [(-1.0) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
         best_raw = best_scaled = None
         r = 1
         while k * r < n:
-            window_sum = np.zeros(n - k * r)
-            for i, cf in enumerate(coeffs):
-                window_sum += cf * values[i * r : n - k * r + i * r]
+            d = values
+            for _ in range(k):
+                d = d[r:] - d[:-r]
             admissible = (x[: n - k * r] > horizon / 2.0) & (x[k * r :] < horizon)
             if not np.any(admissible):
                 break
-            m = float(np.min(window_sum[admissible]))
+            m = float(np.min(d[admissible]))
             if best_raw is None or m < best_raw:
                 best_raw = m
             scaled = m / (r * spacing) ** k
@@ -114,6 +114,28 @@ def _masked_diff_orders(values, horizon, max_order, start, spacing):
                 best_scaled = scaled
             r *= 2
         out.append((best_raw, best_scaled))
+    return out
+
+
+def _binomial_min_raw(values, horizon, max_order, start, spacing):
+    """min_raw per order from the binomial sum sum_i (-1)^(k-i) C(k,i) phi(x + i r h)."""
+    n = values.size
+    x = start + spacing * np.arange(n)
+    out = []
+    for k in range(1, max_order + 1):
+        best = None
+        r = 1
+        while k * r < n:
+            window_sum = np.zeros(n - k * r)
+            for i in range(k + 1):
+                window_sum += (-1.0) ** (k - i) * math.comb(k, i) * values[i * r : n - k * r + i * r]
+            admissible = (x[: n - k * r] > horizon / 2.0) & (x[k * r :] < horizon)
+            if not np.any(admissible):
+                break
+            m = float(np.min(window_sum[admissible]))
+            best = m if best is None else min(best, m)
+            r *= 2
+        out.append(best)
     return out
 
 
@@ -137,6 +159,11 @@ def test_difference_scan_is_bit_exact(grid, n, data):
         got = [(e["min_raw"], e["min_scaled"]) for e in report.diff_orders]
         want = _masked_diff_orders(values, horizon, max_order, start, spacing)
         assert [tuple(map(repr, g)) for g in got] == [tuple(map(repr, w)) for w in want]
+        # nested and binomial differences agree to their rounding, 2^k eps max|v|
+        binomial = _binomial_min_raw(values, horizon, max_order, start, spacing)
+        eps_max = np.finfo(float).eps * float(np.max(np.abs(values)))
+        for k, (g, b) in enumerate(zip(got, binomial), start=1):
+            assert abs(g[0] - b) <= 2.0**k * eps_max, k
 
 
 def test_midpoint_grid_accepted():
