@@ -105,13 +105,18 @@ def _even(left, n):
 
 
 def _closed_form(cfg: RunConfig, evaluate, sigma, energy, residual, **mass_quad) -> RunResult:
-    """Result of a closed form: the curve sampled on the inclusive grid of cells + 1 points."""
-    t = np.linspace(0.0, cfg.horizon, cfg.cells + 1)
+    """Result of a closed form: the curve sampled on the inclusive grid of cells + 1 points.
+
+    The grid's right half is T minus its left half, reversed, so each sample
+    of the mirrored curve sits on the mirror of the abscissa it was evaluated at."""
+    n = cfg.cells + 1
+    left = np.linspace(0.0, cfg.horizon, n)[: (n + 1) // 2]
+    t = np.concatenate((left, cfg.horizon - left[: n // 2][::-1]))
     # phi is even about T/2, an edge of every graded panel layout
     mass = 2.0 * panel_gauss(evaluate, 0.0, 0.5 * cfg.horizon, **mass_quad)
     return RunResult(
         t=t,
-        phi=_even(evaluate(t[: (t.size + 1) // 2]), t.size),
+        phi=_even(evaluate(left), n),
         sigma=sigma,
         energy=energy,
         residual_max=residual,
@@ -337,7 +342,11 @@ def _finite(doc):
 
 
 def _dumps(doc):
-    return json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float: a normal run has none, so walk only now
+        text = json.dumps(_finite(doc), indent=2, allow_nan=False)
+    return text + "\n"
 
 
 def _emit(doc, stream=None):

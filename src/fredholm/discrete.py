@@ -28,7 +28,11 @@ continuous minimizer (a series in even powers of t - T/2).  For even m a
 solve holds x by its right half from the first FFT to the mass, energy and
 residual: every product becomes a symmetric convolution (DCT-II/III pair)
 evaluated by FFTs of length m and m/2 instead of 2m and m.  Odd m has a
-cell on the midpoint and holds every cell.  One iteration serves every
+cell on the midpoint and holds every cell.  The tables that depend on m
+alone (the fold permutations and the FFT twist) are built once per cell
+count and kept read-only for the next solve on that grid, for the last
+four cell counts used: about 80 KB at m = 4096, about 80 MB per count
+at the CLI's 2^22 cell ceiling.  One iteration serves every
 caller: it runs on a block of right-hand sides, one row per
 gamma, so each operator or preconditioner application is one 2-D FFT over
 the rows still iterating; a single solve is the block with one row, a
@@ -40,6 +44,7 @@ is replaced by its average with its reversal, so every solution equals its
 reversal exactly.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -209,10 +214,43 @@ def _chan_eigenvalues(col):
     """
     m = len(col)
     k = np.arange(m)
-    return np.fft.rfft(((m - k) * col + k * col[(m - k) % m]) / m).real
+    wrap = np.concatenate((col[:1], col[:0:-1]))  # col[(m - k) % m]
+    return np.fft.rfft(((m - k) * col + k * wrap) / m).real
 
 
-def _half_operator(spectrum, n, k):
+@functools.lru_cache(maxsize=4)
+def _plan(m):
+    """(fold, order, twist): the tables a solve on m cells needs that depend on m alone.
+
+    Built once per cell count and shared read-only by every solve on it; an
+    entry holds about 20 bytes per cell (80 KB at m = 4096).
+    ``fold`` and ``order`` are the permutations between the m cells and the
+    solve's unknowns (see ``_Operators``).  ``twist`` is the n = m twist of
+    ``_half_operator`` for even m, None for odd m; ``twist[::2]`` is the
+    n = m/2 twist, the same bits, since its angles are the even multiples
+    of pi/m and scaling pi/n by 2 is exact.  Its integer angle is reduced
+    mod 2m first: exp of an angle near pi m/2 would lose its low digits
+    (2e-13 at m = 4096).
+    """
+    if m % 2:
+        fold = order = np.arange(m)
+        twist = None
+    else:
+        k = m // 2
+        half = np.empty(k, dtype=np.intp)  # v = u[half]
+        half[0::2] = np.arange(k // 2, k)
+        half[1::2] = np.arange(k // 2 - 1, -1, -1)
+        order = np.concatenate((half[::-1], half))
+        fold = np.empty(k, dtype=np.intp)
+        fold[half] = np.arange(k, m)
+        f = np.arange(k + 1)
+        twist = np.exp(1j * np.pi / m * (f * (1 - 4 * (k // 2)) % (2 * m)))
+        twist.flags.writeable = False
+    fold.flags.writeable = order.flags.writeable = False
+    return fold, order, twist
+
+
+def _half_operator(spectrum, twist):
     """(A, D) of a symmetric product folded onto even vectors.
 
     ``spectrum`` holds the real eigenvalues C_0..C_n (rfft order) of a
@@ -221,19 +259,18 @@ def _half_operator(spectrum, n, k):
     x = x[::-1] is held by its right half v = x[k:] in the order
     u = (v[1::2][::-1], v[0::2]), and the right half of S x, in the same
     order, is irfft(A U + D conj(U), n)[:k] with U = rfft(u, n),
-    A = (C_f + C_{n-f})/2 and D = (C_f - C_{n-f})/2 exp(i pi f (1 - 4 floor(k/2)) / n).
+    A = (C_f + C_{n-f})/2 and D = (C_f - C_{n-f})/2 ``twist``, where
+    ``twist`` = exp(i pi f (1 - 4 floor(k/2)) / n) for f = 0..n/2 is the
+    twist of ``_plan(2k)`` for n = 2k and every other entry of it for n = k.
     That is a DCT-II/III pair (symmetric convolution, Martucci 1994)
     evaluated by Makhoul's n-point FFT (1980), with u rotated so that one
     layout serves every k.  The solve folds the 2m-point embeddings of K and
     of the midpoint row (n = m) and T. Chan's m-point circulant (n = m/2).
-    The twist's integer angle is reduced mod 2n first: exp of an angle near
-    pi k would lose its low digits (2e-13 at k = 2048).
     """
-    f = np.arange(n // 2 + 1)
+    n = spectrum.shape[-1] - 1
     # slices, not an index array: fancy indexing on the last axis returns
     # column-major rows, which np.vecdot sums in another order than one row
     low, high = spectrum[..., :n // 2 + 1], spectrum[..., n - n // 2:][..., ::-1]
-    twist = np.exp(1j * np.pi / n * (f * (1 - 4 * (k // 2)) % (2 * n)))
     return 0.5 * (low + high), 0.5 * (low - high) * twist
 
 
@@ -243,9 +280,21 @@ def _apply(a, d, v, n):
     With d None this is the circulant product of eigenvalues a, else the
     folded product of ``_half_operator``.  Works along the last axis.
     """
-    spectrum = np.fft.rfft(v, n)
-    spectrum = a * spectrum if d is None else a * spectrum + d * spectrum.conj()
-    return np.fft.irfft(spectrum, n)[..., :v.shape[-1]]
+    return _product(a, d, np.fft.rfft(v, n), n)[..., :v.shape[-1]]
+
+
+def _product(a, d, spectrum, n):
+    """irfft(a U + d conj(U), n) for the rfft ``spectrum`` U, as in ``_apply``.
+
+    One U serves several (a, d) pairs: the output stage applies the energy's
+    and the residual's operators to one transform of phi.
+    """
+    if d is None:
+        return np.fft.irfft(a * spectrum, n)
+    other = d * spectrum.conj()
+    spectrum = a * spectrum
+    spectrum += other
+    return np.fft.irfft(spectrum, n)
 
 
 # conjugate gradients on a second-kind equation converge in a number of steps
@@ -277,7 +326,9 @@ class _Operators:
     (``product_a``, ``product_d``) and the residual's convolution with the
     midpoint row (``residual_a``, ``residual_d``) transform at length
     2 ``unknowns``: folded at m for even m, plain (``_d`` None) at 2m for
-    odd m.
+    odd m.  The permutations and the fold twist depend on m alone: they are
+    the read-only tables of ``_plan(m)``, built once per cell count, and the
+    preconditioner's fold takes every other entry of the same twist.
     """
 
     def __init__(self, problem: Problem, m: int):
@@ -286,29 +337,23 @@ class _Operators:
         self.chan = _chan_eigenvalues(lags)
         self.certifiable = problem.kernel.classify().positive_type_known
         self.rounding = m * np.finfo(float).eps * float(np.sum(np.abs(lags)))
+        self.fold, self.order, self._twist = _plan(m)
         rows = np.stack((lags, midpoints))
         if m % 2:
             self.unknowns = m
-            self.fold = self.order = np.arange(m)
             self.product_a, self.residual_a = _embedding_spectrum(rows)
             self.product_d = self.residual_d = None
         else:
-            k = self.unknowns = m // 2
-            half = np.empty(k, dtype=np.intp)  # v = u[half]
-            half[0::2] = np.arange(k // 2, k)
-            half[1::2] = np.arange(k // 2 - 1, -1, -1)
-            self.order = np.concatenate((half[::-1], half))
-            self.fold = np.empty(k, dtype=np.intp)
-            self.fold[half] = np.arange(k, m)
+            self.unknowns = m // 2
             (self.product_a, self.residual_a), (self.product_d, self.residual_d) = (
-                _half_operator(_embedding_spectrum(rows), m, k))
+                _half_operator(_embedding_spectrum(rows), self._twist))
 
     def preconditioner(self, ridges):
         """(a, d) of the inverse of T. Chan's circulant plus each ridge, one row each."""
         inverse = 1.0 / (self.chan + ridges)
-        if self.unknowns == len(self.lags):
+        if self._twist is None:
             return inverse, None
-        return _half_operator(inverse, self.unknowns, self.unknowns)
+        return _half_operator(inverse, self._twist[::2])
 
 
 def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
@@ -331,7 +376,7 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     bit for bit.  Every row leaves by one output stage, where each u stands
     for s = m // ``ops.unknowns`` cells: the mass sum x is s fsum(u),
     correctly rounded, and the energy (s/2) phi' 2H phi and the midpoint
-    residual go through ``_apply``.
+    residual are two ``_product`` calls on one rfft of phi.
     """
     m = len(ops.lags)
     width = ops.unknowns
@@ -376,7 +421,8 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
                     a if a is None else a[keep] for a in (x, r, p, rz, kern_a, pre_a, pre_d))
             z = _apply(pre_a, pre_d, r, width)
             rz, rz_old = np.vecdot(r, z, keepdims=True), rz
-            p = z + (rz / rz_old) * p
+            p *= rz / rz_old
+            p += z
     for i, x_row in enumerate(x_rows):
         if x_row is None:
             x_row = _levinson_ones(_column(ops.lags, float(ridges[i, 0])))
@@ -388,9 +434,11 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     mass = h * np.array([m // width * math.fsum(row.tolist()) for row in u])[:, None]
     phi = u / mass
     sigma = 1.0 / (h * mass)
+    spectrum = np.fft.rfft(phi, 2 * width)
     energy = 0.5 * (m // width) * np.vecdot(
-        phi, _apply(ops.product_a + ridges, ops.product_d, phi, 2 * width))
-    resid = gammas * phi + _apply(ops.residual_a, ops.residual_d, phi, 2 * width) - sigma
+        phi, _product(ops.product_a + ridges, ops.product_d, spectrum, 2 * width)[:, :width])
+    resid = (gammas * phi + _product(ops.residual_a, ops.residual_d, spectrum, 2 * width)[:, :width]
+             - sigma)
     residual_max = np.max(np.abs(resid), axis=1)
     return [
         SolutionGrid(

@@ -228,6 +228,19 @@ def test_every_curve_is_even_and_its_csv_is_plain(tmp_path, capsys, overrides):
     assert text.partition("t,phi\n")[2] == ("%.17g,%.17g\n" * res.t.size) % flat
 
 
+def test_closed_form_grid_pairs_each_sample_with_its_mirror(tmp_path):
+    # at 2047 cells and T 11 the step T/cells is inexact and linspace's right
+    # half misses T - t by up to 1.8e-15; the right half is T minus the left,
+    # so every mirror pair (j, n-1-j) of the even curve sits on t_j, T - t_j
+    cfg = cli.parse_config(write_config(tmp_path / "c.json", **_HUMP, cells=2047))
+    t = cli._ROUTES[cfg.method].solve(cfg).t
+    n = t.size
+    j = np.arange(n // 2)
+    np.testing.assert_array_equal(t[n - 1 - j], 11.0 - t[j])
+    np.testing.assert_array_equal(t[: n // 2], np.linspace(0.0, 11.0, n)[: n // 2])
+    assert t[-1] == 11.0 and np.all(np.diff(t) > 0)
+
+
 def test_discrete_method_run(tmp_path, capsys):
     path = write_config(tmp_path / "c.json", method="discrete", cells=256)
     code, out, _ = run_main(["solve", "--config", path], capsys)

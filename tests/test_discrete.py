@@ -200,7 +200,7 @@ def test_half_products_match_full_products(m):
     # them at m = 4096
     rng = np.random.default_rng(m)
     k = m // 2
-    order = discrete._Operators(EXP1, m).order
+    _, order, twist = discrete._plan(m)
     x = rng.standard_normal(k)
     x = np.concatenate((x[::-1], x))
     u = np.empty(k)
@@ -209,12 +209,35 @@ def test_half_products_match_full_products(m):
     toeplitz = discrete._embedding_spectrum(col)
     circulant = discrete._chan_eigenvalues(col)
     for half, full in [
-        (discrete._apply(*discrete._half_operator(toeplitz, m, k), u, m),
+        (discrete._apply(*discrete._half_operator(toeplitz, twist), u, m),
          np.fft.irfft(toeplitz * np.fft.rfft(x, 2 * m), 2 * m)[:m]),
-        (discrete._apply(*discrete._half_operator(circulant, k, k), u, k),
+        (discrete._apply(*discrete._half_operator(circulant, twist[::2]), u, k),
          np.fft.irfft(circulant * np.fft.rfft(x), m)),
     ]:
         assert np.max(np.abs(half[order] - full)) <= 4e-15 * np.max(np.abs(full))
+
+
+def test_grid_plans_keep_no_state_between_solves():
+    # the per-grid tables are cached across calls: alternating cell counts,
+    # odd and m = 2 mod 4 among them, must give the bits of a cold cache
+    problem = POSITIVE_TYPE["exp2"]
+    cells = [1024, 4096, 1024, 1023, 1026, 2]
+    warm = [solve(problem, m) for m in cells]
+    cold = []
+    for m in cells:
+        discrete._plan.cache_clear()
+        cold.append(solve(problem, m))
+    for a, b in zip(warm, cold):
+        np.testing.assert_array_equal(a.values, b.values)
+        assert (a.sigma, a.energy, a.residual_max) == (b.sigma, b.energy, b.residual_max)
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_grid_plan_is_read_only(m):
+    for table in discrete._plan(m):
+        if table is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
 
 @pytest.mark.parametrize("cause", ["iteration_cap", "margin"])
