@@ -342,11 +342,7 @@ def _finite(doc):
 
 
 def _dumps(doc):
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:  # a non-finite float: a normal run has none, so walk only now
-        text = json.dumps(_finite(doc), indent=2, allow_nan=False)
-    return text + "\n"
+    return json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
 
 
 def _emit(doc, stream=None):

@@ -29,10 +29,9 @@ solve holds x by its right half from the first FFT to the mass, energy and
 residual: every product becomes a symmetric convolution (DCT-II/III pair)
 evaluated by FFTs of length m and m/2 instead of 2m and m.  Odd m has a
 cell on the midpoint and holds every cell.  The tables that depend on m
-alone (the fold permutations and the FFT twist) are built once per cell
-count and kept read-only for the next solve on that grid, for the last
-four cell counts used: about 80 KB at m = 4096, about 80 MB per count
-at the CLI's 2^22 cell ceiling.  One iteration serves every
+alone (the fold permutations and the FFT twist) are built once per solve
+or sweep, and the output stage takes one FFT of the solution for both the
+energy and the residual.  One iteration serves every
 caller: it runs on a block of right-hand sides, one row per
 gamma, so each operator or preconditioner application is one 2-D FFT over
 the rows still iterating; a single solve is the block with one row, a
@@ -44,7 +43,6 @@ is replaced by its average with its reversal, so every solution equals its
 reversal exactly.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -218,38 +216,6 @@ def _chan_eigenvalues(col):
     return np.fft.rfft(((m - k) * col + k * wrap) / m).real
 
 
-@functools.lru_cache(maxsize=4)
-def _plan(m):
-    """(fold, order, twist): the tables a solve on m cells needs that depend on m alone.
-
-    Built once per cell count and shared read-only by every solve on it; an
-    entry holds about 20 bytes per cell (80 KB at m = 4096).
-    ``fold`` and ``order`` are the permutations between the m cells and the
-    solve's unknowns (see ``_Operators``).  ``twist`` is the n = m twist of
-    ``_half_operator`` for even m, None for odd m; ``twist[::2]`` is the
-    n = m/2 twist, the same bits, since its angles are the even multiples
-    of pi/m and scaling pi/n by 2 is exact.  Its integer angle is reduced
-    mod 2m first: exp of an angle near pi m/2 would lose its low digits
-    (2e-13 at m = 4096).
-    """
-    if m % 2:
-        fold = order = np.arange(m)
-        twist = None
-    else:
-        k = m // 2
-        half = np.empty(k, dtype=np.intp)  # v = u[half]
-        half[0::2] = np.arange(k // 2, k)
-        half[1::2] = np.arange(k // 2 - 1, -1, -1)
-        order = np.concatenate((half[::-1], half))
-        fold = np.empty(k, dtype=np.intp)
-        fold[half] = np.arange(k, m)
-        f = np.arange(k + 1)
-        twist = np.exp(1j * np.pi / m * (f * (1 - 4 * (k // 2)) % (2 * m)))
-        twist.flags.writeable = False
-    fold.flags.writeable = order.flags.writeable = False
-    return fold, order, twist
-
-
 def _half_operator(spectrum, twist):
     """(A, D) of a symmetric product folded onto even vectors.
 
@@ -260,8 +226,10 @@ def _half_operator(spectrum, twist):
     u = (v[1::2][::-1], v[0::2]), and the right half of S x, in the same
     order, is irfft(A U + D conj(U), n)[:k] with U = rfft(u, n),
     A = (C_f + C_{n-f})/2 and D = (C_f - C_{n-f})/2 ``twist``, where
-    ``twist`` = exp(i pi f (1 - 4 floor(k/2)) / n) for f = 0..n/2 is the
-    twist of ``_plan(2k)`` for n = 2k and every other entry of it for n = k.
+    ``twist`` = exp(i pi f (1 - 4 floor(k/2)) / n) for f = 0..n/2.  The
+    twist for n = k is every other entry of the one for n = 2k, the same
+    bits: its angles are the even multiples of pi/2k, and pi/n scales by 2
+    exactly.
     That is a DCT-II/III pair (symmetric convolution, Martucci 1994)
     evaluated by Makhoul's n-point FFT (1980), with u rotated so that one
     layout serves every k.  The solve folds the 2m-point embeddings of K and
@@ -289,11 +257,7 @@ def _product(a, d, spectrum, n):
     One U serves several (a, d) pairs: the output stage applies the energy's
     and the residual's operators to one transform of phi.
     """
-    if d is None:
-        return np.fft.irfft(a * spectrum, n)
-    other = d * spectrum.conj()
-    spectrum = a * spectrum
-    spectrum += other
+    spectrum = a * spectrum if d is None else a * spectrum + d * spectrum.conj()
     return np.fft.irfft(spectrum, n)
 
 
@@ -326,9 +290,9 @@ class _Operators:
     (``product_a``, ``product_d``) and the residual's convolution with the
     midpoint row (``residual_a``, ``residual_d``) transform at length
     2 ``unknowns``: folded at m for even m, plain (``_d`` None) at 2m for
-    odd m.  The permutations and the fold twist depend on m alone: they are
-    the read-only tables of ``_plan(m)``, built once per cell count, and the
-    preconditioner's fold takes every other entry of the same twist.
+    odd m.  The permutations and the fold twist depend on m alone and are
+    built once here; the preconditioner's fold takes every other entry of
+    the same twist.
     """
 
     def __init__(self, problem: Problem, m: int):
@@ -337,14 +301,25 @@ class _Operators:
         self.chan = _chan_eigenvalues(lags)
         self.certifiable = problem.kernel.classify().positive_type_known
         self.rounding = m * np.finfo(float).eps * float(np.sum(np.abs(lags)))
-        self.fold, self.order, self._twist = _plan(m)
         rows = np.stack((lags, midpoints))
         if m % 2:
             self.unknowns = m
+            self.fold = self.order = np.arange(m)
+            self._twist = None
             self.product_a, self.residual_a = _embedding_spectrum(rows)
             self.product_d = self.residual_d = None
         else:
-            self.unknowns = m // 2
+            k = self.unknowns = m // 2
+            half = np.empty(k, dtype=np.intp)  # v = u[half]
+            half[0::2] = np.arange(k // 2, k)
+            half[1::2] = np.arange(k // 2 - 1, -1, -1)
+            self.order = np.concatenate((half[::-1], half))
+            self.fold = np.empty(k, dtype=np.intp)
+            self.fold[half] = np.arange(k, m)
+            # the integer angle is reduced mod 2m first: exp of an angle near
+            # pi m/2 would lose its low digits (2e-13 at m = 4096)
+            f = np.arange(k + 1)
+            self._twist = np.exp(1j * np.pi / m * (f * (1 - 4 * (k // 2)) % (2 * m)))
             (self.product_a, self.residual_a), (self.product_d, self.residual_d) = (
                 _half_operator(_embedding_spectrum(rows), self._twist))
 
@@ -421,8 +396,7 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
                     a if a is None else a[keep] for a in (x, r, p, rz, kern_a, pre_a, pre_d))
             z = _apply(pre_a, pre_d, r, width)
             rz, rz_old = np.vecdot(r, z, keepdims=True), rz
-            p *= rz / rz_old
-            p += z
+            p = z + (rz / rz_old) * p
     for i, x_row in enumerate(x_rows):
         if x_row is None:
             x_row = _levinson_ones(_column(ops.lags, float(ridges[i, 0])))

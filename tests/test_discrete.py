@@ -200,7 +200,8 @@ def test_half_products_match_full_products(m):
     # them at m = 4096
     rng = np.random.default_rng(m)
     k = m // 2
-    _, order, twist = discrete._plan(m)
+    ops = discrete._Operators(EXP1, m)
+    order, twist = ops.order, ops._twist
     x = rng.standard_normal(k)
     x = np.concatenate((x[::-1], x))
     u = np.empty(k)
@@ -215,29 +216,6 @@ def test_half_products_match_full_products(m):
          np.fft.irfft(circulant * np.fft.rfft(x), m)),
     ]:
         assert np.max(np.abs(half[order] - full)) <= 4e-15 * np.max(np.abs(full))
-
-
-def test_grid_plans_keep_no_state_between_solves():
-    # the per-grid tables are cached across calls: alternating cell counts,
-    # odd and m = 2 mod 4 among them, must give the bits of a cold cache
-    problem = POSITIVE_TYPE["exp2"]
-    cells = [1024, 4096, 1024, 1023, 1026, 2]
-    warm = [solve(problem, m) for m in cells]
-    cold = []
-    for m in cells:
-        discrete._plan.cache_clear()
-        cold.append(solve(problem, m))
-    for a, b in zip(warm, cold):
-        np.testing.assert_array_equal(a.values, b.values)
-        assert (a.sigma, a.energy, a.residual_max) == (b.sigma, b.energy, b.residual_max)
-
-
-@pytest.mark.parametrize("m", [6, 7])
-def test_grid_plan_is_read_only(m):
-    for table in discrete._plan(m):
-        if table is not None:
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 0
 
 
 @pytest.mark.parametrize("cause", ["iteration_cap", "margin"])
