@@ -337,9 +337,11 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     Every row is held by its ``ops.unknowns`` u from the first FFT to the
     output and unfolded once, into its ``SolutionGrid``.  A row whose margin
     gamma h clears ``ops.rounding`` under the positive-type certificate runs
-    preconditioned CG from x = 0 with T. Chan's circulant shifted by gamma h;
-    each operator or preconditioner application is one 2-D rfft/irfft over
-    the rows still iterating.  A row leaves the block when the full residual
+    preconditioned CG from x = 0 with T. Chan's circulant shifted by gamma h.
+    Its first preconditioned residual takes no FFT: r = 1 is an eigenvector
+    of every circulant, so z = r / (chan[0] + gamma h) exactly.  Each later
+    operator or preconditioner application is one 2-D rfft/irfft over the
+    rows still iterating.  A row leaves the block when the full residual
     has |r| <= 1e-14 |1| (for even m the half holds |r|^2 / 2), or gives up
     at the same step when a search direction has p' 2H p <= 0 (alpha = 0),
     or after ``_PCG_MAX_ITER`` steps; then, or if never certified, it is
@@ -365,15 +367,17 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     rows = [i for i, ridge in enumerate(ridges[:, 0].tolist())
             if ops.certifiable and ridge > ops.rounding]
     if rows:  # lambda_min(2H) >= ridge > 0 on every row
-        kern_a, kern_d = ops.product_a + ridges[rows], ops.product_d
+        # the real eigenvalue rows are cast to complex once here, not inside
+        # every product with a spectrum
+        kern_a, kern_d = (ops.product_a + ridges[rows]).astype(complex), ops.product_d
         pre_a, pre_d = ops.preconditioner(ridges[rows])
+        pre_a = pre_a.astype(complex)
         r = np.ones((len(rows), width))
         x = np.zeros_like(r)
         stop = _PCG_RTOL * math.sqrt(width)
-        # 1 is an eigenvector of every circulant, so this z is 1 / (chan[0] + ridge)
-        # up to rounding; the round trip stays because the two differ in the
-        # last bit unless m is a power of two, and that bit reaches every output
-        z = _apply(pre_a, pre_d, r[0], width)
+        # 1 is an eigenvector of every circulant (folded or not), with the
+        # eigenvalue at frequency 0: the first preconditioned residual is exact
+        z = r / (ops.chan[0] + ridges[rows])
         p = z
         rz = np.vecdot(r, z, keepdims=True)
         for _ in range(_PCG_MAX_ITER):
@@ -392,6 +396,7 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
                 if not any(keep):
                     break
                 rows = [i for i, kept in zip(rows, keep) if kept]
+                keep = np.array(keep)  # converted once for the seven arrays below
                 x, r, p, rz, kern_a, pre_a, pre_d = (
                     a if a is None else a[keep] for a in (x, r, p, rz, kern_a, pre_a, pre_d))
             z = _apply(pre_a, pre_d, r, width)

@@ -278,10 +278,12 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
     by rho so that nothing underflows as rho -> 0,
 
         phi(t) = (2 gamma + (T/2) g/x + 8 (sin(x)/rho) sin^2(rho (t-T/2)/2)) / N,
-        sigma = gamma (D/rho) / N,  N = 2 gamma T + (T^2/4) h/x^2,
+        sigma = gamma ((D/rho) / N),  N = 2 gamma T + (T^2/4) h/x^2,
 
     with g/x and h/x^2 from :func:`_trig_defects`: nothing cancels as rho T -> 0,
-    and tan(x) cancels against cos(x), so x = pi/2 + k pi is no pole.
+    and tan(x) cancels against cos(x), so x = pi/2 + k pi is no pole.  sigma
+    divides before it multiplies: gamma D/rho underflows when gamma T is tiny
+    (2e-330 at rho 1, gamma 1e-300, T 1e-30) while sigma is not (7.2e-148).
     """
     rho = float(rho)
     gamma = float(gamma)
@@ -300,7 +302,7 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
         rho=rho,
         gamma=gamma,
         horizon=horizon,
-        sigma=gamma * (2.0 * gamma + horizon + math.sin(rho * horizon) / rho) / n,
+        sigma=gamma * ((2.0 * gamma + horizon + math.sin(rho * horizon) / rho) / n),
         base=(2.0 * gamma + 0.5 * horizon * gx) / n,
         swing=8.0 * math.sin(x) / rho / n,
     )

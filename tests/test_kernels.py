@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from fredholm import discrete
 from fredholm.kernels import (
+    _E2_RADII,
     CappedLinear,
     ExponentialSum,
     PowerCapped,
     PowerLaw,
     Tabulated,
     Trigonometric,
+    _e2,
     kernel_from_spec,
 )
 
@@ -365,6 +367,50 @@ def test_tabulated_positive_type_ignores_the_tolerance():
     structure = Tabulated(t=(0.0, 1.0, 2.0, 3.0), g=(1.5, 1.0, 0.5 + 1e-10, 0.0)).classify()
     assert structure.nonincreasing and structure.convex
     assert not structure.positive_type_known
+
+
+@pytest.mark.parametrize("t, g", [
+    ((0.0, 0.3, 1.0, 2.5), (2.0, 1.1, 0.4, 0.05)),  # log mode
+    ((0.0, 0.5, 1.0, 2.0), (1.5, 1.0, 0.5, 0.0)),  # a zero value: linear mode
+    ((0.5, 1.0, 2.0), (1.0, 0.6, 0.3)),  # flat head below t[0]
+], ids=["log", "linear", "flat_head"])
+def test_tabulated_classify_is_built_once(t, g):
+    kernel = Tabulated(t=t, g=g)
+    report = kernel.classify()
+    assert kernel.classify() is report
+    assert report == Tabulated(t=t, g=g).classify()
+
+
+def _e2_fixed(z):
+    """_e2 with its Taylor series always summed to 15 terms."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < 0.5
+    zs = np.where(small, z, 0.0)
+    zl = np.where(small, 1.0, z)
+    series = 0.0
+    for k in range(16, 1, -1):
+        series = series * zs + 1.0 / math.factorial(k)
+    return np.where(small, series, (np.expm1(zl) - zl) / (zl * zl))
+
+
+# each radius is where the series gains a term: sample up to it and just short of it
+RADII = [r for r in _E2_RADII if r < 0.5]
+
+
+@pytest.mark.parametrize("bound", [1e-12, 1e-6, 1e-3, 6e-3, 0.1, 0.4999, *RADII,
+                                   *(math.nextafter(r, 0.0) for r in RADII)])
+def test_e2_short_series_keeps_the_full_series_value(bound):
+    # the series stops where its first omitted term is below 1e-18, so it may
+    # round differently from the 15-term sum, but by no more than 1 ulp
+    z = np.random.default_rng(7).uniform(-bound, bound, 4000)
+    z[:2] = bound, -bound
+    np.testing.assert_array_max_ulp(_e2(z), _e2_fixed(z), maxulp=1)
+
+
+def test_e2_equals_the_full_series_at_zero_and_off_the_series():
+    assert _e2(0.0) == 0.5
+    for z in ([0.0], [0.5, -0.5, 0.7, -3.0, 40.0], [0.5, 0.2, -0.49, 0.0, -700.0]):
+        np.testing.assert_array_equal(_e2(np.array(z)), _e2_fixed(np.array(z)))
 
 
 # ------------------------------------------------------------------ classify

@@ -244,6 +244,16 @@ def test_trig_pole_horizon_is_regular():
         assert eval_trig(near, 0.0) == pytest.approx(eval_trig(sol, 0.0), rel=1e-8)
 
 
+def test_trig_sigma_does_not_underflow_at_tiny_gamma_horizon():
+    # gamma (2 gamma + T + sin(rho T)/rho) is about 2e-330 here and underflows,
+    # while sigma tends to 720 gamma / (rho^4 T^5) as rho T -> 0 with
+    # gamma << rho^4 T^5: N -> rho^4 T^6 / 360 and D/rho -> 2 T
+    rho, gamma, T = 1.0, 1e-300, 1e-30
+    sol = trig_solve(rho, gamma, T)
+    assert sol.sigma > 0
+    assert sol.sigma == pytest.approx(720.0 * gamma / (rho**4 * T**5), rel=1e-12)
+
+
 def test_trig_input_validation():
     with pytest.raises(ValueError):
         trig_solve(-0.5, 0.1, 1.0)
