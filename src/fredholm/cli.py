@@ -22,6 +22,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -307,6 +309,20 @@ def _float_repr(x):
     return repr(float(x))
 
 
+def _write_text(path, text):
+    """Write ``text`` to ``path`` in place, then cut the file to the written length.
+
+    Like ``open(path, "w")`` it creates a missing file, keeps an existing
+    file's inode and mode, and follows a symlink.  It does not truncate to
+    zero first: on ext4 a file truncated to zero and rewritten starts
+    writeback of its new pages when it is closed, which costs more than the
+    write itself."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or a device has no length
+            fh.truncate()
+
+
 def _write_csv(path, cfg: RunConfig, res: RunResult):
     header = [
         "# kernel: " + json.dumps(cfg.kernel.spec(), separators=(", ", ": "), allow_nan=False),
@@ -326,8 +342,7 @@ def _write_csv(path, cfg: RunConfig, res: RunResult):
     flat[0::2] = res.t.tolist()
     flat[1::2] = left[:k] + left[: n // 2][::-1]
     body = ("%.17g,%s\n" * n) % tuple(flat)
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n" + body)
+    _write_text(path, "\n".join(header) + "\n" + body)
 
 
 def _finite(doc):
@@ -381,8 +396,7 @@ def run(cfg: RunConfig) -> int:
             doc_text = text
         else:
             doc_text = _dumps({**summary, "t": res.t.tolist(), "phi": res.phi.tolist()})
-        with open(base + ".json", "w") as fh:
-            fh.write(doc_text)
+        _write_text(base + ".json", doc_text)
     sys.stdout.write(text)
     if not summary["passed"]:
         failed = [name for name, ok in summary["checks"].items() if not ok]
@@ -419,8 +433,7 @@ def _cmd_compare(args):
     cfg_b = parse_config(args.config_b, cells=args.cells)
     out = compare_cmd(cfg_a, cfg_b, grid_points=args.grid_points)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_dumps(out))
+        _write_text(args.out, _dumps(out))
     _emit(out)
     return 0
 
@@ -449,8 +462,7 @@ def _cmd_sweep(args):
         "entries": entries,
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_dumps(doc))
+        _write_text(args.out, _dumps(doc))
     _emit(doc)
     return 0
 

@@ -154,9 +154,8 @@ def cauchy_factors(b, c):
 
 
 def _coth_half(x):
-    """coth(x/2) = (e^x + 1)/(e^x - 1) without computing e^x."""
-    emx = np.exp(-x)
-    return (1.0 + emx) / (1.0 - emx)
+    """coth(x/2) = (e^x + 1)/(e^x - 1) without computing e^x; expm1 keeps it finite as x -> 0."""
+    return (1.0 + np.exp(-x)) / -np.expm1(-x)
 
 
 def _spectrum(kernel: ExponentialSum, gamma):
@@ -165,6 +164,7 @@ def _spectrum(kernel: ExponentialSum, gamma):
     return lam, np.asarray(kernel.a), np.asarray(kernel.b), secular_roots(kernel, lam)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
     """Assemble the closed-form minimizer for an exponential-sum kernel.
 
@@ -174,7 +174,9 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
 
     Raises IllConditionedError when cond(Ntilde) exceeds 1e13 -- theoretically
     excluded (Ntilde is provably nonsingular) but reachable in floating point
-    when rates b_k nearly coincide.
+    when rates b_k nearly coincide -- and RuntimeError when Ntilde has a
+    non-finite entry, as when a secular root rounds onto its pole.  The
+    arithmetic runs with numpy's warnings off, so the refusal speaks alone.
     """
     if not isinstance(kernel, ExponentialSum):
         raise TypeError("closed form requires an ExponentialSum kernel")
@@ -191,20 +193,25 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
 
     d = 1.0 / (1.0 + 2.0 * lam * np.sum(a / rb))
 
-    with np.errstate(over="ignore"):  # sqrt(c) T = inf has the right limits below
-        rcT = rc * horizon
+    rcT = rc * horizon  # sqrt(c) T = inf has the right limits below
     coth = _coth_half(rcT)
     Ntilde = (rb[:, None] * rc[None, :] + b[:, None] * coth[None, :]) / (
         c[None, :] - b[:, None]
     )
+    if not np.isfinite(Ntilde).all():  # checked before LAPACK, which prints to stdout on inf
+        on_pole = (c[None, :] == b[:, None]).any()
+        raise RuntimeError(
+            "closed-form system has non-finite entries: "
+            + ("a secular root rounds onto its pole" if on_pole
+               else "sqrt(c) T underflows to 0 or a product overflows")
+        )
     cond = float(np.linalg.cond(Ntilde))
     if not np.isfinite(cond) or cond > 1e13:
         raise IllConditionedError("closed-form system ill-conditioned", cond)
     y = np.linalg.solve(Ntilde, np.ones(n))
 
     # z_i = y_i / (e^{sqrt(c_i) T} - 1), kept in decayed form throughout
-    emT = np.exp(-rcT)
-    z_raw = y * emT / (1.0 - emT)
+    z_raw = y * np.exp(-rcT) / -np.expm1(-rcT)
     z_raw_min = float(z_raw.min())
     if z_raw_min < -1e-12:
         raise RuntimeError(

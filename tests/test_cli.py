@@ -200,6 +200,78 @@ def test_solve_is_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+# -------------------------------------------------------------- artifact writer
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rewritten_solve_artifacts_match_a_fresh_path(tmp_path, capsys, fmt):
+    # artifacts are rewritten in place: a long run's bytes must not outlive a
+    # shorter rewrite, and the files keep their inode and mode
+    path = write_config(tmp_path / "c.json", **_HUMP)
+    suffixes = (".csv", ".json") if fmt == "csv" else (".json",)
+    reused = str(tmp_path / "reused")
+    assert run_main(["solve", "--config", path, "--cells", "2048", "--format", fmt,
+                     "--out", reused], capsys)[0] == 0
+    for suffix in suffixes:
+        os.chmod(reused + suffix, 0o600)
+    before = {suffix: os.stat(reused + suffix) for suffix in suffixes}
+    for base in (reused, str(tmp_path / "fresh")):
+        code, _, err = run_main(["solve", "--config", path, "--cells", "64", "--format", fmt,
+                                 "--out", base], capsys)
+        assert code == 0, err
+    for suffix in suffixes:
+        after = os.stat(reused + suffix)
+        assert (after.st_ino, after.st_mode) == (before[suffix].st_ino, before[suffix].st_mode)
+        assert after.st_size < before[suffix].st_size
+        assert (tmp_path / f"reused{suffix}").read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
+
+
+def test_rewritten_sweep_and_compare_documents_match_a_fresh_path(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", cells=64)
+    sweep = ["sweep", "--config", path, "--gammas"]
+    compare = ["compare", path, path, "--grid-points", "11"]
+    reused = tmp_path / "reused.json"
+    for argv in (sweep + ["1,0.5,0.2,0.1,0.05,0.02"], sweep + ["1,0.5"], compare):
+        reused.write_text("x" * 50_000)  # longer than either document
+        fresh = tmp_path / "fresh.json"
+        fresh.unlink(missing_ok=True)
+        for out in (reused, fresh):
+            code, stdout, err = run_main(argv + ["--out", str(out)], capsys)
+            assert code == 0, err
+        assert reused.read_bytes() == fresh.read_bytes() == stdout.encode()
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", cells=64)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 50_000)
+    link.symlink_to(target)
+    code, out, _ = run_main(["sweep", "--config", path, "--gammas", "1,0.5", "--out", str(link)],
+                            capsys)
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_text() == out
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+def test_out_to_a_device_writes_no_length(tmp_path, capsys):
+    # a device or a pipe takes the document as open(path, "w") would, with no cut to length
+    path = write_config(tmp_path / "c.json", cells=64)
+    code, out, _ = run_main(["sweep", "--config", path, "--gammas", "1,0.5", "--out", os.devnull],
+                            capsys)
+    assert code == 0
+    assert strict_json(out)["entries"]
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--gammas", "1,0.5"]])
+def test_out_in_a_missing_directory_is_one_io_error(tmp_path, capsys, argv):
+    path = write_config(tmp_path / "c.json", cells=64)
+    code, out, err = run_main([*argv, "--config", path, "--out", str(tmp_path / "no" / "run")],
+                              capsys)
+    assert code == 1
+    assert out == ""
+    assert strict_json(err)["error"].startswith("i/o failure")
+
+
 _HUMP = {"kernel": {"type": "capped_linear"}, "gamma": 0.01, "horizon": 11.0}
 _EXP2_DISCRETE = {"kernel": {"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]},
                   "gamma": 0.5, "horizon": 2.0, "method": "discrete"}
@@ -476,6 +548,25 @@ def test_capped_tiny_gamma_refused(tmp_path, gamma):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert "gamma too small" in strict_json(proc.stderr)["error"]
+
+
+_X201 = np.linspace(-40.0, 20.0, 201)  # rates e^-40 .. e^20, sqrt(b) = e^x
+
+
+@pytest.mark.parametrize("kernel, cause", [
+    ({"type": "exponential_sum", "a": [1e-20, 1.0], "b": [0.5, 1.0]}, "rounds onto its pole"),
+    ({"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 1.0 + 2.0**-52]}, "rounds onto its pole"),
+    ({"type": "exponential_sum", "a": (0.3 * np.exp(_X201 / 2)).tolist(),
+      "b": np.exp(2.0 * _X201).tolist()}, "ill-conditioned"),
+], ids=["tiny-weight", "nearly-equal-rates", "201-terms"])
+def test_exponential_root_on_its_pole_is_one_json_error(tmp_path, kernel, cause):
+    # in a fresh process, where no numpy warning and no LAPACK message
+    # (printed to stdout) can come before the one JSON error
+    path = write_config(tmp_path / "c.json", kernel=kernel, gamma=0.5, horizon=2.0)
+    proc = run_module(path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert cause in strict_json(proc.stderr)["error"], proc.stderr
 
 
 EXP2_SPEC = {"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]}

@@ -131,6 +131,13 @@ def test_long_horizon_no_overflow():
     assert eval_closed_form(cf, 100.0) == pytest.approx(eval_closed_form(cf, 90.0), rel=1e-9)
 
 
+def test_coth_half_keeps_its_digits_near_zero():
+    # 1 - e^{-x} loses digits like eps/x and is 0 below 1.1e-16, where a
+    # 201-term sum with rates down to e^-40 divided by it
+    x = np.array([1e-300, 1e-17, 1e-8, 1e-3])
+    np.testing.assert_allclose(exponential._coth_half(x), 2.0 / x + x / 6.0 - x**3 / 360.0, rtol=4e-16)
+
+
 def test_nearly_coincident_rates_rejected():
     kernel = ExponentialSum(a=(1.0, 1.0), b=(1.0, 1.0 + 1e-13))
     with pytest.raises(IllConditionedError) as info:
