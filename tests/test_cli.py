@@ -200,6 +200,11 @@ def test_solve_is_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+_HUMP = {"kernel": {"type": "capped_linear"}, "gamma": 0.01, "horizon": 11.0}
+_EXP2_DISCRETE = {"kernel": {"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]},
+                  "gamma": 0.5, "horizon": 2.0, "method": "discrete"}
+
+
 # -------------------------------------------------------------- artifact writer
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -270,11 +275,6 @@ def test_out_in_a_missing_directory_is_one_io_error(tmp_path, capsys, argv):
     assert code == 1
     assert out == ""
     assert strict_json(err)["error"].startswith("i/o failure")
-
-
-_HUMP = {"kernel": {"type": "capped_linear"}, "gamma": 0.01, "horizon": 11.0}
-_EXP2_DISCRETE = {"kernel": {"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]},
-                  "gamma": 0.5, "horizon": 2.0, "method": "discrete"}
 
 
 @pytest.mark.parametrize("overrides", [
