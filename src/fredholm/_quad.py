@@ -4,9 +4,11 @@ The closed forms integrate products of exponentials, trig polynomials and
 piecewise kernels: smooth between breakpoints, with boundary layers
 e^{-rate u} at the ends of smooth pieces.  :func:`graded_edges` places panels
 for such layers, and :func:`panel_gauss` sums the rule over given panels.
+:func:`even_check` runs the checks of an even closed form as one such sum.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,20 @@ def graded_edges(lo, hi, rate, cuts=()):
     return np.concatenate(out)
 
 
+def panel_edges(a, b, breakpoints=(), max_panel=None):
+    """Edges of the panels :func:`panel_gauss` sums over on [a, b], from a to b.
+
+    Panels never straddle ``breakpoints`` and are no longer than
+    ``max_panel`` when it is given.
+    """
+    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    edges = [cuts[:1]]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        k = math.ceil((hi - lo) / max_panel) if max_panel is not None and hi - lo > max_panel else 1
+        edges.append(np.linspace(lo, hi, k + 1)[1:])
+    return np.concatenate(edges)
+
+
 def panel_gauss(f, a, b, breakpoints=(), max_panel=None):
     """Integrate ``f``, a map of 1-D abscissa arrays to values, over [a, b] in one call of ``f``.
 
@@ -51,14 +67,43 @@ def panel_gauss(f, a, b, breakpoints=(), max_panel=None):
     """
     if b <= a:
         return 0.0
-    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    edges = [cuts[:1]]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        k = math.ceil((hi - lo) / max_panel) if max_panel is not None and hi - lo > max_panel else 1
-        edges.append(np.linspace(lo, hi, k + 1)[1:])
-    edges = np.concatenate(edges)
+    edges = panel_edges(a, b, breakpoints, max_panel)
     x, w = gauss_panels(edges[:-1], edges[1:])
     values = f(x.ravel())
     if isinstance(values, tuple):
         return tuple(float(np.sum(w * v.reshape(x.shape))) for v in values)
     return float(np.sum(w * values.reshape(x.shape)))
+
+
+class EvenCheck(NamedTuple):
+    """The checks of a curve phi on [0, T], even about T/2, that solves gamma phi + G * phi = sigma:
+    its mass, its energy J = int phi (gamma phi + G * phi) / 2 and max |gamma phi + G * phi - sigma|."""
+
+    mass: float
+    energy: float
+    residual_max: float
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def even_check(apply, gamma, sigma, edges):
+    """The :class:`EvenCheck` of an even curve from one evaluation of phi and G * phi.
+
+    ``edges`` are the Gauss panel edges of [0, T/2], from 0 to T/2, and
+    ``apply(s)`` returns phi(s) and (G * phi)(s) on an abscissa array.  It is
+    called once, in one :func:`panel_gauss` pass over those panels, on the
+    Gauss nodes followed by the edges.  Both integrands are even, so
+    mass = 2 sum w phi and J = sum w phi (gamma phi + G * phi) over the
+    nodes; the residual is the largest over the nodes and the edges, which
+    include 0, T/2 and every other breakpoint.  The arithmetic runs with
+    numpy's warnings off: a curve that over- or underflows shows as a
+    non-finite or wrong check, which the caller's tolerances catch.
+    """
+    lhs = []
+
+    def integrands(x):
+        phi, conv = apply(np.concatenate((x, edges)))
+        lhs.append(gamma * phi + conv)
+        return phi[: x.size], phi[: x.size] * lhs[0][: x.size]
+
+    mass, energy = panel_gauss(integrands, edges[0], edges[-1], breakpoints=edges)
+    return EvenCheck(2.0 * mass, energy, float(np.max(np.abs(lhs[0] - sigma))))

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import diagnostics, discrete, exponential, special
-from ._quad import panel_gauss
+from ._quad import panel_gauss  # noqa: F401  the benchmark's span recorder wraps this name
 from .errors import IllConditionedError, IndefiniteKernelError
 from .kernels import CappedLinear, ExponentialSum, Trigonometric, kernel_from_spec
 
@@ -106,23 +106,22 @@ def _even(left, n):
     return np.concatenate((left, left[: n // 2][::-1]))
 
 
-def _closed_form(cfg: RunConfig, evaluate, sigma, energy, residual, **mass_quad) -> RunResult:
-    """Result of a closed form: the curve sampled on the inclusive grid of cells + 1 points.
+def _closed_form(cfg: RunConfig, evaluate, sigma, check) -> RunResult:
+    """Result of a closed form: the curve sampled on the inclusive grid of cells + 1 points,
+    with the mass, energy and residual of its route's one check pass.
 
     The grid's right half is T minus its left half, reversed, so each sample
     of the mirrored curve sits on the mirror of the abscissa it was evaluated at."""
     n = cfg.cells + 1
     left = np.linspace(0.0, cfg.horizon, n)[: (n + 1) // 2]
     t = np.concatenate((left, cfg.horizon - left[: n // 2][::-1]))
-    # phi is even about T/2, an edge of every graded panel layout
-    mass = 2.0 * panel_gauss(evaluate, 0.0, 0.5 * cfg.horizon, **mass_quad)
     return RunResult(
         t=t,
         phi=_even(evaluate(left), n),
         sigma=sigma,
-        energy=energy,
-        residual_max=residual,
-        mass_defect=abs(mass - 1.0),
+        energy=check.energy,
+        residual_max=check.residual_max,
+        mass_defect=abs(check.mass - 1.0),
         grid_start=0.0,
         grid_spacing=t[1] - t[0],
         default_tol=None,
@@ -133,30 +132,20 @@ def _closed_form(cfg: RunConfig, evaluate, sigma, energy, residual, **mass_quad)
 
 def _solve_exp(cfg: RunConfig) -> RunResult:
     cf = exponential.build_closed_form(cfg.kernel, cfg.gamma, cfg.horizon)
-    return _closed_form(
-        cfg, lambda s: exponential.eval_closed_form(cf, s), cf.sigma,
-        exponential.quadrature_energy(cfg.kernel, cf),
-        exponential.fredholm_residual_max(cfg.kernel, cf),
-        breakpoints=exponential.quadrature_edges(cf),
-    )
+    return _closed_form(cfg, lambda s: exponential.eval_closed_form(cf, s), cf.sigma,
+                        exponential.closed_form_check(cfg.kernel, cf))
 
 
 def _solve_capped(cfg: RunConfig) -> RunResult:
     sol = special.capped_linear_solve(int(cfg.horizon), cfg.gamma)
-    return _closed_form(
-        cfg, lambda s: special.eval_capped_linear(sol, s), sol.sigma,
-        special.capped_linear_energy(sol), special.capped_linear_residual_max(sol),
-        breakpoints=special.capped_linear_edges(sol),
-    )
+    return _closed_form(cfg, lambda s: special.eval_capped_linear(sol, s), sol.sigma,
+                        special.capped_linear_check(sol))
 
 
 def _solve_trig(cfg: RunConfig) -> RunResult:
     sol = special.trig_solve(cfg.kernel.rho, cfg.gamma, cfg.horizon)
-    return _closed_form(
-        cfg, lambda s: special.eval_trig(sol, s), sol.sigma,
-        special.trig_energy(sol), special.trig_residual_max(sol),
-        max_panel=special.trig_panel(sol),
-    )
+    return _closed_form(cfg, lambda s: special.eval_trig(sol, s), sol.sigma,
+                        special.trig_check(sol))
 
 
 def _solve_discrete(cfg: RunConfig) -> RunResult:

@@ -87,6 +87,19 @@ def require_samples(n, max_order):
         )
 
 
+def _scaled(m, step, power):
+    """m / step**power, or its limit, ±inf or 0, where step**power under- or overflows.
+
+    Python's float power returns 0.0 on underflow but raises on overflow, and
+    a division by the 0.0 raises: horizons near the float limits reach both."""
+    try:
+        return m / step**power
+    except ZeroDivisionError:  # step**power underflowed to 0
+        return m * math.inf if m else 0.0
+    except OverflowError:  # step**power overflowed
+        return m * 0.0
+
+
 def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> MonotonicityReport:
     """Shape-check a uniformly sampled curve on [0, horizon].
 
@@ -132,7 +145,7 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
 
     d2 = values[:-2] - 2.0 * values[1:-1] + values[2:]
     interior = d2[1:-1] if d2.size > 2 else d2
-    convexity_defect = float(interior.min() / spacing**2)
+    convexity_defect = _scaled(float(interior.min()), spacing, 2)
 
     # D^k with step r is k nested differences d[r:] - d[:-r] of values[first:inside]:
     # entry j of the k-th is the window starting at first + j, and windows of
@@ -149,7 +162,7 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
             m = float(d.min())
             if min_raw[k] is None or m < min_raw[k]:
                 min_raw[k] = m
-            scaled = m / (r * spacing) ** (k + 1)
+            scaled = _scaled(m, r * spacing, k + 1)
             if min_scaled[k] is None or scaled < min_scaled[k]:
                 min_scaled[k] = scaled
         r *= 2

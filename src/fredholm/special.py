@@ -18,8 +18,8 @@ the minimizer dips below zero -- the standing counterexample that positive
 type alone does not buy nonnegative solutions.
 
 Both solvers normalize to unit mass and report sigma (= 2 J_gamma).  Both
-minimizers are even about T/2, so every check integrates over [0, T/2] and
-doubles; the residuals are sampled on all of [0, T].
+minimizers are even about T/2, so each route checks its mass, energy and
+residual in one pass over [0, T/2] (:func:`_quad.even_check`).
 """
 
 import math
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gauss_panels, graded_edges, panel_gauss
+from ._quad import EvenCheck, even_check, graded_edges, panel_edges, panel_gauss
 from .kernels import _em1p
 
 __all__ = [
@@ -35,10 +35,12 @@ __all__ = [
     "TrigSolution",
     "capped_linear_solve",
     "eval_capped_linear",
+    "capped_linear_check",
     "capped_linear_residual_max",
     "capped_linear_energy",
     "trig_solve",
     "eval_trig",
+    "trig_check",
     "trig_residual_max",
     "trig_energy",
     "trig_panel",
@@ -177,7 +179,7 @@ def eval_capped_linear(sol: CappedLinearSolution, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-# evaluation points x basis terms per block of the energy quadrature
+# evaluation points x basis terms per block of the check pass
 _BUDGET = 1 << 13
 
 
@@ -227,26 +229,30 @@ def _capped_convolution(sol: CappedLinearSolution, t):
             + g[..., 0] - 2.0 * g[..., 1] + g[..., 2])
 
 
-def capped_linear_residual_max(sol: CappedLinearSolution, samples=500):
-    """max_t |gamma phi(t) + (G * phi)(t) - sigma| on an inclusive sample grid."""
-    ts = np.linspace(0.0, float(sol.n), samples)
-    resid = sol.gamma * eval_capped_linear(sol, ts) + _capped_convolution(sol, ts) - sol.sigma
-    return float(np.max(np.abs(resid)))
+def capped_linear_check(sol: CappedLinearSolution) -> EvenCheck:
+    """Mass, energy and residual from one pass on the panels of :func:`capped_linear_edges` up to n/2.
+
+    n/2 is one of those edges.  phi and G * phi are evaluated once per Gauss
+    node and edge (:func:`_quad.even_check`), in blocks of at most _BUDGET
+    basis terms; the energy does not use sigma = 2 J.
+    """
+    def apply(s):
+        blocks = [(eval_capped_linear(sol, s[blk]), _capped_convolution(sol, s[blk]))
+                  for blk in _blocks(sol, s.size)]
+        return tuple(np.concatenate(v) for v in zip(*blocks))
+
+    edges = capped_linear_edges(sol)
+    return even_check(apply, sol.gamma, sol.sigma, edges[edges <= 0.5 * sol.n])
+
+
+def capped_linear_residual_max(sol: CappedLinearSolution):
+    """max_t |gamma phi(t) + (G * phi)(t) - sigma| at the points of :func:`capped_linear_check`."""
+    return capped_linear_check(sol).residual_max
 
 
 def capped_linear_energy(sol: CappedLinearSolution):
-    """J_gamma[phi] = int phi (gamma phi + G * phi) / 2, not from sigma = 2 J.
-
-    One blocked Gauss pass on the panels of :func:`capped_linear_edges` up to n/2, doubled.
-    """
-    edges = capped_linear_edges(sol)
-    edges = edges[edges <= 0.5 * sol.n]
-    x, w = (v.ravel() for v in gauss_panels(edges[:-1], edges[1:]))
-    total = 0.0
-    for blk in _blocks(sol, x.size):
-        phi = eval_capped_linear(sol, x[blk])
-        total += float(np.sum(w[blk] * phi * (sol.gamma * phi + _capped_convolution(sol, x[blk]))))
-    return total
+    """J_gamma[phi] = int phi (gamma phi + G * phi) / 2 from :func:`capped_linear_check`."""
+    return capped_linear_check(sol).energy
 
 
 def _trig_defects(x):
@@ -322,32 +328,35 @@ def trig_panel(sol: TrigSolution):
     return min(sol.horizon / 8.0, 1.0 / sol.rho)
 
 
-def _trig_moments(sol: TrigSolution):
-    """M = int cos(rho (s - T/2)) phi(s) ds and int phi^2: one pass over [0, T/2], doubled."""
-    def integrands(s):
-        phi = eval_trig(sol, s)
-        return np.cos(sol.rho * (s - 0.5 * sol.horizon)) * phi, phi**2
-
-    return tuple(2.0 * v for v in panel_gauss(integrands, 0.0, 0.5 * sol.horizon,
-                                              max_panel=trig_panel(sol)))
+def _trig_moment(sol: TrigSolution):
+    """M = int cos(rho (s - T/2)) phi(s) ds: one Gauss pass over [0, T/2], doubled."""
+    half = 0.5 * sol.horizon
+    return 2.0 * panel_gauss(lambda s: np.cos(sol.rho * (s - half)) * eval_trig(sol, s),
+                             0.0, half, max_panel=trig_panel(sol))
 
 
-def trig_residual_max(sol: TrigSolution, samples=500):
-    """Residual of the integral equation; the convolution folds to one moment.
+def trig_check(sol: TrigSolution) -> EvenCheck:
+    """Mass, energy and residual of the integral equation; the convolution folds to one moment.
 
     cos(rho(t-s)) = cos(rho(t-T/2)) cos(rho(s-T/2)) + sin(rho(t-T/2)) sin(rho(s-T/2)),
     and the sine moment of the even phi vanishes, so (G * phi)(t) =
-    M cos(rho(t-T/2)) with M computed by quadrature (independent of the
-    closed-form derivation).
+    M cos(rho(t-T/2)), with M from :func:`_trig_moment` by quadrature
+    (independent of the closed-form derivation) on the check pass's panels.
     """
-    M, _ = _trig_moments(sol)
-    ts = np.linspace(0.0, sol.horizon, samples)
-    conv = M * np.cos(sol.rho * (ts - 0.5 * sol.horizon))
-    resid = sol.gamma * eval_trig(sol, ts) + conv - sol.sigma
-    return float(np.max(np.abs(resid)))
+    half = 0.5 * sol.horizon
+
+    def apply(s):
+        return eval_trig(sol, s), _trig_moment(sol) * np.cos(sol.rho * (s - half))
+
+    return even_check(apply, sol.gamma, sol.sigma,
+                      panel_edges(0.0, half, max_panel=trig_panel(sol)))
+
+
+def trig_residual_max(sol: TrigSolution):
+    """max_t |gamma phi(t) + (G * phi)(t) - sigma| at the points of :func:`trig_check`."""
+    return trig_check(sol).residual_max
 
 
 def trig_energy(sol: TrigSolution):
-    """J_gamma[phi] via iint cos(rho(t-s)) phi phi = M^2."""
-    M, quad_sq = _trig_moments(sol)
-    return 0.5 * sol.gamma * quad_sq + 0.5 * M**2
+    """J_gamma[phi] = int phi (gamma phi + M cos(rho (t - T/2))) / 2 from :func:`trig_check`."""
+    return trig_check(sol).energy

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredholm import cli
+from fredholm import _quad, cli, exponential, special
 
 
 def write_config(path, **overrides):
@@ -462,6 +462,47 @@ def test_exponential_far_boundary_layer_keeps_unit_mass(tmp_path, capsys):
     assert summary["mass_defect"] <= 1e-15
 
 
+@pytest.mark.parametrize("overrides, module, convolution", [
+    ({"kernel": {"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]},
+      "gamma": 0.5, "horizon": 2.0}, exponential, "_convolution"),
+    ({"kernel": {"type": "capped_linear"}, "gamma": 0.1, "horizon": 3.0},
+     special, "_capped_convolution"),
+    (_HUMP, special, "_capped_convolution"),
+], ids=["exp2", "capped3", "hump"])
+def test_closed_form_solve_convolves_each_check_point_once(tmp_path, capsys, monkeypatch,
+                                                           overrides, module, convolution):
+    # mass, energy and residual come from one evaluation of G * phi at the
+    # Gauss nodes and edges of [0, T/2]: no point is convolved twice, none elsewhere
+    seen = []
+    original = getattr(module, convolution)
+    monkeypatch.setattr(module, convolution, lambda *args: seen.append(args[-1]) or original(*args))
+    passes = []
+    for owner in (exponential, special):
+        monkeypatch.setattr(owner, "even_check",
+                            lambda *args: passes.append(args[-1]) or _quad.even_check(*args))
+    path = write_config(tmp_path / "c.json", cells=256, **overrides)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 0, out + err
+    (edges,) = passes
+    nodes, _ = _quad.gauss_panels(edges[:-1], edges[1:])
+    points = np.concatenate(seen)
+    assert edges[0] == 0.0 and edges[-1] == overrides["horizon"] / 2.0
+    assert np.array_equal(points, np.concatenate((nodes.ravel(), edges)))
+    assert np.unique(points).size == points.size
+
+
+def test_trig_solve_takes_its_moment_once(tmp_path, capsys, monkeypatch):
+    # the trig convolution M cos(rho (t - T/2)) needs one Gauss pass for M
+    calls = []
+    moment = special._trig_moment
+    monkeypatch.setattr(special, "_trig_moment", lambda sol: calls.append(sol) or moment(sol))
+    path = write_config(tmp_path / "c.json", kernel={"type": "trigonometric", "rho": 0.5},
+                        gamma=0.001, horizon=1.0, cells=256)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 0, out + err
+    assert len(calls) == 1
+
+
 def test_failed_check_reports_json_error(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path / "c.json")
     monkeypatch.setattr(cli, "_invariant_checks", lambda res: {"unit_mass": False})
@@ -573,21 +614,56 @@ EXP2_SPEC = {"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]}
 DISCRETE_HUGE = dict(horizon=1e300, method="discrete", cells=64)
 
 
-@pytest.mark.parametrize("kernel, overrides", [
-    (EXP2_SPEC, DISCRETE_HUGE),  # overflows in diagnostics.analyze
-    (EXP2_SPEC, dict(horizon=1e308)),  # overflows in the graded panels of the exponential checks
+@pytest.mark.parametrize("kernel, overrides, code", [
+    # diagnostics.analyze scales its minima to 0 instead of overflowing: a valid solve
+    (EXP2_SPEC, DISCRETE_HUGE, 0),
+    (EXP2_SPEC, dict(horizon=1e308), 1),  # overflows in the graded panels of the exponential checks
     # the kernel rows overflow: no numpy warning may reach stderr first
-    ({"type": "power_law", "alpha": 0.5}, DISCRETE_HUGE),
-    ({"type": "capped_linear"}, DISCRETE_HUGE),
-    ({"type": "tabulated", "t": [0.0, 1.0], "g": [1.0, 0.5]}, DISCRETE_HUGE),
+    ({"type": "power_law", "alpha": 0.5}, DISCRETE_HUGE, 1),
+    ({"type": "capped_linear"}, DISCRETE_HUGE, 0),
+    ({"type": "tabulated", "t": [0.0, 1.0], "g": [1.0, 0.5]}, DISCRETE_HUGE, 1),
 ], ids=["discrete-1e300", "exp_closed_form-1e308", "power_law-1e300", "capped_linear-1e300",
         "tabulated-1e300"])
-def test_huge_horizon_is_one_json_error(tmp_path, kernel, overrides):
+def test_huge_horizon_is_one_json_error(tmp_path, kernel, overrides, code):
+    # one JSON document: the passing summary on stdout, or one error on stderr
     path = write_config(tmp_path / "c.json", gamma=1e-4, kernel=kernel, **overrides)
     proc = run_module(path)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert isinstance(strict_json(proc.stderr), dict), proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        assert strict_json(proc.stdout)["passed"] is True
+    else:
+        assert proc.stdout == ""
+        assert isinstance(strict_json(proc.stderr), dict), proc.stderr
+
+
+_TRIG_SPEC = {"type": "trigonometric", "rho": 0.5}
+_POWER_LAW_SPEC = {"type": "power_law", "alpha": 0.5}
+_TABULATED_SPEC = {"type": "tabulated", "t": [0.0, 1.0], "g": [1.0, 0.5]}
+
+
+_EXTREME = [(f"{name}-{horizon:g}", kernel, method, horizon)
+            for horizon in (1e-300, 1e-100)
+            for name, kernel, method in (("exp_closed_form", EXP2_SPEC, "exp_closed_form"),
+                                         ("trig", _TRIG_SPEC, "trig"),
+                                         ("power_law", _POWER_LAW_SPEC, "discrete"),
+                                         ("tabulated", _TABULATED_SPEC, "discrete"))]
+_EXTREME.append(("exp_closed_form-1e60", EXP2_SPEC, "exp_closed_form", 1e60))
+
+
+@pytest.mark.parametrize("kernel, method, horizon", [case[1:] for case in _EXTREME],
+                         ids=[case[0] for case in _EXTREME])
+def test_extreme_horizon_ends_in_at_most_one_json_object(tmp_path, kernel, method, horizon):
+    # the shape scan's h^k scaling under- or overflows here; it reports 0 or
+    # inf, and the closed-form checks run with numpy's warnings off, so
+    # nothing but the one error document reaches stderr
+    path = write_config(tmp_path / "c.json", kernel=kernel, gamma=0.5, horizon=horizon,
+                        method=method, cells=64)
+    proc = run_module(path)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+    assert proc.stderr == "" or isinstance(strict_json(proc.stderr), dict), proc.stderr
+    assert strict_json(proc.stdout)["passed"] is (proc.returncode == 0)
 
 
 # ------------------------------------------------------------ other commands

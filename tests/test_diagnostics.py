@@ -166,6 +166,27 @@ def test_difference_scan_is_bit_exact(grid, n, data):
             assert abs(g[0] - b) <= 2.0**k * eps_max, k
 
 
+@pytest.mark.parametrize("horizon", [1e-300, 1e-100, 1e60, 1e300])
+def test_scaled_minima_at_extreme_horizons_are_their_limits(horizon):
+    # (r h)^k under- or overflows here.  Each scaled minimum is the one at
+    # T = 1 divided by T^k, rounded once to a float: 0 or inf where that
+    # quotient is out of range.  Nothing raises or warns, and the raw minima
+    # and the verdicts are those at T = 1.
+    from decimal import Decimal
+
+    x = np.linspace(-1.0, 1.0, 65)
+    values = 1.0 + x**2 + x**4
+    report = analyze(values, horizon)
+    ref = analyze(values, 1.0)
+    assert [e["min_raw"] for e in report.diff_orders] == [e["min_raw"] for e in ref.diff_orders]
+    assert report.verdicts == ref.verdicts
+    for got, want in zip(report.diff_orders, ref.diff_orders):
+        limit = float(Decimal(want["min_scaled"]) / Decimal(horizon) ** got["order"])
+        assert got["min_scaled"] == pytest.approx(limit, rel=1e-12)
+    limit = float(Decimal(ref.convexity_defect) / Decimal(horizon) ** 2)
+    assert report.convexity_defect == pytest.approx(limit, rel=1e-12)
+
+
 def test_midpoint_grid_accepted():
     # start = h/2, spacing = h is how discrete solutions are laid out
     h = 1.0 / 64.0

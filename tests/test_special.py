@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fredholm import discrete, special
-from fredholm.kernels import CappedLinear, Trigonometric
+from fredholm import _quad, discrete, exponential, special
+from fredholm.kernels import CappedLinear, ExponentialSum, Trigonometric
 from fredholm.special import (
     capped_linear_energy,
     capped_linear_residual_max,
@@ -85,17 +85,23 @@ def test_capped_residual_at_round_off_for_tiny_gamma():
     assert capped_linear_residual_max(sol) <= 1e-13 * sol.sigma
 
 
-def test_capped_residual_detects_perturbed_coefficients():
-    # the batched residual must see a 1e-6 relative error in the coefficients
+def test_capped_residual_detects_perturbed_coefficients(monkeypatch):
+    # the check pass must see a 1e-6 relative error in the coefficients; the
+    # reference takes the residual by adaptive quadrature at the pass's own points
     sol = capped_linear_solve(3, 0.1)
     tilt = 1.0 + 1e-6 * np.linspace(-1.0, 1.0, sol.n)
     bad = dataclasses.replace(sol, a_vec=sol.a_vec * tilt)
-    ts = np.linspace(0.0, 3.0, 13)
+    seen = []
+    convolution = special._capped_convolution
+    monkeypatch.setattr(special, "_capped_convolution",
+                        lambda s, t: seen.append(t) or convolution(s, t))
+    got = capped_linear_residual_max(bad)
+    ts = np.concatenate(seen)
+    assert ts.min() == 0.0 and ts.max() == 1.5
     ref = oracles.fredholm_residual(
         CappedLinear(cap=1.0), lambda t: eval_capped_linear(bad, t),
         bad.sigma, bad.gamma, 3.0, ts, breakpoints=range(1, bad.n),
     )
-    got = capped_linear_residual_max(bad, samples=ts.size)
     assert got == pytest.approx(ref, rel=1e-6, abs=0.0)
     assert got > 1e-6 * sol.sigma  # three orders above the 1e-9 test bound
 
@@ -261,3 +267,54 @@ def test_trig_input_validation():
         trig_solve(0.5, -0.1, 1.0)
     with pytest.raises(ValueError):
         trig_solve(0.5, 0.1, 0.0)
+
+
+# ------------------------------------------------------------ the check pass
+
+def _exp_case(a, b, gamma, horizon):
+    kernel = ExponentialSum(a=a, b=b)
+    cf = exponential.build_closed_form(kernel, gamma, horizon)
+    edges = exponential.quadrature_edges(cf)
+    return (edges[edges <= horizon / 2.0], cf.sigma,
+            lambda t: gamma * exponential.eval_closed_form(cf, t)
+            + exponential._convolution(kernel, cf, t) - cf.sigma)
+
+
+def _capped_case(n, gamma):
+    sol = capped_linear_solve(n, gamma)
+    edges = special.capped_linear_edges(sol)
+    return (edges[edges <= n / 2.0], sol.sigma,
+            lambda t: gamma * eval_capped_linear(sol, t) + special._capped_convolution(sol, t)
+            - sol.sigma)
+
+
+def _trig_case(rho, gamma, horizon):
+    # the unfolded convolution cos(rho t) int cos(rho s) phi + sin(rho t) int sin(rho s) phi
+    # over all of [0, T]: it does not assume that phi is even
+    sol = trig_solve(rho, gamma, horizon)
+    panel = special.trig_panel(sol)
+    mc, ms = _quad.panel_gauss(lambda u: (np.cos(rho * u) * eval_trig(sol, u),
+                                          np.sin(rho * u) * eval_trig(sol, u)),
+                               0.0, horizon, max_panel=panel)
+    return (_quad.panel_edges(0.0, horizon / 2.0, max_panel=panel), sol.sigma,
+            lambda t: gamma * eval_trig(sol, t) + mc * np.cos(rho * t) + ms * np.sin(rho * t)
+            - sol.sigma)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _exp_case((1.0,), (1.0,), 1.0, 1.0),
+    lambda: _exp_case((1.0, 1.0), (1.0, 4.0), 0.5, 2.0),
+    lambda: _trig_case(0.5, 0.001, 1.0),
+    lambda: _capped_case(3, 0.1),
+    lambda: _capped_case(11, 0.01),
+], ids=["exp1", "exp2", "trig", "capped3", "hump"])
+def test_check_residual_on_the_mirrored_half_is_the_same(case):
+    # the check pass takes the residual at the Gauss nodes and edges of
+    # [0, T/2] only; at their mirrors on [T/2, T] it is the same to round-off,
+    # so the half loses nothing
+    edges, sigma, residual = case()
+    nodes, _ = _quad.gauss_panels(edges[:-1], edges[1:])
+    left = np.concatenate((nodes.ravel(), edges))
+    horizon = 2.0 * edges[-1]
+    assert np.max(np.abs(residual(horizon - left) - residual(left))) <= 1e-14 * sigma
+    assert np.max(np.abs(residual(horizon - left))) <= 1e-14 * sigma
