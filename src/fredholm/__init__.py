@@ -18,7 +18,7 @@ from .discrete import (
     kernel_row,
     solve,
 )
-from .errors import IllConditionedError, IndefiniteKernelError
+from .errors import IllConditionedError, IndefiniteKernelError, LevinsonLimitError
 from .exponential import (
     ExpClosedForm,
     build_closed_form,
@@ -85,5 +85,6 @@ __all__ = [
     "compare",
     "IndefiniteKernelError",
     "IllConditionedError",
+    "LevinsonLimitError",
     "__version__",
 ]

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import diagnostics, discrete, exponential, special
 from ._quad import panel_gauss  # noqa: F401  the benchmark's span recorder wraps this name
-from .errors import IllConditionedError, IndefiniteKernelError
+from .errors import IllConditionedError, IndefiniteKernelError, LevinsonLimitError
 from .kernels import CappedLinear, ExponentialSum, Trigonometric, kernel_from_spec
 
 __all__ = ["RunConfig", "MAX_CELLS", "main", "run", "compare_cmd"]
@@ -518,6 +518,8 @@ def main(argv=None) -> int:
         return _error(exc, exc.detail, code=2)
     except IndefiniteKernelError as exc:
         return _error(exc, {"pivot": exc.pivot})
+    except LevinsonLimitError as exc:
+        return _error(exc, {"cells": exc.cells, "limit": exc.limit, "cause": exc.cause})
     except IllConditionedError as exc:
         return _error(exc, {"condition": exc.condition})
     except (ValueError, RuntimeError) as exc:

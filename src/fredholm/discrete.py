@@ -20,11 +20,15 @@ No m x m matrix is formed.  Toeplitz products go through the FFT of a
 averages form a Gram matrix K, so 2H = gamma h I + K has every eigenvalue at
 or above gamma h: that theory margin, checked against a bound on the lag
 row's rounding, is the positive-definiteness certificate, and preconditioned
-conjugate gradients with T. Chan's optimal circulant preconditioner solve
-2H x = 1 in O(m log m), in a number of iterations that does not grow with m
-(the equation is of the second kind).  2H commutes with the reversal of the
-cells and the right-hand side is 1, so x is even about T/2, like the
-continuous minimizer (a series in even powers of t - T/2).  For even m a
+conjugate gradients solve 2H x = 1 in O(m log m), in a number of iterations
+that does not grow with m (the equation is of the second kind).  The
+preconditioner is a ladder of three circulants, each shifted by gamma h: the
+leading block of the inverse of K's 2m-point embedding (a Ku-Kuo-type
+construction, Chan & Ng, SIAM Review 38(3), 1996), then T. Chan's optimal
+circulant, then the von Hann-windowed embedding; a row that misses a rung's
+cap restarts from its iterate under the next.  2H commutes with the
+reversal of the cells and the right-hand side is 1, so x is even about T/2,
+like the continuous minimizer (a series in even powers of t - T/2).  For even m a
 solve holds x by its right half from the first FFT to the mass, energy and
 residual: every product becomes a symmetric convolution (DCT-II/III pair)
 evaluated by FFTs of length m and m/2 instead of 2m and m.  Odd m has a
@@ -36,19 +40,21 @@ caller: it runs on a block of right-hand sides, one row per
 gamma, so each operator or preconditioner application is one 2-D FFT over
 the rows still iterating; a single solve is the block with one row, a
 gamma sweep the block with one row per gamma.  Any other kernel, or a row
-whose margin fails or whose iteration misses its cap, is solved alone by
-the O(m^2) Levinson-Durbin recursion, whose prediction errors certify (or
-refute) positive definiteness directly.  A solution found on all m cells
+whose margin fails or whose iteration misses the last cap, is solved alone
+by the O(m^2) Levinson-Durbin recursion, whose prediction errors certify (or
+refute) positive definiteness directly; above 2^15 cells that recursion is
+refused before it starts.  A solution found on all m cells
 is replaced by its average with its reversal, so every solution equals its
 reversal exactly.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import IndefiniteKernelError
+from .errors import IndefiniteKernelError, LevinsonLimitError
 from .kernels import Kernel
 
 __all__ = [
@@ -192,16 +198,41 @@ def _levinson_ones(col):
     return x / col[0]
 
 
-def _embedding_spectrum(col):
-    """Eigenvalues (rfft order) of the 2m-point circulant (col, 0, col[m-1:0:-1]).
+def _embedding(col):
+    """The 2m-point symmetric circulant column (col, col[m-1], col[m-1:0:-1]).
 
     Its leading m x m block is the symmetric Toeplitz matrix with first column
-    ``col``, so that matrix times v is irfft(spectrum * rfft(v, 2m), 2m)[:m].
-    The circulant is symmetric, so its eigenvalues are real.  Adding s to
-    col[0] adds s to every eigenvalue.  Works along the last axis.
+    ``col`` whatever the free middle entry is.  That entry is col[m-1], not 0:
+    the inverse of the circulant then preconditions the Toeplitz matrix
+    better (the tabulated sweep's slowest row takes 7 steps, against 9).
+    Works along the last axis.
     """
-    zero = np.zeros(col.shape[:-1] + (1,))
-    return np.fft.rfft(np.concatenate((col, zero, col[..., :0:-1]), axis=-1)).real
+    return np.concatenate((col, col[..., -1:], col[..., :0:-1]), axis=-1)
+
+
+def _embedding_spectrum(col):
+    """Eigenvalues (rfft order) of the circulant ``_embedding(col)``.
+
+    The Toeplitz matrix with first column ``col`` times v is
+    irfft(spectrum * rfft(v, 2m), 2m)[:m].  The circulant is symmetric, so
+    its eigenvalues are real.  Adding s to col[0] adds s to every
+    eigenvalue.  Works along the last axis.
+    """
+    return np.fft.rfft(_embedding(col)).real
+
+
+def _hann_eigenvalues(col):
+    """Eigenvalues (rfft order) of the von Hann-windowed embedding, clipped at 0.
+
+    The embedding's column is tapered by cos^2(pi min(k, 2m-k) / 4m), which
+    smooths its spectrum (Chan & Ng, SIAM Review 38(3), 1996) where the
+    plain embedding has eigenvalues far below 0, as for a compactly
+    supported kernel at small gamma.
+    """
+    m = len(col)
+    k = np.arange(2 * m)
+    window = np.cos(np.pi / (4 * m) * np.minimum(k, 2 * m - k)) ** 2
+    return np.maximum(np.fft.rfft(_embedding(col) * window).real, 0.0)
 
 
 def _chan_eigenvalues(col):
@@ -233,7 +264,8 @@ def _half_operator(spectrum, twist):
     That is a DCT-II/III pair (symmetric convolution, Martucci 1994)
     evaluated by Makhoul's n-point FFT (1980), with u rotated so that one
     layout serves every k.  The solve folds the 2m-point embeddings of K and
-    of the midpoint row (n = m) and T. Chan's m-point circulant (n = m/2).
+    of the midpoint row and the inverses of K's embeddings (n = m), and the
+    inverse of T. Chan's m-point circulant (n = m/2).
     """
     n = spectrum.shape[-1] - 1
     # slices, not an index array: fancy indexing on the last axis returns
@@ -262,12 +294,18 @@ def _product(a, d, spectrum, n):
 
 
 # conjugate gradients on a second-kind equation converge in a number of steps
-# that does not grow with m; past this many the run falls back to Levinson
-_PCG_MAX_ITER = 200
+# that does not grow with m; a row that misses a rung's cap moves on to the
+# next preconditioner, and past the last one to Levinson-Durbin
+_RUNG_CAPS = (10, 30, 200)
 _PCG_RTOL = 1e-14
 # a sweep's rows are iterated in blocks of at most this many cells in total, so
 # a block's working arrays stay near the size of one solve at large m
 _BLOCK_CELLS = 1 << 16
+# a row left to the O(m^2) Levinson-Durbin loop above this many cells is
+# refused: on the bump Tabulated((0, .4, .5, .6, 1), (.01, .2, 1, .2, .01)) the
+# loop took 0.57 s at 2^14 cells and 2.3 s at 2^15 (one BLAS thread), and at
+# the CLI's 2^22 ceiling it would run for hours
+_LEVINSON_MAX_CELLS = 1 << 15
 
 
 class _Operators:
@@ -275,12 +313,12 @@ class _Operators:
 
     Both rows come from one ``Kernel.grid_rows`` call, so the grid table a
     family builds them from is built once per solve or sweep.  ``lags`` is the
-    lag row of K and ``chan`` the eigenvalues of K's T. Chan circulant.
-    ``certifiable`` holds when theory puts every eigenvalue of K at or above
-    0 (the kernel is of positive type), and ``rounding`` bounds how far
-    rounding in the computed lag row can move them: a symmetric Toeplitz
-    perturbation d has norm at most 2 |d|_1, and m/2 ulps of every entry are
-    allowed for.
+    lag row of K and ``spectrum`` the eigenvalues of its 2m-point embedding
+    (``_embedding``), clipped at 0.  ``certifiable`` holds when theory puts
+    every eigenvalue of K at or above 0 (the kernel is of positive type),
+    and ``rounding`` bounds how far rounding in the computed lag row can move
+    them: a symmetric Toeplitz perturbation d has norm at most 2 |d|_1, and
+    m/2 ulps of every entry are allowed for.
 
     2H commutes with the reversal of the cells and the right-hand side is 1,
     so the solution is even about T/2; a solve holds it by its ``unknowns``:
@@ -291,22 +329,23 @@ class _Operators:
     midpoint row (``residual_a``, ``residual_d``) transform at length
     2 ``unknowns``: folded at m for even m, plain (``_d`` None) at 2m for
     odd m.  The permutations and the fold twist depend on m alone and are
-    built once here; the preconditioner's fold takes every other entry of
-    the same twist.
+    built once here; T. Chan's fold takes every other entry of the same
+    twist.  The spectra of the later rungs, ``chan`` and ``hann``, are built
+    when a row first reaches them.
     """
 
     def __init__(self, problem: Problem, m: int):
         lags, midpoints = _grid_rows(problem, m)
         self.lags = lags
-        self.chan = _chan_eigenvalues(lags)
         self.certifiable = problem.kernel.classify().positive_type_known
         self.rounding = m * np.finfo(float).eps * float(np.sum(np.abs(lags)))
-        rows = np.stack((lags, midpoints))
+        spectra = _embedding_spectrum(np.stack((lags, midpoints)))
+        self.spectrum = np.maximum(spectra[0], 0.0)
         if m % 2:
             self.unknowns = m
             self.fold = self.order = np.arange(m)
             self._twist = None
-            self.product_a, self.residual_a = _embedding_spectrum(rows)
+            self.product_a, self.residual_a = spectra
             self.product_d = self.residual_d = None
         else:
             k = self.unknowns = m // 2
@@ -321,14 +360,78 @@ class _Operators:
             f = np.arange(k + 1)
             self._twist = np.exp(1j * np.pi / m * (f * (1 - 4 * (k // 2)) % (2 * m)))
             (self.product_a, self.residual_a), (self.product_d, self.residual_d) = (
-                _half_operator(_embedding_spectrum(rows), self._twist))
+                _half_operator(spectra, self._twist))
 
-    def preconditioner(self, ridges):
-        """(a, d) of the inverse of T. Chan's circulant plus each ridge, one row each."""
-        inverse = 1.0 / (self.chan + ridges)
-        if self._twist is None:
-            return inverse, None
-        return _half_operator(inverse, self._twist[::2])
+    @cached_property
+    def chan(self):
+        return _chan_eigenvalues(self.lags)
+
+    @cached_property
+    def hann(self):
+        return _hann_eigenvalues(self.lags)
+
+    def preconditioner(self, rung, ridges):
+        """(a, d, n) of the rung's preconditioner plus each ridge, one row each,
+        applied by ``_apply(a, d, r, n)``.
+
+        Rungs 0 and 2 invert K's 2m-point embedding, plain and von Hann
+        windowed, each with its eigenvalues clipped at 0 and shifted by the
+        ridge, and act by the leading block of that inverse: at the product's
+        transform length, folded like the product for even m.  Rung 1 inverts
+        T. Chan's m-point circulant plus the ridge, at half that length.
+        """
+        n, twist = 2 * self.unknowns, self._twist
+        if rung == 1:
+            eigenvalues, n = self.chan, n // 2
+            twist = None if twist is None else twist[::2]
+        else:
+            eigenvalues = self.hann if rung == 2 else self.spectrum
+        inverse = 1.0 / (eigenvalues + ridges)
+        a, d = (inverse, None) if twist is None else _half_operator(inverse, twist)
+        return a.astype(complex), d, n  # cast once, not inside every product
+
+
+def _pcg(kern_a, kern_d, pre, x, r, cap, stop):
+    """Preconditioned conjugate gradients on a block of rows, from x with r = 1 - 2H x.
+
+    ``kern_a``, ``kern_d`` are 2H's product as ``_apply`` takes it and
+    ``pre`` = (a, d, n) the preconditioner's; each ``a`` and a
+    preconditioner's ``d`` hold one row per row of x.  Each operator or
+    preconditioner application is one 2-D rfft/irfft over the rows still
+    iterating.  A row leaves the block when |r| <= ``stop``, or gives up at
+    the same step when its search direction has p' 2H p <= 0 (alpha = 0).
+    Returns (solved, missed, x): solved[j] is row j's solution, or None if it
+    gave up or missed the cap; ``missed`` lists the rows still iterating
+    after ``cap`` steps, and x their iterates, in that order.
+    """
+    pre_a, pre_d, pre_n = pre
+    n = 2 * x.shape[-1]
+    live = list(range(len(x)))
+    solved = [None] * len(x)
+    p = rz = None
+    for _ in range(cap):
+        z = _apply(pre_a, pre_d, r, pre_n)
+        rz, rz_old = np.vecdot(r, z, keepdims=True), rz
+        p = z if p is None else z + (rz / rz_old) * p
+        q = _apply(kern_a, kern_d, p, n)
+        curvature = np.vecdot(p, q, keepdims=True)
+        curved = [c > 0 for (c,) in curvature.tolist()]
+        # alpha = 0 on a row that is not curved: it leaves with the converged ones
+        alpha = rz / (curvature if all(curved) else np.where(curvature > 0, curvature, np.inf))
+        x += alpha * p
+        r -= alpha * q
+        keep = [c and math.sqrt(rr) > stop for c, rr in zip(curved, np.vecdot(r, r).tolist())]
+        if not all(keep):  # these rows converged, or gave up if not curved
+            for j, x_row, c, kept in zip(live, x, curved, keep):
+                if c and not kept:
+                    solved[j] = x_row
+            live = [j for j, kept in zip(live, keep) if kept]
+            if not live:
+                break
+            keep = np.array(keep)  # converted once for the seven arrays below
+            x, r, p, rz, kern_a, pre_a, pre_d = (
+                a if a is None else a[keep] for a in (x, r, p, rz, kern_a, pre_a, pre_d))
+    return solved, live, x
 
 
 def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
@@ -337,23 +440,25 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     Every row is held by its ``ops.unknowns`` u from the first FFT to the
     output and unfolded once, into its ``SolutionGrid``.  A row whose margin
     gamma h clears ``ops.rounding`` under the positive-type certificate runs
-    preconditioned CG from x = 0 with T. Chan's circulant shifted by gamma h.
-    Its first preconditioned residual takes no FFT: r = 1 is an eigenvector
-    of every circulant, so z = r / (chan[0] + gamma h) exactly.  Each later
-    operator or preconditioner application is one 2-D rfft/irfft over the
-    rows still iterating.  A row leaves the block when the full residual
-    has |r| <= 1e-14 |1| (for even m the half holds |r|^2 / 2), or gives up
-    at the same step when a search direction has p' 2H p <= 0 (alpha = 0),
-    or after ``_PCG_MAX_ITER`` steps; then, or if never certified, it is
-    solved alone by Levinson-Durbin.  A row solved on all m cells
-    (Levinson-Durbin, or CG at odd m) enters as the average of x and its
-    reversal, u = x[``ops.fold``]: that projection onto even vectors commutes
-    with 2H, so it cannot raise the residual beyond rounding.  Each row does
-    the arithmetic of a one-row block, so a sweep matches the single solves
-    bit for bit.  Every row leaves by one output stage, where each u stands
-    for s = m // ``ops.unknowns`` cells: the mass sum x is s fsum(u),
-    correctly rounded, and the energy (s/2) phi' 2H phi and the midpoint
-    residual are two ``_product`` calls on one rfft of phi.
+    ``_pcg`` from x = 0 up a ladder of preconditioners, each shifted by
+    gamma h (``_Operators.preconditioner``): the inverse of K's embedding
+    for at most 10 steps, T. Chan's circulant for 30 and the von Hann
+    windowed embedding for 200.  A row that misses a rung's cap keeps its
+    iterate and restarts under the next rung from its true residual, one
+    product.  The ladder runs once per rung on the rows still unconverged,
+    and each row does the arithmetic of a one-row block, so a sweep matches
+    the single solves bit for bit.  A row leaves the block when the full
+    residual has |r| <= 1e-14 |1| (for even m the half holds |r|^2 / 2).  A
+    row that gives up (p' 2H p <= 0) or misses the last cap, or is never
+    certified, is solved alone by Levinson-Durbin, which refuses with
+    :class:`~fredholm.errors.LevinsonLimitError` above 2^15 cells.  A row
+    solved on all m cells (Levinson-Durbin, or CG at odd m) enters as the
+    average of x and its reversal, u = x[``ops.fold``]: that projection onto
+    even vectors commutes with 2H, so it cannot raise the residual beyond
+    rounding.  Every row leaves by one output stage, where each u stands for
+    s = m // ``ops.unknowns`` cells: the mass sum x is s fsum(u), correctly
+    rounded, and the energy (s/2) phi' 2H phi and the midpoint residual are
+    two ``_product`` calls on one rfft of phi.
     """
     m = len(ops.lags)
     width = ops.unknowns
@@ -366,44 +471,25 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     # handful of per-row scalars would cost as much as the FFTs
     rows = [i for i, ridge in enumerate(ridges[:, 0].tolist())
             if ops.certifiable and ridge > ops.rounding]
-    if rows:  # lambda_min(2H) >= ridge > 0 on every row
-        # the real eigenvalue rows are cast to complex once here, not inside
-        # every product with a spectrum
-        kern_a, kern_d = (ops.product_a + ridges[rows]).astype(complex), ops.product_d
-        pre_a, pre_d = ops.preconditioner(ridges[rows])
-        pre_a = pre_a.astype(complex)
-        r = np.ones((len(rows), width))
-        x = np.zeros_like(r)
-        stop = _PCG_RTOL * math.sqrt(width)
-        # 1 is an eigenvector of every circulant (folded or not), with the
-        # eigenvalue at frequency 0: the first preconditioned residual is exact
-        z = r / (ops.chan[0] + ridges[rows])
-        p = z
-        rz = np.vecdot(r, z, keepdims=True)
-        for _ in range(_PCG_MAX_ITER):
-            q = _apply(kern_a, kern_d, p, 2 * width)
-            curvature = np.vecdot(p, q, keepdims=True)
-            curved = [c > 0 for (c,) in curvature.tolist()]
-            # alpha = 0 on a row that is not curved: it leaves with the converged ones
-            alpha = rz / (curvature if all(curved) else np.where(curvature > 0, curvature, np.inf))
-            x += alpha * p
-            r -= alpha * q
-            keep = [c and math.sqrt(rr) > stop for c, rr in zip(curved, np.vecdot(r, r).tolist())]
-            if not all(keep):  # these rows converged, or gave up if not curved
-                for i, x_row, c, kept in zip(rows, x, curved, keep):
-                    if c and not kept:
-                        x_rows[i] = x_row
-                if not any(keep):
-                    break
-                rows = [i for i, kept in zip(rows, keep) if kept]
-                keep = np.array(keep)  # converted once for the seven arrays below
-                x, r, p, rz, kern_a, pre_a, pre_d = (
-                    a if a is None else a[keep] for a in (x, r, p, rz, kern_a, pre_a, pre_d))
-            z = _apply(pre_a, pre_d, r, width)
-            rz, rz_old = np.vecdot(r, z, keepdims=True), rz
-            p = z + (rz / rz_old) * p
+    x, r = np.zeros((len(rows), width)), np.ones((len(rows), width))
+    stop = _PCG_RTOL * math.sqrt(width)
+    for rung, cap in enumerate(_RUNG_CAPS):
+        if not rows:
+            break
+        # lambda_min(2H) >= ridge > 0 on every row; the real eigenvalue rows
+        # are cast to complex once per rung here, not inside every product
+        kern_a = (ops.product_a + ridges[rows]).astype(complex)
+        if rung:  # the true residual of the iterate the last rung left
+            r = 1.0 - _apply(kern_a, ops.product_d, x, 2 * width)
+        solved, missed, x = _pcg(kern_a, ops.product_d, ops.preconditioner(rung, ridges[rows]),
+                                 x, r, cap, stop)
+        for i, x_row in zip(rows, solved):
+            x_rows[i] = x_row
+        rows = [rows[j] for j in missed]
     for i, x_row in enumerate(x_rows):
         if x_row is None:
+            if m > _LEVINSON_MAX_CELLS:
+                raise LevinsonLimitError(m, _LEVINSON_MAX_CELLS, _uncertified_cause(ops, ridges[i, 0]))
             x_row = _levinson_ones(_column(ops.lags, float(ridges[i, 0])))
         if len(x_row) == m:  # solved on all m cells
             x_rows[i] = 0.5 * (x_row + x_row[::-1])[ops.fold]
@@ -432,6 +518,15 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     ]
 
 
+def _uncertified_cause(ops: _Operators, ridge):
+    """Why a row was left to Levinson-Durbin, in words."""
+    if not ops.certifiable:
+        return "the kernel has no positive-type claim"
+    if not ridge > ops.rounding:
+        return "the margin gamma h does not clear the lag row's rounding bound"
+    return "conjugate gradients did not converge under any preconditioner"
+
+
 def solve(problem: Problem, m: int) -> SolutionGrid:
     """Minimize the discretized energy under unit mass.
 
@@ -440,12 +535,13 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     (``classify().positive_type_known``), theory puts every eigenvalue of
     2H at or above gamma h; when that margin exceeds the bound
     m * eps * |lag row|_1 on the lag row's rounding, preconditioned
-    conjugate gradients with T. Chan's circulant preconditioner solve the
-    system in O(m log m).  Otherwise, or when the iteration does not reach
-    |r| <= 1e-14 |1| within its cap, Levinson-Durbin solves it in O(m^2),
-    and raises :class:`~fredholm.errors.IndefiniteKernelError` when H is
-    not positive definite (the kernel is not of positive type at this
-    resolution).  For even m the solve, the mass, the energy phi' H phi and
+    conjugate gradients solve the system in O(m log m), under the inverse of
+    K's circulant embedding, then T. Chan's circulant, then the von Hann
+    windowed embedding (see ``_solve_rows``).  Otherwise, or when the
+    iteration does not reach |r| <= 1e-14 |1| within the last rung's cap,
+    Levinson-Durbin solves it in O(m^2), and raises
+    :class:`~fredholm.errors.IndefiniteKernelError` when H is not positive
+    definite (the kernel is not of positive type at this resolution).  For even m the solve, the mass, the energy phi' H phi and
     the midpoint residual all run on the right half of the even solution,
     with FFTs of length m and m/2; a Levinson-Durbin solution enters that
     half as the average of itself and its reversal.  ``values`` equals its
@@ -459,14 +555,12 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     singularity at lag 0 sits in every diagonal cell (a 4x finer grid
     divides it by 4^(1 - alpha), that is 2 at alpha = 0.5).
 
-    Known limits of the Levinson-Durbin route.  It is an O(m^2) Python
-    loop: a kernel with no positive-type claim takes about 1 s at m = 16384,
-    so near the CLI's 2^22 cell ceiling a solve takes hours.  Its solution
-    meets sigma = 2 J only to its own relative residual: for the cosine
-    kernel at rho 0.5, gamma 1e-5, T 20, where the iteration reaches its
-    cap and falls back, the defect is 3.5e-9 sigma at m = 256, so the CLI's
-    1e-9 check fails there; it is -9.7e-10 sigma at m = 200, just inside,
-    and 9.1e-10 at m = 1024, with or without the even projection.
+    The Levinson-Durbin route is an O(m^2) Python loop: a kernel with no
+    positive-type claim takes 0.57 s at m = 2^14 and 2.3 s at 2^15, so
+    above 2^15 cells it raises :class:`~fredholm.errors.LevinsonLimitError`
+    instead of starting.  Its solution meets sigma = 2 J only to its own
+    relative residual, a few 1e-9 sigma for the cosine kernel at gamma
+    1e-5, T 20, where the ladder meets it to 4e-11.
     """
     return _solve_rows(problem, _Operators(problem, m), [problem.gamma])[0]
 
@@ -491,13 +585,15 @@ def gamma_sweep(problem: Problem, m: int, gammas) -> list:
     """Solve a strictly decreasing sequence of gamma values on a fixed grid.
 
     The gamma-free lag row, the (for even m folded) FFT operators of K and
-    of the midpoint convolution, and the eigenvalues of K's circulant
-    preconditioner are computed once; each gamma only adds gamma h to K's
-    spectrum and to the preconditioner's eigenvalues.  The gammas are one block of rows: conjugate gradients
-    iterate every certified row at once (the right half of each for even m),
-    one 2-D FFT per operator or preconditioner application, and a row
-    leaves the block when it converges; rows that are not certified, or
-    give up, are solved one by one by Levinson-Durbin.  Every gamma gets the
+    of the midpoint convolution, and the eigenvalues of each circulant
+    preconditioner are computed once, the later rungs' only when a row
+    reaches them; each gamma only adds gamma h to K's spectrum and to the
+    preconditioners' eigenvalues.  The gammas are one block of rows:
+    conjugate gradients iterate every certified row at once (the right half
+    of each for even m), one 2-D FFT per operator or preconditioner
+    application, each rung of the ladder runs once on the rows still
+    unconverged, and a row leaves the block when it converges; rows that are
+    not certified, or give up, are solved one by one by Levinson-Durbin.  Every gamma gets the
     bits :func:`solve` gives it.  A block holds at most 2^16 cells in total,
     or one row when m is larger, so memory stays that of one solve at large
     m.  Used to watch mass migrate toward the endpoints as the quadratic

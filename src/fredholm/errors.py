@@ -28,3 +28,21 @@ class IllConditionedError(RuntimeError):
     def __init__(self, message: str, condition: float):
         self.condition = condition
         super().__init__(f"{message} (condition estimate {condition:.3e})")
+
+
+class LevinsonLimitError(RuntimeError):
+    """A row left to the O(m^2) Levinson-Durbin solve has too many cells.
+
+    Raised before the recursion starts, so that a run that would take hours
+    ends at once.  ``cells`` is the grid size, ``limit`` the largest size the
+    recursion takes, and ``cause`` says why no certified iteration solved the
+    row.
+    """
+
+    def __init__(self, cells: int, limit: int, cause: str):
+        self.cells = cells
+        self.limit = limit
+        self.cause = cause
+        super().__init__(
+            f"Levinson-Durbin solve refused at {cells} cells, above {limit}: {cause}"
+        )

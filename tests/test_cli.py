@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredholm import _quad, cli, exponential, special
+from fredholm import _quad, cli, discrete, exponential, special
 
 
 def write_config(path, **overrides):
@@ -342,11 +342,13 @@ def test_counterexample_run_succeeds(tmp_path, capsys):
     assert ",-" in body  # negative phi values present in the curve
 
 
+_BUMP = {"type": "tabulated", "t": [0.0, 0.4, 0.5, 0.6, 1.0], "g": [0.01, 0.2, 1.0, 0.2, 0.01]}
+
+
 def test_indefinite_kernel_exits_1(tmp_path, capsys):
     path = write_config(
         tmp_path / "c.json",
-        kernel={"type": "tabulated", "t": [0.0, 0.4, 0.5, 0.6, 1.0],
-                "g": [0.01, 0.2, 1.0, 0.2, 0.01]},
+        kernel=_BUMP,
         gamma=1e-6,
         cells=32,
     )
@@ -355,6 +357,35 @@ def test_indefinite_kernel_exits_1(tmp_path, capsys):
     doc = json.loads(err)
     assert "positive type" in doc["error"]
     assert doc["detail"]["pivot"] == 2
+
+
+@pytest.mark.parametrize("cells", [200, 256, 1024])
+def test_discrete_cosine_kernel_meets_sigma_equals_two_energy(tmp_path, capsys, cells):
+    # the cosine kernel's K has rank about 2: at gamma 1e-5, T 20 conjugate
+    # gradients climb to the von Hann rung of their preconditioner ladder,
+    # and the solution meets sigma = 2J to the check's 1e-9
+    path = write_config(tmp_path / "c.json", kernel={"type": "trigonometric", "rho": 0.5},
+                        gamma=1e-5, horizon=20.0, method="discrete", cells=cells)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 0, out + err
+    summary = json.loads(out)
+    assert abs(summary["sigma"] - 2.0 * summary["energy"]) <= 1e-9 * summary["sigma"]
+    assert all(summary["checks"].values()), summary["checks"]
+
+
+def test_levinson_above_its_size_is_refused(tmp_path):
+    # the bump has no positive-type claim, so its rows are left to the O(m^2)
+    # Levinson-Durbin loop, which is refused above its size before it starts
+    cells = discrete._LEVINSON_MAX_CELLS + 1
+    path = write_config(tmp_path / "c.json", gamma=1.0, horizon=1.0, method="discrete",
+                        cells=cells, kernel=_BUMP)
+    proc = run_module(path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    doc = strict_json(proc.stderr)
+    assert doc["error"].startswith("Levinson-Durbin solve refused")
+    assert doc["detail"] == {"cells": cells, "limit": discrete._LEVINSON_MAX_CELLS,
+                             "cause": "the kernel has no positive-type claim"}
 
 
 def test_trig_pole_exits_0(tmp_path, capsys):

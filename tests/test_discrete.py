@@ -9,7 +9,7 @@ from scipy import linalg
 
 from fredholm import discrete, exponential
 from fredholm.discrete import Problem, discretize, endpoint_mass, gamma_sweep, kernel_row, solve
-from fredholm.errors import IndefiniteKernelError
+from fredholm.errors import IndefiniteKernelError, LevinsonLimitError
 from fredholm.kernels import (
     CappedLinear,
     ExponentialSum,
@@ -209,22 +209,28 @@ def test_half_products_match_full_products(m):
     col = rng.standard_normal(m)
     toeplitz = discrete._embedding_spectrum(col)
     circulant = discrete._chan_eigenvalues(col)
+    # the leading block of the inverse of the clipped, shifted embedding, as
+    # the first rung of the preconditioner ladder applies it
+    inverse = 1.0 / (np.maximum(toeplitz, 0.0) + 1.0)
     for half, full in [
         (discrete._apply(*discrete._half_operator(toeplitz, twist), u, m),
          np.fft.irfft(toeplitz * np.fft.rfft(x, 2 * m), 2 * m)[:m]),
         (discrete._apply(*discrete._half_operator(circulant, twist[::2]), u, k),
          np.fft.irfft(circulant * np.fft.rfft(x), m)),
+        (discrete._apply(*discrete._half_operator(inverse, twist), u, m),
+         np.fft.irfft(inverse * np.fft.rfft(x, 2 * m), 2 * m)[:m]),
     ]:
         assert np.max(np.abs(half[order] - full)) <= 4e-15 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("cause", ["iteration_cap", "margin"])
 def test_uncertified_runs_fall_back_to_levinson(monkeypatch, cause):
-    # a PCG run that misses its cap, or whose theory margin gamma h does not
-    # clear the lag row's rounding bound, is solved by Levinson-Durbin instead
+    # a PCG run that misses the cap of every rung of its preconditioner
+    # ladder, or whose theory margin gamma h does not clear the lag row's
+    # rounding bound, is solved by Levinson-Durbin instead
     problem = EXP1
     if cause == "iteration_cap":
-        monkeypatch.setattr(discrete, "_PCG_MAX_ITER", 1)
+        monkeypatch.setattr(discrete, "_RUNG_CAPS", (1, 1, 1))
     else:  # gamma h = 7.8e-17 against the bound m eps |lags|_1 = 1.4e-16
         problem = replace(EXP1, gamma=5e-15)
     calls = []
@@ -235,6 +241,82 @@ def test_uncertified_runs_fall_back_to_levinson(monkeypatch, cause):
     sigma, phi = _levinson_solution(problem, 64)
     assert grid.sigma == sigma
     np.testing.assert_array_equal(grid.values, phi)
+
+
+def _spy(monkeypatch, name):
+    """Replace discrete.<name> by a wrapper that logs its first argument's length."""
+    calls = []
+    function = getattr(discrete, name)
+    monkeypatch.setattr(discrete, name, lambda first, *rest: calls.append(len(first))
+                        or function(first, *rest))
+    return calls
+
+
+# the rung a row ends on, the rung caps that put it there, and the spectra
+# built on the way: a later rung's spectrum is built only when a row reaches it
+@pytest.mark.parametrize("last, caps, built", [
+    (0, discrete._RUNG_CAPS, []),
+    (1, (1, 200, 200), ["chan"]),
+    (2, (1, 1, 200), ["chan", "hann"]),
+    (3, (1, 1, 1), ["chan", "hann"]),
+], ids=["embedding", "chan", "hann", "levinson"])
+@pytest.mark.parametrize("m", [255, 256, 1026])
+def test_every_rung_of_the_ladder_lands_on_levinson(monkeypatch, m, last, caps, built):
+    # exp2 needs 5 steps under the embedding inverse; capping the rungs before
+    # it at one step makes a row keep its iterate and restart from its true
+    # residual under each later rung in turn, and past the last one
+    # Levinson-Durbin solves it
+    problem = POSITIVE_TYPE["exp2"]
+    sigma, phi = _levinson_solution(problem, m)
+    monkeypatch.setattr(discrete, "_RUNG_CAPS", caps)
+    rungs = _spy(monkeypatch, "_pcg")
+    spectra = {name: _spy(monkeypatch, f"_{name}_eigenvalues") for name in ("chan", "hann")}
+    levinson = _spy(monkeypatch, "_levinson_ones")
+    grid = solve(problem, m)
+    assert rungs == [1] * min(last + 1, 3)
+    assert [name for name, calls in spectra.items() if calls] == built
+    assert all(len(calls) <= 1 for calls in spectra.values())
+    assert levinson == ([m] if last == 3 else [])
+    assert grid.sigma == pytest.approx(sigma, rel=1e-14)
+    assert np.max(np.abs(grid.values - phi)) <= 1e-12 * np.max(np.abs(phi))
+    np.testing.assert_array_equal(grid.values, grid.values[::-1])
+
+
+def test_sweep_rows_ending_on_different_rungs_match_single_solves(monkeypatch):
+    # cosine kernel at T 3: gamma 0.1 converges under the embedding inverse,
+    # 0.01 under T. Chan's circulant and 1e-5 under the von Hann embedding;
+    # each rung runs once on the rows still unconverged, and every row keeps
+    # the bits of its single solve
+    problem = Problem(gamma=1.0, horizon=3.0, kernel=Trigonometric(rho=0.5))
+    gammas = [0.1, 0.01, 1e-5]
+    refs = [solve(replace(problem, gamma=g), 256) for g in gammas]
+    rungs = _spy(monkeypatch, "_pcg")
+    monkeypatch.setattr(discrete, "_levinson_ones", None)
+    grids = gamma_sweep(problem, 256, gammas)
+    assert rungs == [3, 2, 1]
+    for grid, ref in zip(grids, refs, strict=True):
+        assert (grid.sigma, grid.energy, grid.residual_max) == (ref.sigma, ref.energy, ref.residual_max)
+        np.testing.assert_array_equal(grid.values, ref.values)
+
+
+def test_levinson_refused_above_its_size(monkeypatch):
+    # a row left to the O(m^2) recursion above the limit is refused before
+    # the recursion starts, with the cause named
+    monkeypatch.setattr(discrete, "_LEVINSON_MAX_CELLS", 63)
+    levinson = _spy(monkeypatch, "_levinson_ones")
+    for problem, cause in [
+        (Problem(gamma=1.0, horizon=3.0, kernel=BUMP), "no positive-type claim"),
+        (replace(EXP1, gamma=5e-15), "rounding bound"),
+    ]:
+        with pytest.raises(LevinsonLimitError, match=cause) as info:
+            solve(problem, 64)
+        assert (info.value.cells, info.value.limit) == (64, 63)
+    monkeypatch.setattr(discrete, "_RUNG_CAPS", (1, 1, 1))
+    with pytest.raises(LevinsonLimitError, match="did not converge"):
+        solve(EXP1, 64)
+    assert levinson == []
+    solve(EXP1, 63)  # at the limit the recursion still runs
+    assert levinson == [63]
 
 
 def test_gamma_sweep_orders_and_endpoint_mass():
@@ -251,8 +333,8 @@ def test_gamma_sweep_orders_and_endpoint_mass():
     (Problem(gamma=0.3, horizon=3.0,
              kernel=Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05))),
      96, [1.0, 0.1, 0.003]),
-    # rows leave the block at different iterations; the two smallest gammas
-    # run to the iteration cap and fall back to Levinson-Durbin
+    # rows leave the block at different iterations, and every row climbs the
+    # preconditioner ladder to its third rung, the von Hann embedding
     (Problem(gamma=1.0, horizon=20.0, kernel=Trigonometric(rho=0.5)), 256, [1e-2, 1e-3, 1e-5, 1e-8]),
     # the last row's margin gamma h does not clear the rounding bound
     (EXP1, 64, [1.0, 1e-3, 5e-15]),
@@ -294,7 +376,7 @@ def test_sweep_row_losing_curvature_falls_back(monkeypatch):
         self.certifiable = True
 
     monkeypatch.setattr(discrete._Operators, "__init__", certified)
-    monkeypatch.setattr(discrete, "_PCG_MAX_ITER", 10_000)
+    monkeypatch.setattr(discrete, "_RUNG_CAPS", (10_000,))
     problem = Problem(gamma=1.0, horizon=1.0, kernel=kernel)
     with pytest.raises(IndefiniteKernelError) as single:
         solve(replace(problem, gamma=0.1), 64)
