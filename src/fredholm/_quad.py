@@ -4,7 +4,8 @@ The closed forms integrate products of exponentials, trig polynomials and
 piecewise kernels: smooth between breakpoints, with boundary layers
 e^{-rate u} at the ends of smooth pieces.  :func:`graded_edges` places panels
 for such layers, and :func:`panel_gauss` sums the rule over given panels.
-:func:`even_check` runs the checks of an even closed form as one such sum.
+:func:`even_check` runs the checks of an even closed form as one such sum
+over the panels of the edges it is given.
 """
 
 import math
@@ -34,6 +35,9 @@ def graded_edges(lo, hi, rate, cuts=()):
     varies on each panel by no more than it has decayed before it.
     """
     ends = [lo, *(c for c in cuts if lo < c < hi), hi]
+    if 0.5 * max(q - p for p, q in zip(ends[:-1], ends[1:])) * rate <= 10.0:  # no layer anywhere
+        e = np.array(ends, dtype=float)
+        return np.concatenate((e[:1], np.column_stack((e[:-1] + 0.5 * np.diff(e), e[1:])).ravel()))
     out = [ends[:1]]
     for p, q in zip(ends[:-1], ends[1:]):
         half = 0.5 * (q - p)
@@ -90,20 +94,19 @@ def even_check(apply, gamma, sigma, edges):
 
     ``edges`` are the Gauss panel edges of [0, T/2], from 0 to T/2, and
     ``apply(s)`` returns phi(s) and (G * phi)(s) on an abscissa array.  It is
-    called once, in one :func:`panel_gauss` pass over those panels, on the
-    Gauss nodes followed by the edges.  Both integrands are even, so
-    mass = 2 sum w phi and J = sum w phi (gamma phi + G * phi) over the
-    nodes; the residual is the largest over the nodes and the edges, which
-    include 0, T/2 and every other breakpoint.  The arithmetic runs with
-    numpy's warnings off: a curve that over- or underflows shows as a
-    non-finite or wrong check, which the caller's tolerances catch.
+    called once, on the Gauss nodes of those panels followed by the edges.
+    Both integrands are even, so mass = 2 sum w phi and
+    J = sum (w phi) (gamma phi + G * phi) over the nodes: the weight comes
+    first, so a curve of size 1/T does not overflow its energy at a tiny T.
+    The residual is the largest over the nodes and the edges, which include
+    0, T/2 and every other breakpoint.  The arithmetic runs with numpy's
+    warnings off: a curve that over- or underflows shows as a non-finite or
+    wrong check, which the caller's tolerances catch.
     """
-    lhs = []
-
-    def integrands(x):
-        phi, conv = apply(np.concatenate((x, edges)))
-        lhs.append(gamma * phi + conv)
-        return phi[: x.size], phi[: x.size] * lhs[0][: x.size]
-
-    mass, energy = panel_gauss(integrands, edges[0], edges[-1], breakpoints=edges)
-    return EvenCheck(2.0 * mass, energy, float(np.max(np.abs(lhs[0] - sigma))))
+    nodes, w = gauss_panels(edges[:-1], edges[1:])
+    n = w.size
+    phi, conv = apply(np.concatenate((nodes.ravel(), edges)))
+    lhs = gamma * phi + conv
+    w_phi = w.ravel() * phi[:n]
+    return EvenCheck(2.0 * float(np.sum(w_phi)), float(np.sum(w_phi * lhs[:n])),
+                     float(np.max(np.abs(lhs - sigma))))

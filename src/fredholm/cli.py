@@ -334,19 +334,35 @@ def _write_csv(path, cfg: RunConfig, res: RunResult):
     _write_text(path, "\n".join(header) + "\n" + body)
 
 
-def _finite(doc):
-    """``doc`` with every non-finite float replaced by its repr string."""
-    if isinstance(doc, float) and not math.isfinite(doc):
-        return repr(doc)
-    if isinstance(doc, dict):
-        return {k: _finite(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_finite(v) for v in doc]
-    return doc
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's own string escaper
+
+
+def _json(o, nl):
+    """The indent-2 JSON text of ``o``, which starts after the line break and indent ``nl``.
+
+    It is the text of ``json.dumps(o, indent=2)``, but strict: a non-finite
+    float is written as the string of its float repr, "inf", "-inf" or "nan",
+    also for a numpy scalar."""
+    if isinstance(o, float):
+        return float.__repr__(o) if math.isfinite(o) else _quote(float.__repr__(o))
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = nl + "  "
+    if isinstance(o, dict):  # _quote refuses a key that is not a string
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if isinstance(o, (list, tuple)):
+        items = [_json(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _dumps(doc):
-    return json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
+    return _json(doc, "\n") + "\n"
 
 
 def _emit(doc, stream=None):

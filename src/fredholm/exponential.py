@@ -78,32 +78,60 @@ class ExpClosedForm:
         return self.gamma * self.normalization
 
 
-def _secular_sum(x, b, w, power):
-    """sum_k w_k / (x - b_k)^power for power 1 or 2, on Python floats.
+_EPS = 2.0**-52
 
-    The terms are added left to right, as ``np.sum`` adds fewer than eight;
-    a zero denominator gives +inf, as numpy's division of a positive w does.
+
+def _pole_offset(b, w, o, far):
+    """tau = c - b_o for the root c of f(x) = 1 - sum_k w_k/(x - b_k) between b_o and b_o + far.
+
+    Newton steps on h(tau) = tau f(b_o + tau) = tau g(tau) - w_o, where
+    g = 1 - sum_{k != o} w_k/(tau + b_o - b_k) no longer has the pole at
+    b_o, start from the pole itself, tau = 0, where h = -w_o < 0; h >= 0 at
+    ``far``.  A step that leaves the bracket of the last two signs of h
+    bisects it instead.  Near the pole h is about tau g - w_o, so tau comes
+    out to a few ulps however close c is to b_o (Bunch, Nielsen & Sorensen
+    1978; R.-C. Li 1994).  For one term, g = 1: the first step lands on
+    tau = w_o exactly.
     """
-    total = 0.0
-    for bk, wk in zip(b, w):
-        d = x - bk
-        if power == 2:
-            d *= d
-        total += wk / d if d else math.inf
-    return total
+    w_o = w[o]
+    rest = [(b[o] - bk, wk) for k, (bk, wk) in enumerate(zip(b, w)) if k != o]
+    neg, pos = 0.0, far  # h(neg) < 0 <= h(pos)
+    tau = 0.0
+    for _ in range(64):
+        g, dg = 1.0, 0.0
+        for dk, wk in rest:
+            d = tau + dk  # the bracket holds no other pole, so d is not 0
+            g -= wk / d
+            dg += wk / d / d
+        h = tau * g - w_o
+        if h == 0.0:
+            return tau
+        if h < 0.0:
+            neg = tau
+        else:
+            pos = tau
+        dh = g + tau * dg
+        new = tau - h / dh if dh else math.nan
+        if not min(neg, pos) <= new <= max(neg, pos):  # also a step of nan
+            new = 0.5 * (neg + pos)
+        if abs(new - tau) <= 4.0 * _EPS * abs(new):
+            return new
+        tau = new
+    return tau
 
 
 def secular_roots(kernel: ExponentialSum, lam) -> np.ndarray:
     """Roots of f(x) = 1 - 2*lam*sum_k a_k*sqrt(b_k)/(x - b_k) for the kernel's a, b.
 
-    Bisection inside the guaranteed brackets (b_k, b_{k+1}) and
-    (b_n, b_n + 2*lam*sum a_k sqrt(b_k)], then a Newton polish (f is strictly
-    increasing between poles, so the polish cannot leave the bracket
-    unnoticed -- steps outside are rejected).  Interlacing holds exactly by
+    One root lies in each bracket (b_k, b_{k+1}) and one in
+    (b_n, b_n + 2*lam*sum a_k sqrt(b_k)]: f increases from -inf to +inf
+    between poles.  The sign of f at a bracket's midpoint names the nearer
+    pole, and :func:`_pole_offset` finds the root's offset from it, so a
+    root that hugs its pole keeps its digits.  Interlacing holds by
     construction.  The kernel already guarantees positive a and strictly
     increasing positive b.  Returns the n roots c, ascending.  The
-    arithmetic is scalar: 60 bisection steps per root cost more as numpy
-    calls on n-element arrays than the sums themselves.
+    arithmetic is scalar: a few Newton steps on n-term sums cost more as
+    numpy calls on n-element arrays than the sums themselves.
     """
     lam = float(lam)
     if not lam > 0:
@@ -112,27 +140,17 @@ def secular_roots(kernel: ExponentialSum, lam) -> np.ndarray:
     b = kernel.b
     w = [2.0 * lam * ak * math.sqrt(bk) for ak, bk in zip(kernel.a, b)]
     n = len(b)
-    reach = 0.0  # sum of w, left to right
-    for wk in w:
-        reach += wk
     roots = []
     for k in range(n):
-        lo = b[k]
-        hi = b[k + 1] if k + 1 < n else b[-1] + reach
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if 1.0 - _secular_sum(mid, b, w, 1) < 0.0:
-                lo = mid
+        if k + 1 < n:
+            half = 0.5 * (b[k + 1] - b[k])  # f at b_k + half from offsets: that sum may round onto a pole
+            if half > 0.0 and 1.0 - sum(wj / (half + (b[k] - bj)) for bj, wj in zip(b, w)) >= 0.0:
+                o, far = k, half
             else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        for _ in range(3):
-            dfx = _secular_sum(x, b, w, 2)
-            step = (1.0 - _secular_sum(x, b, w, 1)) / dfx if dfx else math.nan
-            if not math.isfinite(step) or not lo <= x - step <= hi:
-                break
-            x -= step
-        roots.append(x)
+                o, far = k + 1, -half
+        else:
+            o, far = k, math.fsum(w)
+        roots.append(b[o] + _pole_offset(b, w, o, far))
     return np.array(roots)
 
 

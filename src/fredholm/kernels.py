@@ -38,7 +38,7 @@ return exact zeros for far-apart cells this way).
 
 import bisect
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import ClassVar
 
@@ -74,7 +74,9 @@ class KernelStructure:
     tolerance: float | None = None
 
     def to_dict(self):
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        # from fields(): dataclasses.asdict deep-copies, and every field is immutable
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v for k, v in values.items() if v is not None}
 
 
 def _segments(lo, hi, cuts):
@@ -102,8 +104,11 @@ class Kernel:
 
     def spec(self) -> dict:
         """JSON-compatible description, round-trips through kernel_from_spec."""
-        values = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
-        return {"type": self.kind, **values}
+        spec = {"type": self.kind}
+        for f in fields(self):  # not dataclasses.asdict, which deep-copies every tuple first
+            v = getattr(self, f.name)
+            spec[f.name] = list(v) if isinstance(v, tuple) else v
+        return spec
 
     # --- G and its antiderivatives (vectorized over ndarrays) ---
 

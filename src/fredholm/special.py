@@ -44,6 +44,7 @@ __all__ = [
     "trig_residual_max",
     "trig_energy",
     "trig_panel",
+    "MAX_TRIG_PANELS",
 ]
 
 
@@ -328,6 +329,11 @@ def trig_panel(sol: TrigSolution):
     return min(sol.horizon / 8.0, 1.0 / sol.rho)
 
 
+# the trig check's panels on [0, T/2] number max(4, rho T / 2), 24 nodes each; a solve at
+# this bound (rho 0.5, T 262144) peaks at about 140 MB
+MAX_TRIG_PANELS = 1 << 16
+
+
 def _trig_moment(sol: TrigSolution):
     """M = int cos(rho (s - T/2)) phi(s) ds: one Gauss pass over [0, T/2], doubled."""
     half = 0.5 * sol.horizon
@@ -342,14 +348,21 @@ def trig_check(sol: TrigSolution) -> EvenCheck:
     and the sine moment of the even phi vanishes, so (G * phi)(t) =
     M cos(rho(t-T/2)), with M from :func:`_trig_moment` by quadrature
     (independent of the closed-form derivation) on the check pass's panels.
+
+    Raises ValueError, before anything is allocated, when [0, T/2] needs
+    more than MAX_TRIG_PANELS panels.
     """
     half = 0.5 * sol.horizon
+    panel = trig_panel(sol)
+    if not half <= MAX_TRIG_PANELS * panel:  # also when the panel length underflows to 0
+        count = math.ceil(half / panel) if panel > 0.0 else math.inf
+        raise ValueError(f"trig check needs {count} Gauss panels on [0, T/2], "
+                         f"above its bound of {MAX_TRIG_PANELS}")
 
     def apply(s):
         return eval_trig(sol, s), _trig_moment(sol) * np.cos(sol.rho * (s - half))
 
-    return even_check(apply, sol.gamma, sol.sigma,
-                      panel_edges(0.0, half, max_panel=trig_panel(sol)))
+    return even_check(apply, sol.gamma, sol.sigma, panel_edges(0.0, half, max_panel=panel))
 
 
 def trig_residual_max(sol: TrigSolution):

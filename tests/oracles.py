@@ -1,10 +1,15 @@
-"""Independent quadrature oracles used to cross-check analytic cell integrals.
+"""Independent oracles: quadrature for the analytic cell integrals, and plain references
+for code that was rewritten for speed.
 
-Everything here goes through scipy's adaptive quadrature with tight
+The quadrature goes through scipy's adaptive quadrature with tight
 tolerances and explicit breakpoints at the kernels' kink lags, so the
 reference values share no code path with the closed-form antiderivatives
-under test.
+under test.  :func:`dumps` is the earlier, plain form of ``cli._dumps``,
+which must match it.
 """
+
+import json
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -112,3 +117,20 @@ def coupling_offdiagonal(kernel, lag, h):
     val, _ = quad(lambda s: kernel.evaluate(abs(lag + h * s)) * (1.0 - abs(s)),
                   -1.0, 1.0, points=_interior(pts, -1.0, 1.0), **QUAD_OPTS)
     return h * h * val
+
+
+def _finite(doc):
+    """``doc`` with every non-finite float replaced by its float repr string."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return float.__repr__(doc)
+    if isinstance(doc, dict):
+        return {k: _finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(v) for v in doc]
+    return doc
+
+
+def dumps(doc):
+    """Reference for ``cli._dumps``: indent-2 JSON with non-finite floats as strings."""
+    return json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
+

@@ -11,10 +11,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fredholm import _quad, cli, discrete, exponential, special
+
+import oracles
 
 
 def write_config(path, **overrides):
@@ -611,6 +613,60 @@ def test_infinite_condition_is_strict_json(tmp_path, capsys):
     assert strict_json(err)["detail"]["condition"] == "inf"
 
 
+# ------------------------------------------------------------ the JSON writer
+
+_JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1, 1e16, 1e-7]))
+_JSON_STRINGS = st.one_of(st.text(max_size=8), st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "😀", 'a "quoted" key', ""]))
+_JSON_DOCS = st.recursive(
+    st.one_of(_JSON_STRINGS, st.integers(), _JSON_FLOATS, st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@seed(24)
+@settings(max_examples=400, deadline=None)
+@given(doc=_JSON_DOCS)
+def test_dumps_matches_the_json_module(doc):
+    # the direct writer emits json.dumps(indent=2)'s bytes, with non-finite floats as strings
+    assert cli._dumps(doc) == oracles.dumps(doc)
+
+
+def test_every_document_matches_the_json_module(tmp_path, capsys, monkeypatch):
+    # every route's summary, the json artifact, compare, sweep, verify and the
+    # error documents (one with a non-finite detail) as the commands build them
+    docs = []
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda doc: docs.append(doc) or dumps(doc))
+    exp = write_config(tmp_path / "exp.json", cells=64)
+    runs = [
+        (0, ["solve", "--config", exp, "--out", str(tmp_path / "exp_out")]),
+        (0, ["solve", "--config", write_config(tmp_path / "capped.json", kernel={"type": "capped_linear"},
+                                               gamma=0.1, horizon=3.0, cells=64),
+             "--format", "json", "--out", str(tmp_path / "capped_out")]),
+        (0, ["solve", "--config", write_config(tmp_path / "trig.json", kernel=_TRIG_SPEC, gamma=0.001,
+                                               cells=64)]),
+        (0, ["solve", "--config", write_config(tmp_path / "discrete.json", method="discrete", cells=64)]),
+        (0, ["compare", exp, exp, "--grid-points", "11"]),
+        (0, ["sweep", "--config", exp, "--gammas", "1,0.5"]),
+        (0, ["verify", "--config", exp]),
+        (2, ["solve", "--config", write_config(tmp_path / "bad.json", gamma=-1.0)]),
+        (1, ["solve", "--config", write_config(tmp_path / "inf.json", gamma=0.5, horizon=2.0,
+                                               kernel={"type": "exponential_sum", "a": [1, 1],
+                                                       "b": [1e-40, 1]})]),
+    ]
+    for code, argv in runs:
+        assert run_main(argv, capsys)[0] == code, argv
+    assert len(docs) == len(runs) + 1  # the capped solve writes its summary and its curve
+    # a numpy scalar, such as a closed form's sigma, is written as its float repr
+    docs.append({"sigma": np.float64("inf"), "energy": np.float64("nan"), "mass": np.float64(-0.0)})
+    assert dumps(docs[-1]) == '{\n  "sigma": "inf",\n  "energy": "nan",\n  "mass": -0.0\n}\n'
+    for doc in docs:
+        assert dumps(doc) == oracles.dumps(doc)
+
+
 @pytest.mark.parametrize("gamma", [1e-300, 5e-324])
 def test_capped_tiny_gamma_refused(tmp_path, gamma):
     # refused before the junction solve: no "Singular matrix", no numpy warning
@@ -630,7 +686,8 @@ _X201 = np.linspace(-40.0, 20.0, 201)  # rates e^-40 .. e^20, sqrt(b) = e^x
     ({"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 1.0 + 2.0**-52]}, "rounds onto its pole"),
     ({"type": "exponential_sum", "a": (0.3 * np.exp(_X201 / 2)).tolist(),
       "b": np.exp(2.0 * _X201).tolist()}, "ill-conditioned"),
-], ids=["tiny-weight", "nearly-equal-rates", "201-terms"])
+    ({"type": "exponential_sum", "a": [1e-20, 1.0], "b": [1e-20, 1.0]}, "ill-conditioned"),
+], ids=["tiny-weight", "nearly-equal-rates", "201-terms", "root-next-to-its-pole"])
 def test_exponential_root_on_its_pole_is_one_json_error(tmp_path, kernel, cause):
     # in a fresh process, where no numpy warning and no LAPACK message
     # (printed to stdout) can come before the one JSON error
@@ -639,6 +696,20 @@ def test_exponential_root_on_its_pole_is_one_json_error(tmp_path, kernel, cause)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert cause in strict_json(proc.stderr)["error"], proc.stderr
+
+
+def test_root_next_to_its_pole_is_refused_on_its_condition(tmp_path, capsys):
+    # c_1 = 1e-20 + 8e-31 is measured from its pole b_1 = 1e-20 (absolute
+    # bisection gave 4.4e-19, and the run printed a failed summary with sigma
+    # 0.018); the system of that root is ill-conditioned, and the error says so
+    path = write_config(tmp_path / "c.json", gamma=0.5, horizon=2.0,
+                        kernel={"type": "exponential_sum", "a": [1e-20, 1.0], "b": [1e-20, 1.0]})
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 1
+    assert out == ""
+    doc = strict_json(err)
+    assert "ill-conditioned" in doc["error"]
+    assert 1e19 < doc["detail"]["condition"] < 1e21
 
 
 EXP2_SPEC = {"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]}
@@ -695,6 +766,36 @@ def test_extreme_horizon_ends_in_at_most_one_json_object(tmp_path, kernel, metho
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
     assert proc.stderr == "" or isinstance(strict_json(proc.stderr), dict), proc.stderr
     assert strict_json(proc.stdout)["passed"] is (proc.returncode == 0)
+
+
+@pytest.mark.parametrize("kernel, method", [(EXP2_SPEC, "exp_closed_form"), (_TRIG_SPEC, "trig")],
+                         ids=["exp_closed_form", "trig"])
+def test_tiny_horizon_energy_is_half_sigma(tmp_path, capsys, kernel, method):
+    # phi is about 1/T = 1e300: the check weights phi before it multiplies it by
+    # gamma phi + G * phi, so the energy is sigma/2 = 2.5e299, not inf
+    path = write_config(tmp_path / "c.json", kernel=kernel, gamma=0.5, horizon=1e-300,
+                        method=method, cells=64)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 0, err
+    summary = strict_json(out)
+    assert summary["energy"] == pytest.approx(summary["sigma"] / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("horizon, code", [(4.0 * special.MAX_TRIG_PANELS, 0), (1e60, 1)],
+                         ids=["at-the-bound", "1e60"])
+def test_trig_panel_bound(tmp_path, capsys, horizon, code):
+    # rho 0.5 needs rho T / 2 panels: T 1e60 is refused with the count, not with
+    # numpy's "Maximum allowed size exceeded"; the bound itself still solves
+    path = write_config(tmp_path / "c.json", kernel=_TRIG_SPEC, gamma=0.5, horizon=horizon, cells=64)
+    got, out, err = run_main(["solve", "--config", path], capsys)
+    assert got == code, err
+    if code == 0:
+        assert strict_json(out)["passed"] is True
+    else:
+        assert out == ""
+        assert strict_json(err)["error"] == (
+            f"trig check needs {math.ceil(horizon / 4.0)} Gauss panels on [0, T/2], "
+            f"above its bound of {special.MAX_TRIG_PANELS}")
 
 
 # ------------------------------------------------------------ other commands

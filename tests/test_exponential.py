@@ -7,6 +7,8 @@ comments on each constant.
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +66,56 @@ def test_secular_roots_interlace():
             for a, b in zip((1.0, 2.0, 3.0), (1.0, 2.0, 5.0))
         )
         assert abs(f) < 1e-10
+
+
+def _quadratic_roots(a, b, lam):
+    """The secular roots of a two-term kernel, from the stable roots of the quadratic
+    (x - b_1)(x - b_2) - w_1 (x - b_2) - w_2 (x - b_1) in exact and 60-digit arithmetic.
+
+    Its discriminant is (b_2 - b_1 + w_2 - w_1)^2 + 4 w_1 w_2, a sum of squares, and
+    the smaller root is the product of the roots over the larger: nothing cancels.
+    The weights w_k = 2 lam a_k sqrt(b_k) are rounded as the solver rounds them.
+    """
+    w1, w2 = (2.0 * lam * ak * math.sqrt(bk) for ak, bk in zip(a, b))
+    b1, b2, w1, w2 = map(Fraction, (*b, w1, w2))
+    total, product = b1 + b2 + w1 + w2, b1 * b2 + w1 * b2 + w2 * b1
+    disc = (b2 - b1 + w2 - w1) ** 2 + 4 * w1 * w2
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dec = [Decimal(f.numerator) / Decimal(f.denominator) for f in (total, product, disc)]
+        larger = (dec[0] + dec[2].sqrt()) / 2
+        return float(dec[1] / larger), float(larger)
+
+
+def _assert_two_term_roots(a, b, lam):
+    got = secular_roots(ExponentialSum(a=a, b=b), lam)
+    want = np.array(_quadratic_roots(a, b, lam))
+    assert np.all(np.abs(got - want) <= 8.0 * np.spacing(want)), (a, b, lam, got, want)
+
+
+@pytest.mark.parametrize("a, b, lam", [
+    ((1.0, 1.0), (1.0, 4.0), 2.0),
+    ((1e-20, 1.0), (1e-20, 1.0), 2.0),  # c_1 = 1e-20 + 8e-31: the root hugs its pole
+    ((1.0, 1e-20), (1.0, 1.0 + 1e-9), 1.0),
+])
+def test_two_term_roots_match_the_quadratic(a, b, lam):
+    # each root is measured from its nearer pole, so it keeps its digits however
+    # close it is to that pole: absolute bisection left 4.4e-19 for the 1e-20 pair
+    _assert_two_term_roots(a, b, lam)
+
+
+def test_two_term_roots_match_the_quadratic_on_random_kernels():
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        b1 = 10.0 ** rng.uniform(-20.0, 5.0)
+        b2 = b1 * (1.0 + 10.0 ** rng.uniform(-12.0, 6.0))
+        _assert_two_term_roots(tuple(10.0 ** rng.uniform(-20.0, 5.0, 2)), (b1, b2),
+                               10.0 ** rng.uniform(-5.0, 5.0))
+
+
+def test_root_next_to_its_pole_keeps_its_digits():
+    c = secular_roots(ExponentialSum(a=(1e-20, 1.0), b=(1e-20, 1.0)), 2.0)
+    assert c[0] == pytest.approx(1.00000000008e-20, rel=1e-15)
 
 
 def test_two_term_fixture_golden():

@@ -269,6 +269,21 @@ def test_trig_input_validation():
         trig_solve(0.5, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("horizon, count", [
+    (4.0 * special.MAX_TRIG_PANELS * (1.0 + 2.0**-50), special.MAX_TRIG_PANELS + 1),
+    (1e-323, math.inf),  # T/8 underflows to a panel of length 0
+])
+def test_trig_check_refuses_too_many_panels_before_it_allocates(monkeypatch, horizon, count):
+    # rho 0.5: a panel is min(T/8, 2) long, so [0, T/2] needs max(4, T/4) of them
+    def refuse(*args, **kwargs):
+        raise AssertionError("panels allocated")
+
+    monkeypatch.setattr(special, "panel_edges", refuse)
+    monkeypatch.setattr(special, "panel_gauss", refuse)
+    with pytest.raises(ValueError, match=f"needs {count} Gauss panels"):
+        special.trig_check(trig_solve(0.5, 0.5, horizon))
+
+
 # ------------------------------------------------------------ the check pass
 
 def _exp_case(a, b, gamma, horizon):
