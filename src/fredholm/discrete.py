@@ -22,20 +22,20 @@ or above gamma h: that theory margin, checked against a bound on the lag
 row's rounding, is the positive-definiteness certificate, and preconditioned
 conjugate gradients solve 2H x = 1 in O(m log m), in a number of iterations
 that does not grow with m (the equation is of the second kind).  The
-preconditioner is a ladder of three circulants, each shifted by gamma h: the
+preconditioner is a ladder of two circulants, each shifted by gamma h: the
 leading block of the inverse of K's 2m-point embedding (a Ku-Kuo-type
-construction, Chan & Ng, SIAM Review 38(3), 1996), then T. Chan's optimal
-circulant, then the von Hann-windowed embedding; a row that misses a rung's
-cap restarts from its iterate under the next.  2H commutes with the
-reversal of the cells and the right-hand side is 1, so x is even about T/2,
-like the continuous minimizer (a series in even powers of t - T/2).  For even m a
+construction, Chan & Ng, SIAM Review 38(3), 1996), then that of the von
+Hann-windowed embedding; a row that misses the first rung's cap restarts
+from its iterate under the second.  2H commutes with the reversal of the
+cells and the right-hand side is 1, so x is even about T/2, like the
+continuous minimizer (a series in even powers of t - T/2).  For even m a
 solve holds x by its right half from the first FFT to the mass, energy and
-residual: every product becomes a symmetric convolution (DCT-II/III pair)
-evaluated by FFTs of length m and m/2 instead of 2m and m.  Odd m has a
-cell on the midpoint and holds every cell.  The tables that depend on m
-alone (the fold permutations and the FFT twist) are built once per solve
-or sweep, and the output stage takes one FFT of the solution for both the
-energy and the residual.  One iteration serves every
+residual: every product, preconditioner included, becomes a symmetric
+convolution (DCT-II/III pair) evaluated by FFTs of length m instead of 2m.
+Odd m has a cell on the midpoint and holds every cell.  The tables that
+depend on m alone (the fold permutations and the FFT twist) are built once
+per solve or sweep, and the output stage takes one FFT of the solution for
+both the energy and the residual.  One iteration serves every
 caller: it runs on a block of right-hand sides, one row per
 gamma, so each operator or preconditioner application is one 2-D FFT over
 the rows still iterating; a single solve is the block with one row, a
@@ -235,42 +235,25 @@ def _hann_eigenvalues(col):
     return np.maximum(np.fft.rfft(_embedding(col) * window).real, 0.0)
 
 
-def _chan_eigenvalues(col):
-    """Eigenvalues (rfft order) of T. Chan's optimal circulant for the Toeplitz col.
-
-    Its first column averages the two diagonals that wrap onto each other,
-    ((m-k) col[k] + k col[m-k]) / m, so it is the Frobenius-nearest circulant.
-    """
-    m = len(col)
-    k = np.arange(m)
-    wrap = np.concatenate((col[:1], col[:0:-1]))  # col[(m - k) % m]
-    return np.fft.rfft(((m - k) * col + k * wrap) / m).real
-
-
 def _half_operator(spectrum, twist):
     """(A, D) of a symmetric product folded onto even vectors.
 
     ``spectrum`` holds the real eigenvalues C_0..C_n (rfft order) of a
-    symmetric circulant of size 2n; S is that circulant (n = k) or its
-    leading 2k x 2k block (n = 2k).  A vector x of length 2k with
-    x = x[::-1] is held by its right half v = x[k:] in the order
-    u = (v[1::2][::-1], v[0::2]), and the right half of S x, in the same
-    order, is irfft(A U + D conj(U), n)[:k] with U = rfft(u, n),
-    A = (C_f + C_{n-f})/2 and D = (C_f - C_{n-f})/2 ``twist``, where
-    ``twist`` = exp(i pi f (1 - 4 floor(k/2)) / n) for f = 0..n/2.  The
-    twist for n = k is every other entry of the one for n = 2k, the same
-    bits: its angles are the even multiples of pi/2k, and pi/n scales by 2
-    exactly.
+    symmetric circulant of size 2n, and S is its leading n x n block, n = 2k.
+    A vector x of length n with x = x[::-1] is held by its right half
+    v = x[k:] in the order u = (v[1::2][::-1], v[0::2]), and the right half
+    of S x, in the same order, is irfft(A U + D conj(U), n)[:k] with
+    U = rfft(u, n), A = (C_f + C_{n-f})/2 and D = (C_f - C_{n-f})/2 ``twist``,
+    where ``twist`` = exp(i pi f (1 - 4 floor(k/2)) / n) for f = 0..k.
     That is a DCT-II/III pair (symmetric convolution, Martucci 1994)
     evaluated by Makhoul's n-point FFT (1980), with u rotated so that one
     layout serves every k.  The solve folds the 2m-point embeddings of K and
-    of the midpoint row and the inverses of K's embeddings (n = m), and the
-    inverse of T. Chan's m-point circulant (n = m/2).
+    of the midpoint row and the inverses of K's embeddings (n = m).
     """
-    n = spectrum.shape[-1] - 1
+    k = (spectrum.shape[-1] - 1) // 2
     # slices, not an index array: fancy indexing on the last axis returns
     # column-major rows, which np.vecdot sums in another order than one row
-    low, high = spectrum[..., :n // 2 + 1], spectrum[..., n - n // 2:][..., ::-1]
+    low, high = spectrum[..., :k + 1], spectrum[..., k:][..., ::-1]
     return 0.5 * (low + high), 0.5 * (low - high) * twist
 
 
@@ -294,9 +277,9 @@ def _product(a, d, spectrum, n):
 
 
 # conjugate gradients on a second-kind equation converge in a number of steps
-# that does not grow with m; a row that misses a rung's cap moves on to the
-# next preconditioner, and past the last one to Levinson-Durbin
-_RUNG_CAPS = (10, 30, 200)
+# that does not grow with m; a row that misses the first rung's cap moves on
+# to the second preconditioner, and past its cap to Levinson-Durbin
+_RUNG_CAPS = (10, 200)
 _PCG_RTOL = 1e-14
 # a sweep's rows are iterated in blocks of at most this many cells in total, so
 # a block's working arrays stay near the size of one solve at large m
@@ -329,9 +312,8 @@ class _Operators:
     midpoint row (``residual_a``, ``residual_d``) transform at length
     2 ``unknowns``: folded at m for even m, plain (``_d`` None) at 2m for
     odd m.  The permutations and the fold twist depend on m alone and are
-    built once here; T. Chan's fold takes every other entry of the same
-    twist.  The spectra of the later rungs, ``chan`` and ``hann``, are built
-    when a row first reaches them.
+    built once here.  The second rung's spectrum, ``hann``, is built when a
+    row first reaches it.
     """
 
     def __init__(self, problem: Problem, m: int):
@@ -363,54 +345,44 @@ class _Operators:
                 _half_operator(spectra, self._twist))
 
     @cached_property
-    def chan(self):
-        return _chan_eigenvalues(self.lags)
-
-    @cached_property
     def hann(self):
         return _hann_eigenvalues(self.lags)
 
     def preconditioner(self, rung, ridges):
-        """(a, d, n) of the rung's preconditioner plus each ridge, one row each,
-        applied by ``_apply(a, d, r, n)``.
+        """(a, d) of the rung's preconditioner plus each ridge, one row each,
+        applied like the product, by ``_apply(a, d, r, 2 * unknowns)``.
 
-        Rungs 0 and 2 invert K's 2m-point embedding, plain and von Hann
+        Rungs 0 and 1 invert K's 2m-point embedding, plain and von Hann
         windowed, each with its eigenvalues clipped at 0 and shifted by the
-        ridge, and act by the leading block of that inverse: at the product's
-        transform length, folded like the product for even m.  Rung 1 inverts
-        T. Chan's m-point circulant plus the ridge, at half that length.
+        ridge, and act by the leading block of that inverse: folded like the
+        product for even m.
         """
-        n, twist = 2 * self.unknowns, self._twist
-        if rung == 1:
-            eigenvalues, n = self.chan, n // 2
-            twist = None if twist is None else twist[::2]
-        else:
-            eigenvalues = self.hann if rung == 2 else self.spectrum
-        inverse = 1.0 / (eigenvalues + ridges)
-        a, d = (inverse, None) if twist is None else _half_operator(inverse, twist)
-        return a.astype(complex), d, n  # cast once, not inside every product
+        inverse = 1.0 / ((self.hann if rung else self.spectrum) + ridges)
+        a, d = (inverse, None) if self._twist is None else _half_operator(inverse, self._twist)
+        return a.astype(complex), d  # cast once, not inside every product
 
 
 def _pcg(kern_a, kern_d, pre, x, r, cap, stop):
     """Preconditioned conjugate gradients on a block of rows, from x with r = 1 - 2H x.
 
     ``kern_a``, ``kern_d`` are 2H's product as ``_apply`` takes it and
-    ``pre`` = (a, d, n) the preconditioner's; each ``a`` and a
-    preconditioner's ``d`` hold one row per row of x.  Each operator or
-    preconditioner application is one 2-D rfft/irfft over the rows still
-    iterating.  A row leaves the block when |r| <= ``stop``, or gives up at
-    the same step when its search direction has p' 2H p <= 0 (alpha = 0).
+    ``pre`` = (a, d) the preconditioner's, both at x's transform length
+    2 ``unknowns``; each ``a`` and a preconditioner's ``d`` hold one row per
+    row of x.  Each operator or preconditioner application is one 2-D
+    rfft/irfft over the rows still iterating.  A row leaves the block when
+    |r| <= ``stop``, or gives up at the same step when its search direction
+    has p' 2H p <= 0 (alpha = 0).
     Returns (solved, missed, x): solved[j] is row j's solution, or None if it
     gave up or missed the cap; ``missed`` lists the rows still iterating
     after ``cap`` steps, and x their iterates, in that order.
     """
-    pre_a, pre_d, pre_n = pre
+    pre_a, pre_d = pre
     n = 2 * x.shape[-1]
     live = list(range(len(x)))
     solved = [None] * len(x)
     p = rz = None
     for _ in range(cap):
-        z = _apply(pre_a, pre_d, r, pre_n)
+        z = _apply(pre_a, pre_d, r, n)
         rz, rz_old = np.vecdot(r, z, keepdims=True), rz
         p = z if p is None else z + (rz / rz_old) * p
         q = _apply(kern_a, kern_d, p, n)
@@ -442,9 +414,9 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     gamma h clears ``ops.rounding`` under the positive-type certificate runs
     ``_pcg`` from x = 0 up a ladder of preconditioners, each shifted by
     gamma h (``_Operators.preconditioner``): the inverse of K's embedding
-    for at most 10 steps, T. Chan's circulant for 30 and the von Hann
-    windowed embedding for 200.  A row that misses a rung's cap keeps its
-    iterate and restarts under the next rung from its true residual, one
+    for at most 10 steps, then the inverse of the von Hann windowed
+    embedding for 200.  A row that misses the first cap keeps its iterate
+    and restarts under the second rung from its true residual, one
     product.  The ladder runs once per rung on the rows still unconverged,
     and each row does the arithmetic of a one-row block, so a sweep matches
     the single solves bit for bit.  A row leaves the block when the full
@@ -536,14 +508,15 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     2H at or above gamma h; when that margin exceeds the bound
     m * eps * |lag row|_1 on the lag row's rounding, preconditioned
     conjugate gradients solve the system in O(m log m), under the inverse of
-    K's circulant embedding, then T. Chan's circulant, then the von Hann
-    windowed embedding (see ``_solve_rows``).  Otherwise, or when the
+    K's circulant embedding, then that of the von Hann windowed embedding
+    (see ``_solve_rows``).  Otherwise, or when the
     iteration does not reach |r| <= 1e-14 |1| within the last rung's cap,
     Levinson-Durbin solves it in O(m^2), and raises
     :class:`~fredholm.errors.IndefiniteKernelError` when H is not positive
-    definite (the kernel is not of positive type at this resolution).  For even m the solve, the mass, the energy phi' H phi and
-    the midpoint residual all run on the right half of the even solution,
-    with FFTs of length m and m/2; a Levinson-Durbin solution enters that
+    definite (the kernel is not of positive type at this resolution).  For
+    even m the solve, the mass, the energy phi' H phi and the midpoint
+    residual all run on the right half of the even solution, with FFTs of
+    length m; a Levinson-Durbin solution enters that
     half as the average of itself and its reversal.  ``values`` equals its
     reversal exactly, for odd m too; no m x m matrix is formed.  This is
     the one-row case of the block iteration :func:`gamma_sweep` runs, so
@@ -560,7 +533,7 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
     above 2^15 cells it raises :class:`~fredholm.errors.LevinsonLimitError`
     instead of starting.  Its solution meets sigma = 2 J only to its own
     relative residual, a few 1e-9 sigma for the cosine kernel at gamma
-    1e-5, T 20, where the ladder meets it to 4e-11.
+    1e-5, T 20, where the ladder meets it to 2e-11.
     """
     return _solve_rows(problem, _Operators(problem, m), [problem.gamma])[0]
 
@@ -586,17 +559,17 @@ def gamma_sweep(problem: Problem, m: int, gammas) -> list:
 
     The gamma-free lag row, the (for even m folded) FFT operators of K and
     of the midpoint convolution, and the eigenvalues of each circulant
-    preconditioner are computed once, the later rungs' only when a row
-    reaches them; each gamma only adds gamma h to K's spectrum and to the
+    preconditioner are computed once, the second rung's only when a row
+    reaches it; each gamma only adds gamma h to K's spectrum and to the
     preconditioners' eigenvalues.  The gammas are one block of rows:
     conjugate gradients iterate every certified row at once (the right half
     of each for even m), one 2-D FFT per operator or preconditioner
-    application, each rung of the ladder runs once on the rows still
+    application, each of the ladder's two rungs runs once on the rows still
     unconverged, and a row leaves the block when it converges; rows that are
-    not certified, or give up, are solved one by one by Levinson-Durbin.  Every gamma gets the
-    bits :func:`solve` gives it.  A block holds at most 2^16 cells in total,
-    or one row when m is larger, so memory stays that of one solve at large
-    m.  Used to watch mass migrate toward the endpoints as the quadratic
+    not certified, or give up, are solved one by one by Levinson-Durbin.
+    Every gamma gets the bits :func:`solve` gives it.  A block holds at most
+    2^16 cells in total, or one row when m is larger, so memory stays that of
+    one solve at large m.  Used to watch mass migrate toward the endpoints as the quadratic
     penalty vanishes; no convergence claim is attached.
     """
     gammas = sweep_gammas(gammas)

@@ -194,7 +194,8 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
 
     Raises IllConditionedError when cond(Ntilde) exceeds 1e13 -- theoretically
     excluded (Ntilde is provably nonsingular) but reachable in floating point
-    when rates b_k nearly coincide -- and RuntimeError when Ntilde has a
+    when rates b_k nearly coincide -- and RuntimeError when the constant
+    d = 1/(1 + (2/gamma) sum a/sqrt(b)) underflows to 0, or when Ntilde has a
     non-finite entry, as when a secular root rounds onto its pole.  The
     arithmetic runs with numpy's warnings off, so the refusal speaks alone.
     """
@@ -212,6 +213,11 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
     n = a.size
 
     d = 1.0 / (1.0 + 2.0 * lam * np.sum(a / rb))
+    if not d > 0:  # phi = sigma d (...) would be inf * 0 everywhere
+        raise RuntimeError(
+            "closed-form constant d = 1/(1 + (2/gamma) sum a/sqrt(b)) underflows to 0: "
+            "the kernel's weight a/sqrt(b) is too large against gamma"
+        )
 
     rcT = rc * horizon  # sqrt(c) T = inf has the right limits below
     coth = _coth_half(rcT)

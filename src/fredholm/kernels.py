@@ -14,8 +14,9 @@ differences of `_nl2` at j*h and first differences of `_g1` at (j + 1/2)*h
 form on one table of exp(-sqrt(b) k h) (`ExponentialSum`) or cos(rho k h)
 (`Trigonometric`), series in 1/k^2 for the far entries of `PowerLaw`, and
 half-cell moments in O(m + knots) for `Tabulated`.  `cell_double_integral`
-is the helper for a general rectangle, and `cell_integral` integrates over
-one cell for residual checks.
+is the helper for a general rectangle, and `cell_integral` integrates G over
+one cell seen from any point, the general form of a midpoint-row entry; the
+solver itself calls neither.
 
 The base class does the shared work (lag checks, scalar-or-array returns,
 JSON specs, rectangle splitting).  A family is a frozen dataclass whose

@@ -364,8 +364,9 @@ def test_indefinite_kernel_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("cells", [200, 256, 1024])
 def test_discrete_cosine_kernel_meets_sigma_equals_two_energy(tmp_path, capsys, cells):
     # the cosine kernel's K has rank about 2: at gamma 1e-5, T 20 conjugate
-    # gradients climb to the von Hann rung of their preconditioner ladder,
-    # and the solution meets sigma = 2J to the check's 1e-9
+    # gradients miss the embedding rung's cap and converge on the second and
+    # last rung, the von Hann embedding, and the solution meets sigma = 2J to
+    # the check's 1e-9
     path = write_config(tmp_path / "c.json", kernel={"type": "trigonometric", "rho": 0.5},
                         gamma=1e-5, horizon=20.0, method="discrete", cells=cells)
     code, out, err = run_main(["solve", "--config", path], capsys)
@@ -687,7 +688,8 @@ _X201 = np.linspace(-40.0, 20.0, 201)  # rates e^-40 .. e^20, sqrt(b) = e^x
     ({"type": "exponential_sum", "a": (0.3 * np.exp(_X201 / 2)).tolist(),
       "b": np.exp(2.0 * _X201).tolist()}, "ill-conditioned"),
     ({"type": "exponential_sum", "a": [1e-20, 1.0], "b": [1e-20, 1.0]}, "ill-conditioned"),
-], ids=["tiny-weight", "nearly-equal-rates", "201-terms", "root-next-to-its-pole"])
+    ({"type": "exponential_sum", "a": [1e300], "b": [1e-300]}, "underflows to 0"),
+], ids=["tiny-weight", "nearly-equal-rates", "201-terms", "root-next-to-its-pole", "d-underflows"])
 def test_exponential_root_on_its_pole_is_one_json_error(tmp_path, kernel, cause):
     # in a fresh process, where no numpy warning and no LAPACK message
     # (printed to stdout) can come before the one JSON error

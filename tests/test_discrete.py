@@ -208,15 +208,12 @@ def test_half_products_match_full_products(m):
     u[order[k:]] = x[k:]
     col = rng.standard_normal(m)
     toeplitz = discrete._embedding_spectrum(col)
-    circulant = discrete._chan_eigenvalues(col)
     # the leading block of the inverse of the clipped, shifted embedding, as
     # the first rung of the preconditioner ladder applies it
     inverse = 1.0 / (np.maximum(toeplitz, 0.0) + 1.0)
     for half, full in [
         (discrete._apply(*discrete._half_operator(toeplitz, twist), u, m),
          np.fft.irfft(toeplitz * np.fft.rfft(x, 2 * m), 2 * m)[:m]),
-        (discrete._apply(*discrete._half_operator(circulant, twist[::2]), u, k),
-         np.fft.irfft(circulant * np.fft.rfft(x), m)),
         (discrete._apply(*discrete._half_operator(inverse, twist), u, m),
          np.fft.irfft(inverse * np.fft.rfft(x, 2 * m), 2 * m)[:m]),
     ]:
@@ -230,7 +227,7 @@ def test_uncertified_runs_fall_back_to_levinson(monkeypatch, cause):
     # rounding bound, is solved by Levinson-Durbin instead
     problem = EXP1
     if cause == "iteration_cap":
-        monkeypatch.setattr(discrete, "_RUNG_CAPS", (1, 1, 1))
+        monkeypatch.setattr(discrete, "_RUNG_CAPS", (1, 1))
     else:  # gamma h = 7.8e-17 against the bound m eps |lags|_1 = 1.4e-16
         problem = replace(EXP1, gamma=5e-15)
     calls = []
@@ -252,31 +249,28 @@ def _spy(monkeypatch, name):
     return calls
 
 
-# the rung a row ends on, the rung caps that put it there, and the spectra
-# built on the way: a later rung's spectrum is built only when a row reaches it
+# the rung a row ends on, the rung caps that put it there, and how often the
+# von Hann spectrum is built on the way: once, and only when a row reaches it
 @pytest.mark.parametrize("last, caps, built", [
-    (0, discrete._RUNG_CAPS, []),
-    (1, (1, 200, 200), ["chan"]),
-    (2, (1, 1, 200), ["chan", "hann"]),
-    (3, (1, 1, 1), ["chan", "hann"]),
-], ids=["embedding", "chan", "hann", "levinson"])
+    (0, discrete._RUNG_CAPS, 0),
+    (1, (1, 200), 1),
+    (2, (1, 1), 1),
+], ids=["embedding", "hann", "levinson"])
 @pytest.mark.parametrize("m", [255, 256, 1026])
 def test_every_rung_of_the_ladder_lands_on_levinson(monkeypatch, m, last, caps, built):
-    # exp2 needs 5 steps under the embedding inverse; capping the rungs before
-    # it at one step makes a row keep its iterate and restart from its true
-    # residual under each later rung in turn, and past the last one
-    # Levinson-Durbin solves it
+    # exp2 needs 5 steps under the embedding inverse; capping a rung at one
+    # step makes a row keep its iterate and restart from its true residual
+    # under the von Hann rung, and past that one Levinson-Durbin solves it
     problem = POSITIVE_TYPE["exp2"]
     sigma, phi = _levinson_solution(problem, m)
     monkeypatch.setattr(discrete, "_RUNG_CAPS", caps)
     rungs = _spy(monkeypatch, "_pcg")
-    spectra = {name: _spy(monkeypatch, f"_{name}_eigenvalues") for name in ("chan", "hann")}
+    hann = _spy(monkeypatch, "_hann_eigenvalues")
     levinson = _spy(monkeypatch, "_levinson_ones")
     grid = solve(problem, m)
-    assert rungs == [1] * min(last + 1, 3)
-    assert [name for name, calls in spectra.items() if calls] == built
-    assert all(len(calls) <= 1 for calls in spectra.values())
-    assert levinson == ([m] if last == 3 else [])
+    assert rungs == [1] * min(last + 1, 2)
+    assert len(hann) == built
+    assert levinson == ([m] if last == 2 else [])
     assert grid.sigma == pytest.approx(sigma, rel=1e-14)
     assert np.max(np.abs(grid.values - phi)) <= 1e-12 * np.max(np.abs(phi))
     np.testing.assert_array_equal(grid.values, grid.values[::-1])
@@ -284,19 +278,54 @@ def test_every_rung_of_the_ladder_lands_on_levinson(monkeypatch, m, last, caps, 
 
 def test_sweep_rows_ending_on_different_rungs_match_single_solves(monkeypatch):
     # cosine kernel at T 3: gamma 0.1 converges under the embedding inverse,
-    # 0.01 under T. Chan's circulant and 1e-5 under the von Hann embedding;
-    # each rung runs once on the rows still unconverged, and every row keeps
-    # the bits of its single solve
+    # 0.01 and 1e-5 under the von Hann embedding; each rung runs once on the
+    # rows still unconverged, and every row keeps the bits of its single solve
     problem = Problem(gamma=1.0, horizon=3.0, kernel=Trigonometric(rho=0.5))
     gammas = [0.1, 0.01, 1e-5]
     refs = [solve(replace(problem, gamma=g), 256) for g in gammas]
     rungs = _spy(monkeypatch, "_pcg")
     monkeypatch.setattr(discrete, "_levinson_ones", None)
     grids = gamma_sweep(problem, 256, gammas)
-    assert rungs == [3, 2, 1]
+    assert rungs == [3, 2]
     for grid, ref in zip(grids, refs, strict=True):
         assert (grid.sigma, grid.energy, grid.residual_max) == (ref.sigma, ref.energy, ref.residual_max)
         np.testing.assert_array_equal(grid.values, ref.values)
+
+
+@pytest.mark.parametrize("problem, m", [
+    (Problem(gamma=1e-8, horizon=1.0, kernel=CappedLinear(cap=1.0)), 255),
+    (Problem(gamma=1e-8, horizon=1.0, kernel=CappedLinear(cap=1.0)), 256),
+    (Problem(gamma=0.01, horizon=3.0, kernel=Trigonometric(rho=0.5)), 256),
+], ids=["capped-255", "capped-256", "cosine-256"])
+def test_rows_leaving_the_embedding_rung_end_on_von_hann(monkeypatch, problem, m):
+    # these rows miss the embedding inverse's 10 steps and converge under the
+    # von Hann embedding within its cap, with no Levinson-Durbin fallback
+    reference = _levinson_solution(problem, m)
+    missed = []
+    pcg = discrete._pcg
+
+    def spy(*args):
+        result = pcg(*args)
+        missed.append(result[1])
+        return result
+
+    monkeypatch.setattr(discrete, "_pcg", spy)
+    hann = _spy(monkeypatch, "_hann_eigenvalues")
+    monkeypatch.setattr(discrete, "_levinson_ones", None)
+    grid = solve(problem, m)
+    assert missed == [[0], []]
+    assert hann == [m]
+    h = problem.horizon / m
+    H, _ = discretize(problem, m)
+    # 2H x = 1 with x = phi / (sigma h), to the stop rule's 1e-14 per cell
+    # plus the dense product's rounding (measured: at most 1e-14)
+    assert np.max(np.abs(2.0 * H @ grid.values / (grid.sigma * h) - 1.0)) <= 1e-13
+    np.testing.assert_array_equal(grid.values, grid.values[::-1])
+    if isinstance(problem.kernel, Trigonometric):
+        # capped at gamma 1e-8 Levinson-Durbin is itself 2e-12 off; cosine is not
+        sigma, phi = reference
+        assert grid.sigma == pytest.approx(sigma, rel=1e-14)
+        assert np.max(np.abs(grid.values - phi)) <= 1e-12 * np.max(np.abs(phi))
 
 
 def test_levinson_refused_above_its_size(monkeypatch):
@@ -311,7 +340,7 @@ def test_levinson_refused_above_its_size(monkeypatch):
         with pytest.raises(LevinsonLimitError, match=cause) as info:
             solve(problem, 64)
         assert (info.value.cells, info.value.limit) == (64, 63)
-    monkeypatch.setattr(discrete, "_RUNG_CAPS", (1, 1, 1))
+    monkeypatch.setattr(discrete, "_RUNG_CAPS", (1, 1))
     with pytest.raises(LevinsonLimitError, match="did not converge"):
         solve(EXP1, 64)
     assert levinson == []
@@ -334,7 +363,7 @@ def test_gamma_sweep_orders_and_endpoint_mass():
              kernel=Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05))),
      96, [1.0, 0.1, 0.003]),
     # rows leave the block at different iterations, and every row climbs the
-    # preconditioner ladder to its third rung, the von Hann embedding
+    # preconditioner ladder to its second rung, the von Hann embedding
     (Problem(gamma=1.0, horizon=20.0, kernel=Trigonometric(rho=0.5)), 256, [1e-2, 1e-3, 1e-5, 1e-8]),
     # the last row's margin gamma h does not clear the rounding bound
     (EXP1, 64, [1.0, 1e-3, 5e-15]),
