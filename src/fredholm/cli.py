@@ -102,7 +102,8 @@ def _requires_capped(kernel, horizon):
 def _even(left, n):
     """The n samples of a curve even about the middle of its grid, from its first (n + 1) // 2.
 
-    Every route builds ``RunResult.phi`` here, so it equals its reversal bit for bit."""
+    Every closed form builds ``RunResult.phi`` here, so it equals its reversal bit for
+    bit, as ``discrete.solve``'s values already do."""
     return np.concatenate((left, left[: n // 2][::-1]))
 
 
@@ -153,7 +154,7 @@ def _solve_discrete(cfg: RunConfig) -> RunResult:
     h = grid.spacing
     return RunResult(
         t=grid.midpoints(),
-        phi=_even(grid.values[: (grid.cells + 1) // 2], grid.cells),  # values are even already
+        phi=grid.values,
         sigma=grid.sigma,
         energy=grid.energy,
         residual_max=grid.residual_max,
@@ -325,7 +326,7 @@ def _write_csv(path, cfg: RunConfig, res: RunResult):
     ]
     n = res.t.size
     k = (n + 1) // 2
-    # phi is built by _even: format its left half once and mirror the strings
+    # phi equals its reversal bit for bit: format its left half once and mirror the strings
     left = ("%.17g\n" * k % tuple(res.phi[:k].tolist())).split("\n")
     flat = [None] * (2 * n)  # t0, phi0, t1, phi1, ...
     flat[0::2] = res.t.tolist()
@@ -365,8 +366,12 @@ def _dumps(doc):
     return _json(doc, "\n") + "\n"
 
 
-def _emit(doc, stream=None):
-    (stream or sys.stdout).write(_dumps(doc))
+def _emit(doc, stream=None, out=None):
+    """Write ``doc`` to ``stream`` (stdout by default), after writing the same text to ``out``."""
+    text = _dumps(doc)
+    if out:
+        _write_text(out, text)
+    (stream or sys.stdout).write(text)
 
 
 def _error(message, detail=None, code=1):
@@ -390,7 +395,7 @@ def run(cfg: RunConfig) -> int:
         spacing=res.grid_spacing,
     )
     summary = _summary(cfg, res, report)
-    text = _dumps(summary)
+    summary_out = None  # the summary's .json artifact, when it is stdout's text
     if cfg.out_path:
         base = cfg.out_path
         for suffix in (".csv", ".json"):
@@ -398,11 +403,10 @@ def run(cfg: RunConfig) -> int:
                 base = base[: -len(suffix)]
         if cfg.out_format == "csv":
             _write_csv(base + ".csv", cfg, res)
-            doc_text = text
+            summary_out = base + ".json"
         else:
-            doc_text = _dumps({**summary, "t": res.t.tolist(), "phi": res.phi.tolist()})
-        _write_text(base + ".json", doc_text)
-    sys.stdout.write(text)
+            _write_text(base + ".json", _dumps({**summary, "t": res.t.tolist(), "phi": res.phi.tolist()}))
+    _emit(summary, out=summary_out)
     if not summary["passed"]:
         failed = [name for name, ok in summary["checks"].items() if not ok]
         return _error("invariant checks failed", {"failed": failed})
@@ -436,10 +440,7 @@ def _cmd_solve(args):
 def _cmd_compare(args):
     cfg_a = parse_config(args.config_a, cells=args.cells)
     cfg_b = parse_config(args.config_b, cells=args.cells)
-    out = compare_cmd(cfg_a, cfg_b, grid_points=args.grid_points)
-    if args.out:
-        _write_text(args.out, _dumps(out))
-    _emit(out)
+    _emit(compare_cmd(cfg_a, cfg_b, grid_points=args.grid_points), out=args.out)
     return 0
 
 
@@ -466,9 +467,7 @@ def _cmd_sweep(args):
         "cells": cfg.cells,
         "entries": entries,
     }
-    if args.out:
-        _write_text(args.out, _dumps(doc))
-    _emit(doc)
+    _emit(doc, out=args.out)
     return 0
 
 
@@ -532,12 +531,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _error(exc, exc.detail, code=2)
-    except IndefiniteKernelError as exc:
-        return _error(exc, {"pivot": exc.pivot})
-    except LevinsonLimitError as exc:
-        return _error(exc, {"cells": exc.cells, "limit": exc.limit, "cause": exc.cause})
-    except IllConditionedError as exc:
-        return _error(exc, {"condition": exc.condition})
+    except (IndefiniteKernelError, LevinsonLimitError, IllConditionedError) as exc:
+        return _error(exc, exc.detail)
     except (ValueError, RuntimeError) as exc:
         return _error(exc)
     except OSError as exc:

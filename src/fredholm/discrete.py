@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IndefiniteKernelError, LevinsonLimitError
-from .kernels import Kernel
+from .kernels import Kernel, _positive_finite
 
 __all__ = [
     "Problem",
@@ -79,12 +79,7 @@ class Problem:
     kernel: Kernel
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
-        if not 0 < self.horizon < math.inf:
-            raise ValueError("horizon must be positive and finite")
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "horizon", float(self.horizon))
+        _positive_finite(self, "gamma", "horizon")
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,8 +405,8 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     """Solve 2H x = 1 on one grid for each gamma, one row of a block each.
 
     Every row is held by its ``ops.unknowns`` u from the first FFT to the
-    output and unfolded once, into its ``SolutionGrid``.  A row whose margin
-    gamma h clears ``ops.rounding`` under the positive-type certificate runs
+    output and unfolded once, into its ``SolutionGrid``.  A row that
+    ``_uncertified_cause`` certifies (margin gamma h over ``ops.rounding``) runs
     ``_pcg`` from x = 0 up a ladder of preconditioners, each shifted by
     gamma h (``_Operators.preconditioner``): the inverse of K's embedding
     for at most 10 steps, then the inverse of the von Hann windowed
@@ -442,7 +437,7 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     # the block's bookkeeping is Python lists: at small m, numpy calls on a
     # handful of per-row scalars would cost as much as the FFTs
     rows = [i for i, ridge in enumerate(ridges[:, 0].tolist())
-            if ops.certifiable and ridge > ops.rounding]
+            if _uncertified_cause(ops, ridge) is None]
     x, r = np.zeros((len(rows), width)), np.ones((len(rows), width))
     stop = _PCG_RTOL * math.sqrt(width)
     for rung, cap in enumerate(_RUNG_CAPS):
@@ -461,7 +456,8 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
     for i, x_row in enumerate(x_rows):
         if x_row is None:
             if m > _LEVINSON_MAX_CELLS:
-                raise LevinsonLimitError(m, _LEVINSON_MAX_CELLS, _uncertified_cause(ops, ridges[i, 0]))
+                raise LevinsonLimitError(m, _LEVINSON_MAX_CELLS, _uncertified_cause(ops, ridges[i, 0])
+                                         or "conjugate gradients did not converge under any preconditioner")
             x_row = _levinson_ones(_column(ops.lags, float(ridges[i, 0])))
         if len(x_row) == m:  # solved on all m cells
             x_rows[i] = 0.5 * (x_row + x_row[::-1])[ops.fold]
@@ -491,12 +487,12 @@ def _solve_rows(problem: Problem, ops: _Operators, gammas) -> list:
 
 
 def _uncertified_cause(ops: _Operators, ridge):
-    """Why a row was left to Levinson-Durbin, in words."""
+    """None when the positive-type certificate lets the ladder take a row of ridge
+    gamma h, else why it does not, in words."""
     if not ops.certifiable:
         return "the kernel has no positive-type claim"
     if not ridge > ops.rounding:
         return "the margin gamma h does not clear the lag row's rounding bound"
-    return "conjugate gradients did not converge under any preconditioner"
 
 
 def solve(problem: Problem, m: int) -> SolutionGrid:

@@ -1,4 +1,4 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules; each sets ``detail``, the JSON dict the CLI prints."""
 
 
 class IndefiniteKernelError(RuntimeError):
@@ -12,6 +12,7 @@ class IndefiniteKernelError(RuntimeError):
 
     def __init__(self, pivot: int):
         self.pivot = pivot
+        self.detail = {"pivot": pivot}
         super().__init__(
             "kernel not of positive type at this resolution "
             f"(leading minor {pivot} not positive definite)"
@@ -27,6 +28,7 @@ class IllConditionedError(RuntimeError):
 
     def __init__(self, message: str, condition: float):
         self.condition = condition
+        self.detail = {"condition": condition}
         super().__init__(f"{message} (condition estimate {condition:.3e})")
 
 
@@ -43,6 +45,7 @@ class LevinsonLimitError(RuntimeError):
         self.cells = cells
         self.limit = limit
         self.cause = cause
+        self.detail = {"cells": cells, "limit": limit, "cause": cause}
         super().__init__(
             f"Levinson-Durbin solve refused at {cells} cells, above {limit}: {cause}"
         )

@@ -80,6 +80,14 @@ class KernelStructure:
         return {k: v for k, v in values.items() if v is not None}
 
 
+def _positive_finite(obj, *names):
+    """Check each named field of the frozen dataclass ``obj``, in order, and store it as a float."""
+    for name in names:
+        if not 0 < getattr(obj, name) < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+        object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 def _segments(lo, hi, cuts):
     """Split [lo, hi] at every cut strictly inside it."""
     pts = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
@@ -101,6 +109,7 @@ class Kernel:
         return float(out) if np.ndim(t) == 0 else out
 
     def classify(self) -> KernelStructure:
+        """The family's ``structure``: the same object on every call."""
         return self.structure
 
     def spec(self) -> dict:
@@ -312,9 +321,7 @@ class CappedLinear(Kernel):
     cap: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.cap < math.inf:
-            raise ValueError("cap must be positive and finite")
-        object.__setattr__(self, "cap", float(self.cap))
+        _positive_finite(self, "cap")
 
     def _g0(self, t):
         return np.maximum(self.cap - t, 0.0)
@@ -350,11 +357,9 @@ class PowerCapped(Kernel):
     p: int
 
     def __post_init__(self):
-        if not 0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite")
+        _positive_finite(self, "rho")
         if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
             raise ValueError("p must be a positive integer")
-        object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "p", int(self.p))
 
     def _g0(self, t):
@@ -392,9 +397,7 @@ class Trigonometric(Kernel):
     rho: float
 
     def __post_init__(self):
-        if not 0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite")
-        object.__setattr__(self, "rho", float(self.rho))
+        _positive_finite(self, "rho")
 
     def _g0(self, t):
         return np.cos(self.rho * t)
@@ -441,10 +444,8 @@ class PowerLaw(Kernel):
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not 0 < self.scale < math.inf:
-            raise ValueError("scale must be positive and finite")
+        _positive_finite(self, "scale")
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "scale", float(self.scale))
 
     def _g0(self, t):
         if np.any(t == 0):
@@ -563,6 +564,8 @@ class Tabulated(Kernel):
             raise ValueError("tabulated values must be nonnegative and finite")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "g", g)
+        if not np.all(np.isfinite(self._slopes)):  # a knot gap near the smallest subnormal
+            raise ValueError("tabulated slopes between neighbouring knots must be finite")
 
     @cached_property
     def _arrays(self):
@@ -571,6 +574,13 @@ class Tabulated(Kernel):
     @cached_property
     def log_interpolated(self):
         return all(v > 0 for v in self.g)
+
+    @cached_property
+    def _slopes(self):
+        """The interpolant's slope between neighbouring knots: of log g in log mode, else of g."""
+        xs, ys = self._arrays
+        with np.errstate(over="ignore"):  # __post_init__ refuses an overflowed slope
+            return np.diff(np.log(ys) if self.log_interpolated else ys) / np.diff(xs)
 
     def _g0(self, t):
         xs, ys = self._arrays
@@ -667,7 +677,8 @@ class Tabulated(Kernel):
         return (h * np.concatenate(([2.0 * f[0]], r[:-1] + f[1:])),
                 np.concatenate(([2.0 * mass[0]], mass[1:-1:2] + mass[2::2])))
 
-    def classify(self):
+    @cached_property
+    def structure(self):
         """Structure of the interpolant actually used, flat head and tail included.
 
         Every piece is linear or exponential, hence convex, so the interpolant
@@ -678,21 +689,16 @@ class Tabulated(Kernel):
         no slope jump is negative, so the interpolant is convex and, ending
         flat, nonincreasing.  The discrete solver's certificate rests on it.
 
-        The report is built on the first call and kept on the instance, like
-        ``_arrays``: the table of a frozen kernel cannot change, so every
-        later call returns the same object.
+        The report is built on the first read and kept on the instance, like
+        ``_arrays``: the table of a frozen kernel cannot change, so
+        ``classify()`` returns the same object every time.
         """
-        return self._structure
-
-    @cached_property
-    def _structure(self):
         xs, ys = self._arrays
         tol = 1e-9 * max(1.0, float(np.max(np.abs(ys))))
-        nodes = np.log(ys) if self.log_interpolated else ys
-        slopes = np.diff(nodes) / np.diff(xs)
-        jumps = np.diff(np.concatenate(([0.0], slopes, [0.0])))
-        if self.log_interpolated:
-            jumps = jumps * ys
+        with np.errstate(over="ignore"):  # a jump of slopes near the float limit keeps its sign
+            jumps = np.diff(np.concatenate(([0.0], self._slopes, [0.0])))
+            if self.log_interpolated:
+                jumps = jumps * ys
         if xs[0] == 0.0:
             jumps = jumps[1:]  # no head: lag 0 ends the domain
         nonincreasing = bool(np.all(np.diff(ys) <= tol))

@@ -68,10 +68,6 @@ class CappedLinearSolution:
     Q: np.ndarray
     junction_gap: float
 
-    @property
-    def horizon(self):
-        return float(self.n)
-
 
 @dataclass(frozen=True)
 class TrigSolution:

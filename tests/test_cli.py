@@ -11,10 +11,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from fredholm import _quad, cli, discrete, exponential, special
+from fredholm.errors import IllConditionedError, IndefiniteKernelError, LevinsonLimitError
+from fredholm.kernels import kernel_from_spec
 
 import oracles
 
@@ -584,8 +586,14 @@ _CONFIGS = st.fixed_dictionaries({
 })
 
 
+_SUBNORMAL_TABLES = [{"type": "tabulated", "t": [0.0, 5e-324], "g": [1.0, 0.5]},
+                     {"type": "tabulated", "t": [0.0, 5e-324, 1e-323], "g": [1.0, 0.5, 0.25]}]
+
+
 @settings(max_examples=60, deadline=None)
 @given(config=_CONFIGS, command=st.sampled_from(["solve", "verify"]))
+@example(config={"kernel": _SUBNORMAL_TABLES[0], "gamma": 1.0, "horizon": 1.0, "method": "auto",
+                 "cells": 48}, command="solve")
 def test_cli_never_crashes(config, command):
     # any config ends in a documented exit code with a JSON error, never a traceback
     with tempfile.TemporaryDirectory() as tmp:
@@ -601,6 +609,35 @@ def test_cli_never_crashes(config, command):
         strict_json(out.getvalue())
     if code != 0:
         assert strict_json(err.getvalue())["error"]
+
+
+@pytest.mark.parametrize("kernel", _SUBNORMAL_TABLES, ids=["one_gap", "two_gaps"])
+def test_subnormal_knot_gap_is_one_config_error(tmp_path, kernel):
+    # in a fresh process, where an overflow warning would reach stderr before the JSON
+    path = write_config(tmp_path / "c.json", kernel=kernel, gamma=1.0, horizon=1.0, cells=48)
+    proc = run_module(path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "slopes between neighbouring knots must be finite" in strict_json(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize("kernel, gamma, horizon, cells, solve", [
+    (_BUMP, 1e-6, 3.0, 256,
+     lambda k, g, T, m: discrete.solve(discrete.Problem(g, T, k), m)),
+    ({"type": "exponential_sum", "a": [1e-20, 1.0], "b": [1e-20, 1.0]}, 0.5, 2.0, 1024,
+     lambda k, g, T, m: exponential.build_closed_form(k, g, T)),
+    (_BUMP, 1.0, 3.0, 65536,
+     lambda k, g, T, m: discrete.solve(discrete.Problem(g, T, k), m)),
+], ids=["pivot", "condition", "levinson_limit"])
+def test_error_detail_is_the_exceptions_own(tmp_path, capsys, kernel, gamma, horizon, cells, solve):
+    # each library error owns its detail; the CLI prints it as it is
+    with pytest.raises((IndefiniteKernelError, IllConditionedError, LevinsonLimitError)) as info:
+        solve(kernel_from_spec(kernel), gamma, horizon, cells)
+    path = write_config(tmp_path / "c.json", kernel=kernel, gamma=gamma, horizon=horizon, cells=cells)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert (code, out) == (1, "")
+    assert strict_json(err) == {"error": str(info.value), "detail": info.value.detail}
+    assert info.value.detail  # pivot, condition, or cells, limit and cause
 
 
 def test_infinite_condition_is_strict_json(tmp_path, capsys):

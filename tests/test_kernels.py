@@ -79,6 +79,50 @@ def test_spec_rejects(bad, match):
         kernel_from_spec(bad)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda v: CappedLinear(cap=v), "cap"),
+    (lambda v: PowerCapped(rho=v, p=2), "rho"),
+    (lambda v: Trigonometric(rho=v), "rho"),
+    (lambda v: PowerLaw(alpha=0.5, scale=v), "scale"),
+    (lambda v: discrete.Problem(gamma=v, horizon=1.0, kernel=CappedLinear()), "gamma"),
+    (lambda v: discrete.Problem(gamma=1.0, horizon=v, kernel=CappedLinear()), "horizon"),
+], ids=["cap", "power_capped_rho", "trig_rho", "scale", "gamma", "horizon"])
+def test_positive_finite_fields(build, name):
+    # one rule for every positive finite field: the same message, and a float stored
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            build(bad)
+    stored = getattr(build(2), name)
+    assert type(stored) is float and stored == 2.0
+
+
+def test_positive_finite_fields_keep_their_check_order():
+    with pytest.raises(ValueError, match="^rho must"):
+        PowerCapped(rho=0.0, p=0)
+    with pytest.raises(ValueError, match="^alpha must"):
+        PowerLaw(alpha=2.0, scale=0.0)
+    with pytest.raises(ValueError, match="^gamma must"):
+        discrete.Problem(gamma=0.0, horizon=0.0, kernel=CappedLinear())
+
+
+@pytest.mark.parametrize("t, g", [
+    ((0.0, 5e-324), (1.0, 0.5)),  # log mode
+    ((0.0, 5e-324, 1e-323), (1.0, 0.5, 0.25)),
+    ((0.0, 1e-308), (0.0, 1.7e308)),  # linear mode
+], ids=["one_gap", "two_gaps", "linear"])
+def test_tabulated_refuses_an_infinite_slope(t, g):
+    # a knot gap near the smallest subnormal overflows the slope the structure
+    # report reads; the table is refused instead of classified with a warning
+    with pytest.raises(ValueError, match="slopes between neighbouring knots must be finite"):
+        Tabulated(t=t, g=g)
+
+
+def test_tabulated_slope_jump_overflow_keeps_its_sign():
+    # slopes of +-1.1e308 are finite, their jump overflows to -inf without a warning
+    structure = Tabulated(t=(0.0, 1e-308, 2e-308), g=(1.0, 3.0, 1.0)).classify()
+    assert not structure.convex and not structure.positive_type_known
+
+
 # ---------------------------------------------------------------- evaluation
 
 def test_pointwise_values():
