@@ -33,7 +33,8 @@ import numpy as np
 from . import diagnostics, discrete, exponential, special
 from ._quad import panel_gauss  # noqa: F401  the benchmark's span recorder wraps this name
 from .errors import IllConditionedError, IndefiniteKernelError, LevinsonLimitError
-from .kernels import CappedLinear, ExponentialSum, Trigonometric, kernel_from_spec
+from .kernels import (CappedLinear, ExponentialSum, Trigonometric, _positive_finite, _positive_int,
+                      kernel_from_spec)
 
 __all__ = ["RunConfig", "MAX_CELLS", "main", "run", "compare_cmd"]
 
@@ -184,11 +185,12 @@ _ROUTES = {  # "auto" takes the first route whose requirement holds
 _METHODS = (*_ROUTES, "auto")
 
 
-def _require_positive(obj, key):
-    v = obj.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
-        raise ConfigError(f"'{key}' must be a positive finite number", {"got": v})
-    return float(v)
+def _field(check, value, name, **bounds):
+    """``check(value, name, **bounds)``, with its refusal as a config error whose detail is the value."""
+    try:
+        return check(value, name, **bounds)
+    except ValueError as exc:
+        raise ConfigError(exc, {"got": value}) from None
 
 
 def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunConfig:
@@ -215,30 +217,24 @@ def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunCon
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad kernel spec: {exc}", {"kernel": raw.get("kernel")})
 
-    gamma = _require_positive(raw, "gamma")
-    horizon = _require_positive(raw, "horizon")
+    gamma = _field(_positive_finite, raw.get("gamma"), "gamma")
+    horizon = _field(_positive_finite, raw.get("horizon"), "horizon")
 
     method = raw.get("method", "auto")
     if method not in _METHODS:
         raise ConfigError(f"'method' must be one of {', '.join(_METHODS)}", {"got": method})
 
-    if cells is None:
-        cells = raw.get("cells", 1024)
-    if not isinstance(cells, (int,)) or isinstance(cells, bool) or not 2 <= cells <= MAX_CELLS:
-        raise ConfigError(f"'cells' must be an integer from 2 to {MAX_CELLS}", {"got": cells})
+    cells = _field(_positive_int, raw.get("cells", 1024) if cells is None else cells, "cells",
+                   least=2, most=MAX_CELLS)
 
     diag = raw.get("diagnostics", {})
     if not isinstance(diag, dict):
         raise ConfigError("'diagnostics' must be an object", {"got": diag})
-    if max_order is None:
-        max_order = diag.get("max_order", 6)
-    if not isinstance(max_order, int) or isinstance(max_order, bool) or max_order < 2:
-        raise ConfigError("'diagnostics.max_order' must be an integer >= 2", {"got": max_order})
+    max_order = _field(_positive_int, diag.get("max_order", 6) if max_order is None else max_order,
+                       "diagnostics.max_order", least=2)
     tol = diag.get("tol")
     if tol is not None:
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < math.inf:
-            raise ConfigError("'diagnostics.tol' must be positive and finite, or null", {"got": tol})
-        tol = float(tol)
+        tol = _field(_positive_finite, tol, "diagnostics.tol")
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -418,14 +414,13 @@ def compare_cmd(cfg_a: RunConfig, cfg_b: RunConfig, grid_points=1001) -> dict:
     if cfg_a.horizon != cfg_b.horizon:
         raise ConfigError("configs have different horizons",
                           {"a": cfg_a.horizon, "b": cfg_b.horizon})
-    if not 2 <= grid_points <= MAX_CELLS:
-        raise ConfigError(f"grid_points must be from 2 to {MAX_CELLS}", {"got": grid_points})
+    grid_points = _field(_positive_int, grid_points, "grid_points", least=2, most=MAX_CELLS)
     t = np.linspace(0.0, cfg_a.horizon, grid_points)
     out = diagnostics.compare(*(
         diagnostics.SampledSolution(t=t, phi=res.evaluate(t), sigma=res.sigma)
         for res in (_ROUTES[cfg.method].solve(cfg) for cfg in (cfg_a, cfg_b))
     ))
-    out["grid_points"] = int(grid_points)
+    out["grid_points"] = grid_points
     out["method_a"] = cfg_a.method
     out["method_b"] = cfg_b.method
     return out
@@ -509,10 +504,10 @@ def _build_parser():
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_sweep = sub.add_parser("sweep", help="re-solve for decreasing gamma values")
+    p_sweep = sub.add_parser("sweep", help="re-solve for several gamma values")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--gammas", required=True,
-                         help="comma-separated strictly decreasing positive finite values")
+                         help="comma-separated positive finite values, in any order")
     p_sweep.add_argument("--cells", type=int, default=None)
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=_cmd_sweep)

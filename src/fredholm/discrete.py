@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IndefiniteKernelError, LevinsonLimitError
-from .kernels import Kernel, _positive_finite
+from .kernels import Kernel, _positive_finite, _set
 
 __all__ = [
     "Problem",
@@ -79,7 +79,8 @@ class Problem:
     kernel: Kernel
 
     def __post_init__(self):
-        _positive_finite(self, "gamma", "horizon")
+        _set(self, gamma=_positive_finite(self.gamma, "gamma"),
+             horizon=_positive_finite(self.horizon, "horizon"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,23 +536,19 @@ def solve(problem: Problem, m: int) -> SolutionGrid:
 
 
 def sweep_gammas(gammas) -> list:
-    """The ridge values of a sweep as floats.
+    """The ridge values of a sweep as floats, in the order given.
 
-    Raises ValueError unless there is at least one, each is positive and
-    finite, and they are strictly decreasing.
+    Raises ValueError unless there is at least one and each is positive and
+    finite.  Every row starts from zero, so the order changes no bit.
     """
-    gammas = [float(g) for g in gammas]
+    gammas = [_positive_finite(g, "sweep gammas") for g in gammas]
     if not gammas:
         raise ValueError("gamma sweep needs at least one value")
-    if not all(0 < g < math.inf for g in gammas):
-        raise ValueError("sweep gammas must be positive and finite")
-    if any(x <= y for x, y in zip(gammas[:-1], gammas[1:])):
-        raise ValueError("sweep gammas must be strictly decreasing")
     return gammas
 
 
 def gamma_sweep(problem: Problem, m: int, gammas) -> list:
-    """Solve a strictly decreasing sequence of gamma values on a fixed grid.
+    """Solve a sequence of gamma values, in any order, on a fixed grid.
 
     The gamma-free lag row, the (for even m folded) FFT operators of K and
     of the midpoint convolution, and the eigenvalues of each circulant

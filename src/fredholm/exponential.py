@@ -36,7 +36,7 @@ import numpy as np
 from ._quad import EvenCheck, even_check, graded_edges
 from ._quad import panel_gauss  # noqa: F401  the benchmark's span recorder wraps this name
 from .errors import IllConditionedError
-from .kernels import ExponentialSum
+from .kernels import ExponentialSum, _positive_finite
 
 __all__ = [
     "ExpClosedForm",
@@ -201,12 +201,8 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
     """
     if not isinstance(kernel, ExponentialSum):
         raise TypeError("closed form requires an ExponentialSum kernel")
-    gamma = float(gamma)
-    horizon = float(horizon)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    gamma = _positive_finite(gamma, "gamma")
+    horizon = _positive_finite(horizon, "horizon")
 
     lam, a, b, c = _spectrum(kernel, gamma)
     rb, rc = np.sqrt(b), np.sqrt(c)

@@ -23,7 +23,8 @@ JSON specs, rectangle splitting).  A family is a frozen dataclass whose
 fields are its JSON fields, and it declares its spec name `kind`, its
 `structure`, and the maths: `_g0` (G itself on an array of lags t >= 0)
 and the antiderivatives `_g1` and `_g2` of the next paragraph.  It
-validates its fields in `__post_init__`.
+validates its fields in `__post_init__`, each number through
+`_positive_finite` or `_positive_int`, the one number rule of the package.
 
 Rectangle integrals reduce to scalar antiderivatives.  Writing
 G1(u) = int_0^u G(w) dw and G2(u) = int_0^u G1(v) dv for u >= 0, a
@@ -39,6 +40,7 @@ return exact zeros for far-apart cells this way).
 
 import bisect
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import ClassVar
@@ -80,12 +82,45 @@ class KernelStructure:
         return {k: v for k, v in values.items() if v is not None}
 
 
-def _positive_finite(obj, *names):
-    """Check each named field of the frozen dataclass ``obj``, in order, and store it as a float."""
-    for name in names:
-        if not 0 < getattr(obj, name) < math.inf:
-            raise ValueError(f"{name} must be positive and finite")
-        object.__setattr__(obj, name, float(getattr(obj, name)))
+_REAL = (float, int, numbers.Real)  # builtins first: isinstance stops before the slower ABC test
+
+
+def _is_number(value, kinds=_REAL):
+    """Whether ``value`` is of the number ``kinds``; a bool is not, though Python counts it as an int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _positive_finite(value, name, zero=False, below=math.inf):
+    """``value`` as a float: a real number above 0 (from 0 with ``zero``) and below ``below``.
+
+    Anything else raises a ValueError that names ``name``: "<name> must be
+    positive and finite" ("nonnegative" with ``zero``, "must lie in
+    (0, below)" with a finite ``below``).  A string, a bool, a list or None
+    is refused, never turned into a number.
+    """
+    if _is_number(value) and (0 <= value if zero else 0 < value) and value < below:
+        return float(value)
+    if below < math.inf:
+        raise ValueError(f"{name} must lie in (0, {below:g})")
+    raise ValueError(f"{name} must be {'nonnegative' if zero else 'positive'} and finite")
+
+
+def _positive_int(value, name, least=1, most=None):
+    """``value`` as an int: an integer, not a bool, from ``least`` to ``most`` (None: unbounded).
+
+    Anything else raises a ValueError that names ``name`` and the range."""
+    if _is_number(value, (int, numbers.Integral)) and least <= value and (most is None or value <= most):
+        return int(value)
+    if most is not None:
+        raise ValueError(f"{name} must be an integer from {least} to {most}")
+    raise ValueError(f"{name} must be a positive integer" if least == 1
+                     else f"{name} must be an integer >= {least}")
+
+
+def _set(obj, **values):
+    """Store checked field values on the frozen dataclass ``obj``."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 def _segments(lo, hi, cuts):
@@ -250,18 +285,13 @@ class ExponentialSum(Kernel):
     b: tuple
 
     def __post_init__(self):
-        a = tuple(float(v) for v in self.a)
-        b = tuple(float(v) for v in self.b)
+        a = tuple(_positive_finite(v, "exponential sum weights a") for v in self.a)
+        b = tuple(_positive_finite(v, "exponential sum rates b") for v in self.b)
         if len(a) == 0 or len(a) != len(b):
             raise ValueError("exponential sum needs equally many positive a and b")
-        if not all(0 < v < math.inf for v in a):
-            raise ValueError("exponential sum weights a must be positive and finite")
-        if not (0 < b[0] and b[-1] < math.inf and all(x < y for x, y in zip(b[:-1], b[1:]))):
-            raise ValueError(
-                "exponential sum rates b must be strictly increasing, positive and finite"
-            )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        if not all(x < y for x, y in zip(b[:-1], b[1:])):
+            raise ValueError("exponential sum rates b must be strictly increasing")
+        _set(self, a=a, b=b)
 
     @cached_property
     def _arrays(self):
@@ -321,7 +351,7 @@ class CappedLinear(Kernel):
     cap: float = 1.0
 
     def __post_init__(self):
-        _positive_finite(self, "cap")
+        _set(self, cap=_positive_finite(self.cap, "cap"))
 
     def _g0(self, t):
         return np.maximum(self.cap - t, 0.0)
@@ -357,10 +387,7 @@ class PowerCapped(Kernel):
     p: int
 
     def __post_init__(self):
-        _positive_finite(self, "rho")
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
-            raise ValueError("p must be a positive integer")
-        object.__setattr__(self, "p", int(self.p))
+        _set(self, rho=_positive_finite(self.rho, "rho"), p=_positive_int(self.p, "p"))
 
     def _g0(self, t):
         return np.maximum(1.0 - self.rho * t, 0.0) ** self.p
@@ -397,7 +424,7 @@ class Trigonometric(Kernel):
     rho: float
 
     def __post_init__(self):
-        _positive_finite(self, "rho")
+        _set(self, rho=_positive_finite(self.rho, "rho"))
 
     def _g0(self, t):
         return np.cos(self.rho * t)
@@ -442,10 +469,8 @@ class PowerLaw(Kernel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        _positive_finite(self, "scale")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        _set(self, alpha=_positive_finite(self.alpha, "alpha", below=1.0),
+             scale=_positive_finite(self.scale, "scale"))
 
     def _g0(self, t):
         if np.any(t == 0):
@@ -552,18 +577,13 @@ class Tabulated(Kernel):
     g: tuple
 
     def __post_init__(self):
-        t = tuple(float(v) for v in self.t)
-        g = tuple(float(v) for v in self.g)
+        t = tuple(_positive_finite(v, "tabulated abscissae t", zero=True) for v in self.t)
+        g = tuple(_positive_finite(v, "tabulated values g", zero=True) for v in self.g)
         if len(t) < 2 or len(t) != len(g):
             raise ValueError("tabulated kernel needs >= 2 matching samples")
-        if not (0 <= t[0] and t[-1] < math.inf and all(x < y for x, y in zip(t[:-1], t[1:]))):
-            raise ValueError(
-                "tabulated abscissae must be strictly increasing, nonnegative and finite"
-            )
-        if not all(0 <= v < math.inf for v in g):
-            raise ValueError("tabulated values must be nonnegative and finite")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "g", g)
+        if not all(x < y for x, y in zip(t[:-1], t[1:])):
+            raise ValueError("tabulated abscissae t must be strictly increasing")
+        _set(self, t=t, g=g)
         if not np.all(np.isfinite(self._slopes)):  # a knot gap near the smallest subnormal
             raise ValueError("tabulated slopes between neighbouring knots must be finite")
 

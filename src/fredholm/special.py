@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import EvenCheck, even_check, graded_edges, panel_edges, panel_gauss
-from .kernels import _em1p
+from .kernels import _em1p, _positive_finite, _positive_int
 
 __all__ = [
     "CappedLinearSolution",
@@ -111,12 +111,8 @@ def capped_linear_solve(n, gamma) -> CappedLinearSolution:
     verified (b_max above 40,960), before anything is solved: the junction
     system loses its digits long before it becomes singular.
     """
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
-        raise ValueError("capped-linear closed form needs a positive integer horizon")
-    n = int(n)
-    gamma = float(gamma)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    n = _positive_int(n, "horizon")
+    gamma = _positive_finite(gamma, "gamma")
 
     i = np.arange(1, n + 1)
     lam = 2.0 * (1.0 - np.cos(i * np.pi / (n + 1)))
@@ -288,15 +284,9 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
     divides before it multiplies: gamma D/rho underflows when gamma T is tiny
     (2e-330 at rho 1, gamma 1e-300, T 1e-30) while sigma is not (7.2e-148).
     """
-    rho = float(rho)
-    gamma = float(gamma)
-    horizon = float(horizon)
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    rho = _positive_finite(rho, "rho")
+    gamma = _positive_finite(gamma, "gamma")
+    horizon = _positive_finite(horizon, "horizon")
 
     x = 0.5 * rho * horizon
     gx, hx = _trig_defects(x)

@@ -138,6 +138,25 @@ def test_method_kernel_mismatch(tmp_path, capsys, method, kernel, message):
     assert json.loads(err)["error"] == message
 
 
+@pytest.mark.parametrize("kernel, message", [
+    ({"type": "capped_linear", "cap": True}, "cap must be positive and finite"),
+    ({"type": "power_law", "alpha": 0.5, "scale": True}, "scale must be positive and finite"),
+    ({"type": "power_capped", "rho": 10.0, "p": True}, "p must be a positive integer"),
+    ({"type": "exponential_sum", "a": ["1.5"], "b": [1.0]},
+     "exponential sum weights a must be positive and finite"),
+    ({"type": "tabulated", "t": ["0", "1"], "g": [1.0, 0.5]},
+     "tabulated abscissae t must be nonnegative and finite"),
+    ({"type": "trigonometric", "rho": "0.5"}, "rho must be positive and finite"),
+], ids=["cap", "scale", "p", "a", "t", "rho"])
+def test_non_number_kernel_fields_exit_2(tmp_path, capsys, kernel, message):
+    # a bool or a string where a number belongs is a config error, never a number
+    path = write_config(tmp_path / "c.json", kernel=kernel)
+    code, out, err = run_main(["solve", "--config", path], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert strict_json(err) == {"error": f"bad kernel spec: {message}", "detail": {"kernel": kernel}}
+
+
 def test_capped_method_needs_integer_horizon(tmp_path, capsys):
     path = write_config(
         tmp_path / "c.json",
@@ -558,12 +577,15 @@ def _mostly(strategy, other=_ODD):
     return st.integers(0, 4).flatmap(lambda k: other if k == 4 else strategy)
 
 
-_NUMBER = _mostly(st.floats(min_value=1e-3, max_value=20.0))
+# now and then a bool or a numeric string where a number belongs: a config error
+_NUMBER = _mostly(st.floats(min_value=1e-3, max_value=20.0),
+                  st.one_of(_ODD, st.booleans(), st.floats(1e-3, 20.0).map(str)))
 _KERNELS = st.one_of(
     st.integers(1, 3).flatmap(lambda k: st.fixed_dictionaries({
         "type": st.just("exponential_sum"),
         "a": st.lists(_NUMBER, min_size=k, max_size=k),
-        "b": st.lists(_NUMBER, min_size=k, max_size=k, unique=True).map(sorted)})),
+        "b": st.lists(_NUMBER, min_size=k, max_size=k, unique=True).map(
+            lambda b: sorted(b, key=float))})),
     st.fixed_dictionaries({"type": st.just("capped_linear")},
                           optional={"cap": _mostly(st.just(1.0), _NUMBER)}),
     st.fixed_dictionaries({"type": st.just("power_capped"), "rho": _NUMBER,
@@ -575,7 +597,8 @@ _KERNELS = st.one_of(
     st.integers(2, 5).flatmap(lambda k: st.fixed_dictionaries({
         "type": st.just("tabulated"),
         "t": st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k, unique=True).map(sorted),
-        "g": st.lists(_NUMBER, min_size=k, max_size=k).map(lambda g: sorted(g)[::-1])})),
+        "g": st.lists(_NUMBER, min_size=k, max_size=k).map(
+            lambda g: sorted(g, key=float)[::-1])})),
 )
 _CONFIGS = st.fixed_dictionaries({
     "kernel": _KERNELS,
@@ -594,6 +617,10 @@ _SUBNORMAL_TABLES = [{"type": "tabulated", "t": [0.0, 5e-324], "g": [1.0, 0.5]},
 @given(config=_CONFIGS, command=st.sampled_from(["solve", "verify"]))
 @example(config={"kernel": _SUBNORMAL_TABLES[0], "gamma": 1.0, "horizon": 1.0, "method": "auto",
                  "cells": 48}, command="solve")
+@example(config={"kernel": {"type": "capped_linear", "cap": True}, "gamma": 1.0, "horizon": 1.0,
+                 "method": "auto", "cells": 48}, command="solve")
+@example(config={"kernel": {"type": "exponential_sum", "a": ["1.5"], "b": [1.0]}, "gamma": 1.0,
+                 "horizon": 1.0, "method": "auto", "cells": 48}, command="verify")
 def test_cli_never_crashes(config, command):
     # any config ends in a documented exit code with a JSON error, never a traceback
     with tempfile.TemporaryDirectory() as tmp:
@@ -609,6 +636,9 @@ def test_cli_never_crashes(config, command):
         strict_json(out.getvalue())
     if code != 0:
         assert strict_json(err.getvalue())["error"]
+    fields = [v for k, v in config["kernel"].items() if k != "type"]
+    if any(isinstance(v, (bool, str)) for f in fields for v in (f if isinstance(f, list) else [f])):
+        assert code == 2 and out.getvalue() == ""
 
 
 @pytest.mark.parametrize("kernel", _SUBNORMAL_TABLES, ids=["one_gap", "two_gaps"])
@@ -881,12 +911,16 @@ def test_sweep_endpoint_mass_growth(tmp_path, capsys):
     assert all(e["sigma"] > 0 for e in doc["entries"])
 
 
-def test_sweep_rejects_unsorted_gammas(tmp_path, capsys):
+def test_sweep_accepts_unsorted_gammas(tmp_path, capsys):
+    # the entries keep the order of --gammas, and each gamma its sorted-sweep bits
     path = write_config(tmp_path / "c.json")
-    code, _, err = run_main(
-        ["sweep", "--config", path, "--gammas", "0.1,0.5"], capsys
-    )
-    assert code == 2
+    runs = {}
+    for gammas in ("0.1,0.5", "0.5,0.1"):
+        code, out, err = run_main(["sweep", "--config", path, "--gammas", gammas], capsys)
+        assert code == 0, err
+        runs[gammas] = strict_json(out)["entries"]
+    assert [e["gamma"] for e in runs["0.1,0.5"]] == [0.1, 0.5]
+    assert runs["0.1,0.5"] == runs["0.5,0.1"][::-1]
 
 
 def test_verify_command(tmp_path, capsys):

@@ -415,12 +415,25 @@ def test_sweep_row_losing_curvature_falls_back(monkeypatch):
 
 
 def test_gamma_sweep_validation():
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        gamma_sweep(EXP1, 64, [0.1, 0.5])
     with pytest.raises(ValueError, match="positive"):
         gamma_sweep(EXP1, 64, [0.5, -0.1])
     with pytest.raises(ValueError, match="at least one"):
         gamma_sweep(EXP1, 64, [])
+
+
+def test_gamma_sweep_order_changes_no_bits():
+    # every row starts from zero, so the six gammas of the tabulated sweep
+    # give each gamma the same bits in increasing and in shuffled order as
+    # in the decreasing sweep
+    problem = Problem(gamma=1.0, horizon=3.0,
+                      kernel=Tabulated(t=(0.0, 0.3, 1.0, 2.5), g=(2.0, 1.1, 0.4, 0.05)))
+    decreasing = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003)
+    refs = dict(zip(decreasing, gamma_sweep(problem, 512, decreasing)))
+    for order in (decreasing[::-1], (0.03, 1.0, 0.003, 0.3, 0.01, 0.1)):
+        for g, grid in zip(order, gamma_sweep(problem, 512, order), strict=True):
+            ref = refs[g]
+            assert (grid.sigma, grid.energy, grid.residual_max) == (ref.sigma, ref.energy, ref.residual_max)
+            np.testing.assert_array_equal(grid.values, ref.values)
 
 
 def test_residual_against_independent_quadrature():

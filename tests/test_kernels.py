@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredholm import discrete
+from fredholm import discrete, exponential, special
 from fredholm.kernels import (
     _E2_RADII,
     CappedLinear,
@@ -57,7 +57,7 @@ def test_spec_defaults():
         ({"type": "exponential_sum", "a": [1.0], "b": [1.0], "x": 2}, "unknown fields: x"),
         ({"type": "exponential_sum", "a": [1.0, 2.0], "b": [1.0]}, "equally many"),
         ({"type": "exponential_sum", "a": [], "b": []}, "equally many"),
-        ({"type": "exponential_sum", "a": [1.0], "b": [-1.0]}, "strictly increasing"),
+        ({"type": "exponential_sum", "a": [1.0], "b": [-1.0]}, "rates b must be positive"),
         ({"type": "power_law", "alpha": 1.5}, r"alpha must lie in \(0, 1\)"),
         ({"type": "power_law", "alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
         ({"type": "power_capped", "rho": 10.0, "p": 0}, "p"),
@@ -72,6 +72,18 @@ def test_spec_defaults():
         ({"type": "power_law", "alpha": 0.5, "scale": math.inf}, "finite"),
         ({"type": "tabulated", "t": [0.0, math.inf], "g": [1.0, 0.5]}, "finite"),
         ({"type": "tabulated", "t": [0.0, 1.0], "g": [math.inf, 0.5]}, "finite"),
+        ({"type": "exponential_sum", "a": [1.0, 1.0], "b": [2.0, 1.0]}, "strictly increasing"),
+        # a bool, a string, a list or None is refused by name, never turned into a number
+        ({"type": "capped_linear", "cap": True}, "^cap must be positive and finite$"),
+        ({"type": "power_law", "alpha": 0.5, "scale": True}, "^scale must be positive and finite$"),
+        ({"type": "power_law", "alpha": "0.5"}, r"^alpha must lie in \(0, 1\)$"),
+        ({"type": "power_capped", "rho": 10.0, "p": True}, "^p must be a positive integer$"),
+        ({"type": "trigonometric", "rho": "0.5"}, "^rho must be positive and finite$"),
+        ({"type": "trigonometric", "rho": None}, "^rho must be positive and finite$"),
+        ({"type": "exponential_sum", "a": ["1.5"], "b": [1.0]}, "^exponential sum weights a must"),
+        ({"type": "exponential_sum", "a": [1.0], "b": [[1.0]]}, "^exponential sum rates b must"),
+        ({"type": "tabulated", "t": ["0", "1"], "g": [1.0, 0.5]}, "^tabulated abscissae t must"),
+        ({"type": "tabulated", "t": [0.0, 1.0], "g": [1.0, False]}, "^tabulated values g must"),
     ],
 )
 def test_spec_rejects(bad, match):
@@ -94,6 +106,30 @@ def test_positive_finite_fields(build, name):
             build(bad)
     stored = getattr(build(2), name)
     assert type(stored) is float and stored == 2.0
+
+
+_EXP1 = ExponentialSum(a=(1.0,), b=(1.0,))
+_ENTRY_POINTS = {  # call(gamma, horizon, rho) of each library entry point that takes a problem
+    "problem": lambda g, T, r: discrete.Problem(gamma=g, horizon=T, kernel=_EXP1),
+    "exp": lambda g, T, r: exponential.build_closed_form(_EXP1, g, T),
+    "trig": lambda g, T, r: special.trig_solve(r, g, T),
+    "capped": lambda g, T, r: special.capped_linear_solve(T, g),
+}
+
+
+@pytest.mark.parametrize("entry, name, bad", [
+    (entry, name, bad)
+    for entry in _ENTRY_POINTS
+    for name in ("gamma", "horizon", "rho")
+    for bad in (math.inf, math.nan, True)
+    if (name != "rho" or entry == "trig")
+    and (entry != "problem" or bad is True)  # test_positive_finite_fields pins inf and nan
+])
+def test_entry_points_refuse_a_bad_number_by_name(entry, name, bad):
+    args = {"gamma": 0.5, "horizon": 3, "rho": 0.5, name: bad}
+    rule = "a positive integer" if (entry, name) == ("capped", "horizon") else "positive and finite"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}$"):
+        _ENTRY_POINTS[entry](args["gamma"], args["horizon"], args["rho"])
 
 
 def test_positive_finite_fields_keep_their_check_order():
