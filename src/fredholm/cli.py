@@ -32,7 +32,6 @@ import numpy as np
 
 from . import diagnostics, discrete, exponential, special
 from ._quad import panel_gauss  # noqa: F401  the benchmark's span recorder wraps this name
-from .errors import IllConditionedError, IndefiniteKernelError, LevinsonLimitError
 from .kernels import (CappedLinear, ExponentialSum, Trigonometric, _positive_finite, _positive_int,
                       kernel_from_spec)
 
@@ -96,7 +95,7 @@ _requires_trig = _kernel_is(Trigonometric, "method trig requires a trigonometric
 def _requires_capped(kernel, horizon):
     if not isinstance(kernel, CappedLinear) or kernel.cap != 1.0:
         return "method capped_linear requires capped_linear kernel with cap = 1"
-    if not float(horizon).is_integer():  # horizon > 0 was checked, so n >= 1
+    if not horizon.is_integer():  # a float, checked > 0, so n >= 1
         return "method capped_linear requires an integer horizon"
 
 
@@ -526,10 +525,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _error(exc, exc.detail, code=2)
-    except (IndefiniteKernelError, LevinsonLimitError, IllConditionedError) as exc:
-        return _error(exc, exc.detail)
-    except (ValueError, RuntimeError) as exc:
-        return _error(exc)
+    except (ValueError, RuntimeError) as exc:  # the errors module's exceptions carry a detail
+        return _error(exc, getattr(exc, "detail", None))
     except OSError as exc:
         return _error(f"i/o failure: {exc}")
     except OverflowError as exc:  # e.g. a horizon near the float limit

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _positive_finite, _positive_int
+
 __all__ = [
     "MonotonicityReport",
     "SampledSolution",
@@ -117,16 +119,10 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
     if values.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     n = values.size
-    max_order = int(max_order)
-    if max_order < 2:
-        raise ValueError("max_order must be at least 2")
+    max_order = _positive_int(max_order, "max_order", least=2)
     require_samples(n, max_order)
-    horizon = float(horizon)
-    if spacing is None:
-        spacing = horizon / (n - 1)
-    spacing = float(spacing)
-    if not 0.0 < spacing < math.inf:
-        raise ValueError(f"grid spacing must be positive and finite, got {spacing!r}")
+    horizon = _positive_finite(horizon, "horizon")
+    spacing = _positive_finite(horizon / (n - 1) if spacing is None else spacing, "grid spacing")
     x = start + spacing * np.arange(n)
     # x increases, so the windows of order k and step r with x_s > T/2 and
     # x_{s+kr} < T are exactly the starts s = first .. inside - k*r - 1

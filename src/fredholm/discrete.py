@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IndefiniteKernelError, LevinsonLimitError
-from .kernels import Kernel, _positive_finite, _set
+from .kernels import Kernel, _positive_finite, _positive_int, _set
 
 __all__ = [
     "Problem",
@@ -81,6 +81,8 @@ class Problem:
     def __post_init__(self):
         _set(self, gamma=_positive_finite(self.gamma, "gamma"),
              horizon=_positive_finite(self.horizon, "horizon"))
+        if not isinstance(self.kernel, Kernel):
+            raise TypeError(f"kernel must be a Kernel, got {type(self.kernel).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +128,11 @@ def _grid_rows(problem: Problem, m: int):
     """The kernel's rows on m cells: cell double integrals at lags 0..m-1
     (no gamma term) and the midpoint row (see ``Kernel.grid_rows``).
 
-    A horizon near the float limit overflows the rows; numpy's warnings are
+    Every caller's cell count m is checked here, an integer from 2.  A
+    horizon near the float limit overflows the rows; numpy's warnings are
     silenced so that the non-finite check below reports it as one error.
     """
-    if m < 2:
-        raise ValueError("need at least two cells")
+    m = _positive_int(m, "cells", least=2)
     with np.errstate(over="ignore", invalid="ignore"):
         lags, midpoints = problem.kernel.grid_rows(problem.horizon / m, m)
     if not np.all(np.isfinite(lags)):
@@ -152,8 +154,8 @@ def discretize(problem: Problem, m: int):
     diagonal carries the extra (gamma/2)(T/m) from the gamma-term.  H is
     symmetric Toeplitz, so only the first row is integrated.
     """
-    i = np.arange(m)
     col = _column(_grid_rows(problem, m)[0], problem.gamma * (problem.horizon / m))
+    i = np.arange(m)
     H = 0.5 * col[np.abs(np.subtract.outer(i, i))]
     return H, np.full(m, problem.horizon / m)
 

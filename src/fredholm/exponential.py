@@ -133,10 +133,7 @@ def secular_roots(kernel: ExponentialSum, lam) -> np.ndarray:
     arithmetic is scalar: a few Newton steps on n-term sums cost more as
     numpy calls on n-element arrays than the sums themselves.
     """
-    lam = float(lam)
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-
+    lam = _positive_finite(lam, "lambda")
     b = kernel.b
     w = [2.0 * lam * ak * math.sqrt(bk) for ak, bk in zip(kernel.a, b)]
     n = len(b)
@@ -178,10 +175,17 @@ def _coth_half(x):
     return (1.0 + np.exp(-x)) / -np.expm1(-x)
 
 
-def _spectrum(kernel: ExponentialSum, gamma):
-    """lambda = 1/gamma, the kernel's a and b, and the secular roots c."""
-    lam = 1.0 / gamma
-    return lam, np.asarray(kernel.a), np.asarray(kernel.b), secular_roots(kernel, lam)
+def _checked(kernel: ExponentialSum, gamma, horizon):
+    """gamma and T as floats, lambda = 1/gamma, and the kernel's a and b.
+
+    The closed form and its certificates check their arguments here: a
+    kernel that is not an ExponentialSum raises TypeError, and gamma and T
+    go through the package's number rule."""
+    if not isinstance(kernel, ExponentialSum):
+        raise TypeError("closed form requires an ExponentialSum kernel")
+    gamma = _positive_finite(gamma, "gamma")
+    horizon = _positive_finite(horizon, "horizon")
+    return gamma, horizon, 1.0 / gamma, np.asarray(kernel.a), np.asarray(kernel.b)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -199,21 +203,19 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
     non-finite entry, as when a secular root rounds onto its pole.  The
     arithmetic runs with numpy's warnings off, so the refusal speaks alone.
     """
-    if not isinstance(kernel, ExponentialSum):
-        raise TypeError("closed form requires an ExponentialSum kernel")
-    gamma = _positive_finite(gamma, "gamma")
-    horizon = _positive_finite(horizon, "horizon")
-
-    lam, a, b, c = _spectrum(kernel, gamma)
-    rb, rc = np.sqrt(b), np.sqrt(c)
+    gamma, horizon, lam, a, b = _checked(kernel, gamma, horizon)
+    rb = np.sqrt(b)
     n = a.size
 
     d = 1.0 / (1.0 + 2.0 * lam * np.sum(a / rb))
+    # checked before the roots: where 1/gamma overflows, d is 0 and secular_roots would refuse lambda = inf
     if not d > 0:  # phi = sigma d (...) would be inf * 0 everywhere
         raise RuntimeError(
             "closed-form constant d = 1/(1 + (2/gamma) sum a/sqrt(b)) underflows to 0: "
             "the kernel's weight a/sqrt(b) is too large against gamma"
         )
+    c = secular_roots(kernel, lam)
+    rc = np.sqrt(c)
 
     rcT = rc * horizon  # sqrt(c) T = inf has the right limits below
     coth = _coth_half(rcT)
@@ -262,7 +264,7 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
 def eval_closed_form(cf: ExpClosedForm, t):
     """phi(t) for t in [0, T] (scalar or ndarray); overflow-safe for large sqrt(c)*T."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > cf.horizon):
+    if not np.all((t_arr >= 0.0) & (t_arr <= cf.horizon)):  # also a point of nan
         raise ValueError("evaluation point outside [0, T]")
     rc = np.sqrt(cf.c)
     denom = -np.expm1(-rc * cf.horizon)  # 1 - e^{-sqrt(c) T}
@@ -272,7 +274,7 @@ def eval_closed_form(cf: ExpClosedForm, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def verify_step_identities(kernel: ExponentialSum, gamma, horizon=1.0) -> dict:
+def verify_step_identities(kernel: ExponentialSum, gamma, horizon) -> dict:
     """Numerically certify the five structural identities behind the closed form.
 
     (i)   Qtilde * (D1 Qtilde' D2) = I                       (explicit Cauchy inverse)
@@ -283,9 +285,10 @@ def verify_step_identities(kernel: ExponentialSum, gamma, horizon=1.0) -> dict:
 
     Matrix inverses in (iii)-(v) go through LAPACK (np.linalg), independent of
     the explicit Cauchy formulas they certify.  Failures are reported, not
-    raised.
+    raised; the arguments are checked as :func:`build_closed_form` checks them.
     """
-    lam, a, b, c = _spectrum(kernel, float(gamma))
+    _, horizon, lam, a, b = _checked(kernel, gamma, horizon)
+    c = secular_roots(kernel, lam)
     rb, rc = np.sqrt(b), np.sqrt(c)
     Qt, D1, D2 = cauchy_factors(b, c)
     n = a.size

@@ -138,7 +138,7 @@ class Kernel:
     def evaluate(self, t):
         """Kernel value G(t) for lag t >= 0 (scalar or ndarray)."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
+        if not np.all(t_arr >= 0):  # also a lag of nan
             raise ValueError("kernel lag must be nonnegative")
         out = self._g0(t_arr)
         return float(out) if np.ndim(t) == 0 else out

@@ -160,7 +160,7 @@ def capped_linear_solve(n, gamma) -> CappedLinearSolution:
 def eval_capped_linear(sol: CappedLinearSolution, t):
     """phi(t) for t in [0, n]: segment i = min(floor(t)+1, n), local clock s = t-(i-1)."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > sol.n):
+    if not np.all((t_arr >= 0.0) & (t_arr <= sol.n)):  # also a point of nan
         raise ValueError("evaluation point outside [0, n]")
     idx = np.minimum(np.floor(t_arr).astype(int), sol.n - 1)
     s = t_arr - idx
@@ -304,7 +304,7 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
 def eval_trig(sol: TrigSolution, t):
     """phi(t) = base + swing sin^2(rho (t - T/2) / 2) for t in [0, T]."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > sol.horizon):
+    if not np.all((t_arr >= 0.0) & (t_arr <= sol.horizon)):  # also a point of nan
         raise ValueError("evaluation point outside [0, T]")
     out = sol.base + sol.swing * np.sin(0.5 * sol.rho * (t_arr - 0.5 * sol.horizon)) ** 2
     return float(out) if np.ndim(t) == 0 else out

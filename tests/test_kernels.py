@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredholm import discrete, exponential, special
+from fredholm import diagnostics, discrete, exponential, special
 from fredholm.kernels import (
     _E2_RADII,
     CappedLinear,
@@ -114,6 +114,7 @@ _ENTRY_POINTS = {  # call(gamma, horizon, rho) of each library entry point that 
     "exp": lambda g, T, r: exponential.build_closed_form(_EXP1, g, T),
     "trig": lambda g, T, r: special.trig_solve(r, g, T),
     "capped": lambda g, T, r: special.capped_linear_solve(T, g),
+    "verify": lambda g, T, r: exponential.verify_step_identities(_EXP1, g, T),
 }
 
 
@@ -139,6 +140,61 @@ def test_positive_finite_fields_keep_their_check_order():
         PowerLaw(alpha=2.0, scale=0.0)
     with pytest.raises(ValueError, match="^gamma must"):
         discrete.Problem(gamma=0.0, horizon=0.0, kernel=CappedLinear())
+
+
+_PROBLEM = discrete.Problem(gamma=0.5, horizon=2.0, kernel=_EXP1)
+_GRID_ENTRY_POINTS = {  # call(m) of each discrete entry point that takes a cell count
+    "solve": lambda m: discrete.solve(_PROBLEM, m),
+    "gamma_sweep": lambda m: discrete.gamma_sweep(_PROBLEM, m, [0.5]),
+    "discretize": lambda m: discrete.discretize(_PROBLEM, m),
+    "kernel_row": lambda m: discrete.kernel_row(_PROBLEM, m),
+}
+
+
+@pytest.mark.parametrize("bad", [8.0, 2.5, True, "8", 1], ids=repr)
+@pytest.mark.parametrize("entry", _GRID_ENTRY_POINTS)
+def test_cell_counts_are_checked_by_the_number_rule(entry, bad):
+    with pytest.raises(ValueError, match="^cells must be an integer >= 2$"):
+        _GRID_ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize("arg, bad, message", [
+    *(("horizon", bad, "horizon must be positive and finite") for bad in (True, math.inf, 0)),
+    *(("max_order", bad, "max_order must be an integer >= 2") for bad in (6.9, True, 1)),
+    *(("spacing", bad, "grid spacing must be positive and finite") for bad in (0, math.inf, math.nan)),
+])
+def test_analyze_checks_its_numbers_by_name(arg, bad, message):
+    args = {"horizon": 1.0, "max_order": 2, "spacing": 1.0 / 63, arg: bad}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        diagnostics.analyze(np.ones(64), **args)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, True], ids=repr)
+def test_secular_roots_refuse_a_bad_lambda(bad):
+    with pytest.raises(ValueError, match="^lambda must be positive and finite$"):
+        exponential.secular_roots(_EXP1, bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: discrete.Problem(0.5, 2.0, "exp"),
+    lambda: exponential.verify_step_identities(CappedLinear(), 0.5, 1.0),
+], ids=["problem", "verify"])
+def test_a_kernel_of_the_wrong_type_is_refused(call):
+    with pytest.raises(TypeError, match="kernel"):
+        call()
+
+
+@pytest.mark.parametrize("point", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+@pytest.mark.parametrize("evaluate, message", [
+    (_EXP1.evaluate, "kernel lag must be nonnegative"),
+    (lambda t: exponential.eval_closed_form(exponential.build_closed_form(_EXP1, 0.5, 1.0), t),
+     "outside"),
+    (lambda t: special.eval_capped_linear(special.capped_linear_solve(3, 0.1), t), "outside"),
+    (lambda t: special.eval_trig(special.trig_solve(0.5, 0.5, 1.0), t), "outside"),
+], ids=["kernel", "exp", "capped", "trig"])
+def test_nan_evaluation_points_are_refused(evaluate, message, point):
+    with pytest.raises(ValueError, match=message):
+        evaluate(point)
 
 
 @pytest.mark.parametrize("t, g", [

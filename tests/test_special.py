@@ -308,9 +308,8 @@ def _trig_case(rho, gamma, horizon):
     # over all of [0, T]: it does not assume that phi is even
     sol = trig_solve(rho, gamma, horizon)
     panel = special.trig_panel(sol)
-    mc, ms = _quad.panel_gauss(lambda u: (np.cos(rho * u) * eval_trig(sol, u),
-                                          np.sin(rho * u) * eval_trig(sol, u)),
-                               0.0, horizon, max_panel=panel)
+    mc, ms = (_quad.panel_gauss(lambda u: wave(rho * u) * eval_trig(sol, u), 0.0, horizon,
+                                max_panel=panel) for wave in (np.cos, np.sin))
     return (_quad.panel_edges(0.0, horizon / 2.0, max_panel=panel), sol.sigma,
             lambda t: gamma * eval_trig(sol, t) + mc * np.cos(rho * t) + ms * np.sin(rho * t)
             - sol.sigma)
