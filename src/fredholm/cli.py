@@ -4,9 +4,11 @@ Configs are JSON files; see the repository README for the schema.  Each
 method is one route of ``_ROUTES``: a requirement on kernel and horizon and
 a solve returning a ``RunResult``.  ``auto`` takes the first route that
 applies, in the order exp_closed_form, capped_linear, trig, discrete.
-Every command prints a JSON document on stdout and (for solve) optionally
-writes a CSV of the sampled curve plus a JSON summary next to it.  Output
-is deterministic: identical configs give byte-identical bytes.
+Each route and command imports its own solver module when it runs, so a
+command loads only the route it takes.  Every command prints a JSON
+document on stdout and (for solve) optionally writes a CSV of the sampled
+curve plus a JSON summary next to it.  Output is deterministic: identical
+configs give byte-identical bytes.
 
 Every JSON document is strict RFC 8259: a non-finite number is written as
 the string "inf", "-inf" or "nan", never as Infinity or NaN.
@@ -30,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import diagnostics, discrete, exponential, special
 from ._quad import panel_gauss  # noqa: F401  the benchmark's span recorder wraps this name
 from .kernels import (CappedLinear, ExponentialSum, Trigonometric, _positive_finite, _positive_int,
                       kernel_from_spec)
@@ -132,24 +133,28 @@ def _closed_form(cfg: RunConfig, evaluate, sigma, check) -> RunResult:
 
 
 def _solve_exp(cfg: RunConfig) -> RunResult:
+    from . import exponential
     cf = exponential.build_closed_form(cfg.kernel, cfg.gamma, cfg.horizon)
     return _closed_form(cfg, lambda s: exponential.eval_closed_form(cf, s), cf.sigma,
                         exponential.closed_form_check(cfg.kernel, cf))
 
 
 def _solve_capped(cfg: RunConfig) -> RunResult:
+    from . import special
     sol = special.capped_linear_solve(int(cfg.horizon), cfg.gamma)
     return _closed_form(cfg, lambda s: special.eval_capped_linear(sol, s), sol.sigma,
                         special.capped_linear_check(sol))
 
 
 def _solve_trig(cfg: RunConfig) -> RunResult:
+    from . import special
     sol = special.trig_solve(cfg.kernel.rho, cfg.gamma, cfg.horizon)
     return _closed_form(cfg, lambda s: special.eval_trig(sol, s), sol.sigma,
                         special.trig_check(sol))
 
 
 def _solve_discrete(cfg: RunConfig) -> RunResult:
+    from . import discrete
     grid = discrete.solve(discrete.Problem(cfg.gamma, cfg.horizon, cfg.kernel), cfg.cells)
     h = grid.spacing
     return RunResult(
@@ -376,6 +381,7 @@ def _error(message, detail=None, code=1):
 
 def run(cfg: RunConfig) -> int:
     """Solve one config: print the summary JSON, write artifacts, return exit code."""
+    from . import diagnostics
     res = _ROUTES[cfg.method].solve(cfg)  # a failed solve is reported first, even on a coarse grid
     try:
         diagnostics.require_samples(res.phi.size, cfg.max_order)
@@ -410,6 +416,7 @@ def run(cfg: RunConfig) -> int:
 
 def compare_cmd(cfg_a: RunConfig, cfg_b: RunConfig, grid_points=1001) -> dict:
     """Solve both configs and compare on a shared grid of grid_points samples."""
+    from . import diagnostics
     if cfg_a.horizon != cfg_b.horizon:
         raise ConfigError("configs have different horizons",
                           {"a": cfg_a.horizon, "b": cfg_b.horizon})
@@ -439,6 +446,7 @@ def _cmd_compare(args):
 
 
 def _cmd_sweep(args):
+    from . import discrete
     cfg = parse_config(args.config, cells=args.cells)
     try:
         gammas = discrete.sweep_gammas(float(g) for g in args.gammas.split(",") if g.strip())
@@ -466,6 +474,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
+    from . import exponential
     cfg = parse_config(args.config)
     if _requires_exp(cfg.kernel, cfg.horizon) is not None:
         raise ConfigError("verify requires an exponential_sum kernel")

@@ -175,17 +175,41 @@ def _coth_half(x):
     return (1.0 + np.exp(-x)) / -np.expm1(-x)
 
 
-def _checked(kernel: ExponentialSum, gamma, horizon):
-    """gamma and T as floats, lambda = 1/gamma, and the kernel's a and b.
+def _system(kernel: ExponentialSum, gamma, horizon):
+    """gamma and T as floats, lambda = 1/gamma, the kernel's a and b, d, the roots c and Ntilde.
 
-    The closed form and its certificates check their arguments here: a
-    kernel that is not an ExponentialSum raises TypeError, and gamma and T
-    go through the package's number rule."""
+    The closed form and its certificates check their arguments here, so
+    both refuse the same problems: a kernel that is not an ExponentialSum
+    raises TypeError, gamma and T go through the package's number rule,
+    and a d that underflows to 0 or an Ntilde with a non-finite entry
+    raises RuntimeError.  Callers run it with numpy's warnings off."""
     if not isinstance(kernel, ExponentialSum):
         raise TypeError("closed form requires an ExponentialSum kernel")
     gamma = _positive_finite(gamma, "gamma")
     horizon = _positive_finite(horizon, "horizon")
-    return gamma, horizon, 1.0 / gamma, np.asarray(kernel.a), np.asarray(kernel.b)
+    lam, a, b = 1.0 / gamma, np.asarray(kernel.a), np.asarray(kernel.b)
+    rb = np.sqrt(b)
+    d = 1.0 / (1.0 + 2.0 * lam * np.sum(a / rb))
+    # checked before the roots: where 1/gamma overflows, d is 0 and secular_roots would refuse lambda = inf
+    if not d > 0:  # phi = sigma d (...) would be inf * 0 everywhere
+        raise RuntimeError(
+            "closed-form constant d = 1/(1 + (2/gamma) sum a/sqrt(b)) underflows to 0: "
+            "the kernel's weight a/sqrt(b) is too large against gamma"
+        )
+    c = secular_roots(kernel, lam)
+    rc = np.sqrt(c)
+    coth = _coth_half(rc * horizon)  # sqrt(c) T = inf has the right limits
+    Ntilde = (rb[:, None] * rc[None, :] + b[:, None] * coth[None, :]) / (
+        c[None, :] - b[:, None]
+    )
+    if not np.isfinite(Ntilde).all():  # checked before LAPACK, which prints to stdout on inf
+        on_pole = (c[None, :] == b[:, None]).any()
+        raise RuntimeError(
+            "closed-form system has non-finite entries: "
+            + ("a secular root rounds onto its pole" if on_pole
+               else "sqrt(c) T underflows to 0 or a product overflows")
+        )
+    return gamma, horizon, lam, a, b, d, c, Ntilde
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -203,32 +227,10 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
     non-finite entry, as when a secular root rounds onto its pole.  The
     arithmetic runs with numpy's warnings off, so the refusal speaks alone.
     """
-    gamma, horizon, lam, a, b = _checked(kernel, gamma, horizon)
-    rb = np.sqrt(b)
+    gamma, horizon, _, a, _, d, c, Ntilde = _system(kernel, gamma, horizon)
     n = a.size
-
-    d = 1.0 / (1.0 + 2.0 * lam * np.sum(a / rb))
-    # checked before the roots: where 1/gamma overflows, d is 0 and secular_roots would refuse lambda = inf
-    if not d > 0:  # phi = sigma d (...) would be inf * 0 everywhere
-        raise RuntimeError(
-            "closed-form constant d = 1/(1 + (2/gamma) sum a/sqrt(b)) underflows to 0: "
-            "the kernel's weight a/sqrt(b) is too large against gamma"
-        )
-    c = secular_roots(kernel, lam)
     rc = np.sqrt(c)
-
-    rcT = rc * horizon  # sqrt(c) T = inf has the right limits below
-    coth = _coth_half(rcT)
-    Ntilde = (rb[:, None] * rc[None, :] + b[:, None] * coth[None, :]) / (
-        c[None, :] - b[:, None]
-    )
-    if not np.isfinite(Ntilde).all():  # checked before LAPACK, which prints to stdout on inf
-        on_pole = (c[None, :] == b[:, None]).any()
-        raise RuntimeError(
-            "closed-form system has non-finite entries: "
-            + ("a secular root rounds onto its pole" if on_pole
-               else "sqrt(c) T underflows to 0 or a product overflows")
-        )
+    rcT = rc * horizon
     cond = float(np.linalg.cond(Ntilde))
     if not np.isfinite(cond) or cond > 1e13:
         raise IllConditionedError("closed-form system ill-conditioned", cond)
@@ -274,6 +276,7 @@ def eval_closed_form(cf: ExpClosedForm, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def verify_step_identities(kernel: ExponentialSum, gamma, horizon) -> dict:
     """Numerically certify the five structural identities behind the closed form.
 
@@ -285,10 +288,10 @@ def verify_step_identities(kernel: ExponentialSum, gamma, horizon) -> dict:
 
     Matrix inverses in (iii)-(v) go through LAPACK (np.linalg), independent of
     the explicit Cauchy formulas they certify.  Failures are reported, not
-    raised; the arguments are checked as :func:`build_closed_form` checks them.
+    raised.  The arguments are checked, and a zero d or a non-finite Ntilde
+    refused, as :func:`build_closed_form` does, with numpy's warnings off.
     """
-    _, horizon, lam, a, b = _checked(kernel, gamma, horizon)
-    c = secular_roots(kernel, lam)
+    _, horizon, lam, a, b, _, c, _ = _system(kernel, gamma, horizon)
     rb, rc = np.sqrt(b), np.sqrt(c)
     Qt, D1, D2 = cauchy_factors(b, c)
     n = a.size

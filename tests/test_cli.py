@@ -767,6 +767,23 @@ def test_exponential_root_on_its_pole_is_one_json_error(tmp_path, kernel, cause)
     assert cause in strict_json(proc.stderr)["error"], proc.stderr
 
 
+@pytest.mark.parametrize("overrides, cause", [
+    ({"gamma": 0.5, "horizon": 5e-324, "kernel": {"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]}},
+     "sqrt(c) T underflows to 0"),
+    ({"gamma": 1.0, "horizon": 2.0, "kernel": {"type": "exponential_sum", "a": [1e300], "b": [1e-300]}},
+     "underflows to 0: the kernel's weight"),
+], ids=["subnormal-horizon", "d-underflows"])
+def test_verify_refuses_what_solve_refuses(tmp_path, overrides, cause):
+    # in a fresh process with warnings as errors: exit 1, nothing on stdout, one JSON error
+    path = write_config(tmp_path / "c.json", **overrides)
+    for command in ("solve", "verify"):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "fredholm", command, "--config", path],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert cause in strict_json(proc.stderr)["error"], proc.stderr
+
+
 def test_root_next_to_its_pole_is_refused_on_its_condition(tmp_path, capsys):
     # c_1 = 1e-20 + 8e-31 is measured from its pole b_1 = 1e-20 (absolute
     # bisection gave 4.4e-19, and the run printed a failed summary with sigma

@@ -224,6 +224,20 @@ def test_certificates_pass(kernel, gamma):
         assert entry["error"] <= entry["tol"]
 
 
+@pytest.mark.parametrize("kernel, gamma, horizon, cause", [
+    (EXP2, 0.5, 5e-324, "sqrt(c) T underflows to 0"),
+    (ExponentialSum(a=(1e300,), b=(1e-300,)), 1.0, 2.0, "underflows to 0: the kernel's weight"),
+], ids=["subnormal-horizon", "d-underflows"])
+def test_certificates_refuse_what_the_closed_form_refuses(kernel, gamma, horizon, cause):
+    # the same refusal, with no numpy warning before it (an error under this suite's filters)
+    with pytest.raises(RuntimeError, match=r"^closed-form") as built:
+        build_closed_form(kernel, gamma, horizon)
+    assert cause in str(built.value)
+    with pytest.raises(RuntimeError) as verified:
+        verify_step_identities(kernel, gamma, horizon)
+    assert str(verified.value) == str(built.value)
+
+
 def test_certificate_thresholds():
     report = verify_step_identities(EXP3, 0.2, horizon=1.0)
     assert report["cauchy_inverse"]["tol"] == 1e-10

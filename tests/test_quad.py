@@ -29,3 +29,11 @@ def test_even_check_weights_before_it_multiplies():
     assert check.mass == pytest.approx(1.0, rel=1e-15)
     assert check.energy == pytest.approx(0.25e300, rel=1e-15)
     assert check.residual_max == 0.0
+
+
+def test_gauss_table_is_numpys_24_point_rule_and_symmetric():
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(_quad._NODES, nodes)
+    assert np.array_equal(_quad._WEIGHTS, weights)
+    assert np.array_equal(_quad._NODES, -_quad._NODES[::-1])
+    assert np.array_equal(_quad._WEIGHTS, _quad._WEIGHTS[::-1])
