@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _positive_finite, _positive_int
+from .kernels import _points, _positive_finite, _positive_int
 
 __all__ = [
     "MonotonicityReport",
@@ -110,8 +110,8 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
     values : array of phi samples at x_j = start + j*spacing
     horizon : T
     max_order : highest finite-difference order K to test (K >= 2)
-    tol : verdict tolerance; defaults to 1e-7 * max|phi|
-    start, spacing : grid geometry; defaults describe the inclusive grid
+    tol : verdict tolerance, finite and >= 0; defaults to 1e-7 * max|phi|
+    start, spacing : grid geometry, both finite; defaults describe the inclusive grid
         start=0, spacing=T/(N-1).  Use start=h/2, spacing=h for the
         discrete solver's cell midpoints.
     """
@@ -123,14 +123,13 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
     require_samples(n, max_order)
     horizon = _positive_finite(horizon, "horizon")
     spacing = _positive_finite(horizon / (n - 1) if spacing is None else spacing, "grid spacing")
+    start = _points(start, "grid start must be finite", lo=-math.inf)
     x = start + spacing * np.arange(n)
     # x increases, so the windows of order k and step r with x_s > T/2 and
     # x_{s+kr} < T are exactly the starts s = first .. inside - k*r - 1
     first = int(np.searchsorted(x, horizon / 2.0, "right"))
     inside = int(np.searchsorted(x, horizon, "left"))
-    if tol is None:
-        tol = 1e-7 * float(np.max(np.abs(values)))
-    tol = float(tol)
+    tol = _positive_finite(1e-7 * float(np.max(np.abs(values))) if tol is None else tol, "tol", zero=True)
 
     # the mirror of x_j must itself be a grid point for the reversal test
     if abs((2.0 * start + (n - 1) * spacing) - horizon) > 1e-9 * max(1.0, horizon):
@@ -197,8 +196,7 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
 
 def compare(sol_a: SampledSolution, sol_b: SampledSolution) -> dict:
     """Norms of the difference of two sampled solutions on the same grid."""
-    ta = np.asarray(sol_a.t, dtype=float)
-    tb = np.asarray(sol_b.t, dtype=float)
+    ta, tb = (_points(sol.t, "sampled grid t must be finite", lo=-math.inf) for sol in (sol_a, sol_b))
     if ta.shape != tb.shape:
         raise ValueError("sampled solutions live on different grids (size mismatch)")
     scale = max(1.0, float(np.max(np.abs(ta))))

@@ -36,7 +36,7 @@ import numpy as np
 from ._quad import EvenCheck, even_check, graded_edges
 from ._quad import panel_gauss  # noqa: F401  the benchmark's span recorder wraps this name
 from .errors import IllConditionedError
-from .kernels import ExponentialSum, _positive_finite
+from .kernels import ExponentialSum, _like, _points, _positive_finite
 
 __all__ = [
     "ExpClosedForm",
@@ -187,8 +187,7 @@ def _system(kernel: ExponentialSum, gamma, horizon):
         raise TypeError("closed form requires an ExponentialSum kernel")
     gamma = _positive_finite(gamma, "gamma")
     horizon = _positive_finite(horizon, "horizon")
-    lam, a, b = 1.0 / gamma, np.asarray(kernel.a), np.asarray(kernel.b)
-    rb = np.sqrt(b)
+    lam, (a, b, rb) = 1.0 / gamma, kernel._arrays
     d = 1.0 / (1.0 + 2.0 * lam * np.sum(a / rb))
     # checked before the roots: where 1/gamma overflows, d is 0 and secular_roots would refuse lambda = inf
     if not d > 0:  # phi = sigma d (...) would be inf * 0 everywhere
@@ -265,15 +264,12 @@ def build_closed_form(kernel: ExponentialSum, gamma, horizon) -> ExpClosedForm:
 
 def eval_closed_form(cf: ExpClosedForm, t):
     """phi(t) for t in [0, T] (scalar or ndarray); overflow-safe for large sqrt(c)*T."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0.0) & (t_arr <= cf.horizon)):  # also a point of nan
-        raise ValueError("evaluation point outside [0, T]")
+    t = _points(t, "evaluation point outside [0, T]", hi=cf.horizon)
     rc = np.sqrt(cf.c)
     denom = -np.expm1(-rc * cf.horizon)  # 1 - e^{-sqrt(c) T}
     w = cf.weights / denom
-    basis = np.exp(-rc * (cf.horizon - t_arr[..., None])) + np.exp(-rc * t_arr[..., None])
-    out = cf.normalization * cf.d * (1.0 + np.sum(w * basis, axis=-1))
-    return float(out) if np.ndim(t) == 0 else out
+    basis = np.exp(-rc * (cf.horizon - t[..., None])) + np.exp(-rc * t[..., None])
+    return _like(cf.normalization * cf.d * (1.0 + np.sum(w * basis, axis=-1)), t)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -350,10 +346,8 @@ def _convolution(kernel: ExponentialSum, cf: ExpClosedForm, t):
     phi1 argument is nonnegative (overflow-free) and the difference stays
     accurate when beta is close to kappa.
     """
-    t = np.asarray(t, dtype=float)
     T = cf.horizon
-    a = np.asarray(kernel.a)
-    beta = np.sqrt(np.asarray(kernel.b))
+    a, _, beta = kernel._arrays
     kappa = np.sqrt(cf.c)
     w = cf.weights / (-np.expm1(-kappa * T))
 

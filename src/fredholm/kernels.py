@@ -18,11 +18,12 @@ is the helper for a general rectangle, and `cell_integral` integrates G over
 one cell seen from any point, the general form of a midpoint-row entry; the
 solver itself calls neither.
 
-The base class does the shared work (lag checks, scalar-or-array returns,
-JSON specs, rectangle splitting).  A family is a frozen dataclass whose
-fields are its JSON fields, and it declares its spec name `kind`, its
-`structure`, and the maths: `_g0` (G itself on an array of lags t >= 0)
-and the antiderivatives `_g1` and `_g2` of the next paragraph.  It
+The base class does the shared work (JSON specs, rectangle splitting, and
+points: it converts and checks each point once, by `_points`, the one point
+rule of the package, so the hooks see float arrays only).  A family is a
+frozen dataclass whose fields are its JSON fields, and it declares its spec
+name `kind`, its `structure`, and the maths: `_g0` (G itself on lags
+t >= 0) and the antiderivatives `_g1` and `_g2` of the next paragraph.  It
 validates its fields in `__post_init__`, each number through
 `_positive_finite` or `_positive_int`, the one number rule of the package.
 
@@ -117,6 +118,27 @@ def _positive_int(value, name, least=1, most=None):
                      else f"{name} must be an integer >= {least}")
 
 
+def _points(t, message, lo=0.0, hi=math.inf):
+    """``t`` as a float array (0-d for a scalar) of finite points in [lo, hi]; floats are not copied.
+
+    A NaN, an infinity, a point outside [lo, hi], a bool, a string and an
+    array whose dtype is neither integer nor float raise ValueError(message)."""
+    points = np.asarray(t)
+    if points.dtype.kind in "iuf":
+        points = points.astype(float, copy=False)
+        if points.size == 0:
+            return points
+        low, high = points.min(), points.max()  # NaN, both of them, if any point is NaN
+        if lo <= low and high <= hi and math.isfinite(low) and math.isfinite(high):
+            return points
+    raise ValueError(message)
+
+
+def _like(out, t):
+    """``out``, computed on the points ``t``: a float when ``t`` is a scalar, else as it is."""
+    return float(out) if np.ndim(t) == 0 else out
+
+
 def _set(obj, **values):
     """Store checked field values on the frozen dataclass ``obj``."""
     for name, value in values.items():
@@ -136,12 +158,9 @@ class Kernel:
     structure: ClassVar[KernelStructure]
 
     def evaluate(self, t):
-        """Kernel value G(t) for lag t >= 0 (scalar or ndarray)."""
-        t_arr = np.asarray(t, dtype=float)
-        if not np.all(t_arr >= 0):  # also a lag of nan
-            raise ValueError("kernel lag must be nonnegative")
-        out = self._g0(t_arr)
-        return float(out) if np.ndim(t) == 0 else out
+        """Kernel value G(t) for finite lags t >= 0 (scalar or ndarray)."""
+        t = _points(t, "kernel lag must be nonnegative and finite")
+        return _like(self._g0(t), t)
 
     def classify(self) -> KernelStructure:
         """The family's ``structure``: the same object on every call."""
@@ -155,10 +174,10 @@ class Kernel:
             spec[f.name] = list(v) if isinstance(v, tuple) else v
         return spec
 
-    # --- G and its antiderivatives (vectorized over ndarrays) ---
+    # --- G and its antiderivatives (on float arrays, or the numpy floats that 0-d arithmetic gives) ---
 
     def _g0(self, t):
-        """G(t) on an array of lags t >= 0."""
+        """G(t) on lags t >= 0."""
         raise NotImplementedError
 
     def _g1(self, u):
@@ -190,6 +209,8 @@ class Kernel:
         of the lag index k alone, so each comes from one table on the grid
         in O(m): here ``_grid_lags`` and ``_grid_midpoints``, while a family
         whose differences would cancel overrides this with a product form.
+        The lag-0 entries 2 G2(h) and 2 G1(h/2) take h as a 0-d array: ``**``
+        on a numpy float runs a scalar power that may round otherwise.
         """
         return self._grid_lags(h, m), self._grid_midpoints(h, m)
 
@@ -197,16 +218,19 @@ class Kernel:
         """Lag row from one table nl[j] = _nl2(j h), j = 0..m: 2 G2(h), then
         the second differences nl[k+1] - 2 nl[k] + nl[k-1] in ``_one_signed``'s order."""
         nl = self._nl2(np.arange(m + 1) * h)
-        return np.concatenate(([2.0 * self._g2(h)], nl[2:] - nl[1:-1] - nl[1:-1] + nl[:-2]))
+        return np.concatenate(([2.0 * self._g2(np.array(h))], nl[2:] - nl[1:-1] - nl[1:-1] + nl[:-2]))
 
     def _grid_midpoints(self, h, m):
         """Midpoint row from one table G1((j + 1/2) h), j = 0..m-1: 2 G1(h/2),
         then G1((k + 1/2) h) - G1((k - 1/2) h)."""
         g1 = self._g1((np.arange(m) + 0.5) * h)
-        return np.concatenate(([2.0 * self._g1(0.5 * h)], g1[1:] - g1[:-1]))
+        return np.concatenate(([2.0 * self._g1(np.array(0.5 * h))], g1[1:] - g1[:-1]))
 
     def cell_double_integral(self, x_lo, x_hi, y_lo, y_hi):
-        """Exact integral of G(|t - s|) ds dt over [x_lo,x_hi] x [y_lo,y_hi]."""
+        """Exact integral of G(|t - s|) ds dt over [x_lo,x_hi] x [y_lo,y_hi], finite edges."""
+        names = ("x_lo", "x_hi", "y_lo", "y_hi")  # each edge on its own, as a numpy float _segments can hash
+        x_lo, x_hi, y_lo, y_hi = (_points(edge, f"rectangle edge {name} must be finite", -math.inf)[()]
+                                  for edge, name in zip((x_lo, x_hi, y_lo, y_hi), names))
         if not (x_lo < x_hi and y_lo < y_hi):
             raise ValueError(
                 "degenerate rectangle: require x_lo < x_hi and y_lo < y_hi"
@@ -225,16 +249,16 @@ class Kernel:
         return float(total)
 
     def cell_integral(self, lo, hi, t):
-        """int_lo^hi G(|t - s|) ds, vectorized over t (exact antiderivative)."""
+        """int_lo^hi G(|t - s|) ds for finite lo, hi and t, vectorized over t (exact antiderivative)."""
+        lo = _points(lo, "cell edge lo must be finite", -math.inf)
+        hi = _points(hi, "cell edge hi must be finite", -math.inf)
         if not lo < hi:
             raise ValueError("degenerate cell: require lo < hi")
-        t_arr = np.asarray(t, dtype=float)
-        out = self._g1_signed(hi - t_arr) - self._g1_signed(lo - t_arr)
-        return float(out) if np.ndim(t) == 0 else out
+        t = _points(t, "cell point t must be finite", -math.inf)
+        return _like(self._g1_signed(hi - t) - self._g1_signed(lo - t), t)
 
     def _g1_signed(self, w):
         """Odd extension of G1: antiderivative of s -> G(|s|)."""
-        w = np.asarray(w, dtype=float)
         return np.sign(w) * self._g1(np.abs(w))
 
 
@@ -250,7 +274,6 @@ def _e2(z):
     first omitted term, max |z|^n / (n + 2)!, is below 1e-18: 15 terms
     near |z| = 0.5, 6 below |z| = 0.0058 (the half cells of a fine grid).
     """
-    z = np.asarray(z, dtype=float)
     small = np.abs(z) < 0.5
     zs = np.where(small, z, 0.0)
     zl = np.where(small, 1.0, z)
@@ -263,7 +286,6 @@ def _e2(z):
 
 def _em1p(x):
     """exp(-x) - 1 + x, accurate for all x >= 0."""
-    x = np.asarray(x, dtype=float)
     small = x < 1e-2
     xs = np.where(small, x, 0.0)
     series = 0.5 * xs * xs * (
@@ -305,18 +327,16 @@ class ExponentialSum(Kernel):
 
     def _g1(self, u):
         a, _, rate = self._arrays
-        u = np.asarray(u, dtype=float)
         return np.sum(-(a / rate) * np.expm1(-rate * u[..., None]), axis=-1)
 
     def _g2(self, u):
         a, b, rate = self._arrays
-        u = np.asarray(u, dtype=float)
         return np.sum((a / b) * _em1p(rate * u[..., None]), axis=-1)
 
     def _one_signed(self, gap, dx, dy):
         # expm1 product form: no cancellation however far the cells are apart
         a, b, rate = self._arrays
-        gap, dx, dy = (np.asarray(v, dtype=float)[..., None] for v in (gap, dx, dy))
+        gap, dx, dy = (v[..., None] for v in (gap, dx, dy))
         decay = np.exp(-rate * gap)
         return np.sum((a / b) * decay * np.expm1(-rate * dx) * np.expm1(-rate * dy), axis=-1)
 
@@ -332,7 +352,7 @@ class ExponentialSum(Kernel):
         mid_weight = -(a / rate) * step * np.exp(-0.5 * rate * h)
         decay = np.exp(np.outer(-rate, np.arange(m - 1) * h))
         lags, midpoints = np.zeros(m), np.zeros(m)
-        lags[0], midpoints[0] = 2.0 * self._g2(h), 2.0 * self._g1(0.5 * h)
+        lags[0], midpoints[0] = 2.0 * self._g2(np.array(h)), 2.0 * self._g1(np.array(0.5 * h))
         for row, lag_w, mid_w in zip(decay, lag_weight.tolist(), mid_weight.tolist()):
             lags[1:] += lag_w * row
             midpoints[1:] += mid_w * row
@@ -357,12 +377,10 @@ class CappedLinear(Kernel):
         return np.maximum(self.cap - t, 0.0)
 
     def _g1(self, u):
-        u = np.asarray(u, dtype=float)
         uc = np.minimum(u, self.cap)
         return self.cap * uc - 0.5 * uc * uc
 
     def _g2(self, u):
-        u = np.asarray(u, dtype=float)
         cap = self.cap
         inside = 0.5 * cap * u * u - u**3 / 6.0
         beyond = cap**3 / 3.0 + (u - cap) * 0.5 * cap * cap
@@ -370,7 +388,7 @@ class CappedLinear(Kernel):
 
     def _nl2(self, u):
         # G2(u) = affine(u) + (cap - u)^+^3 / 6; only the cube survives differencing
-        w = np.maximum(self.cap - np.asarray(u, dtype=float), 0.0)
+        w = np.maximum(self.cap - u, 0.0)
         return w * w * w / 6.0  # w**3 would call libm pow, several times slower
 
 
@@ -394,13 +412,11 @@ class PowerCapped(Kernel):
 
     def _g1(self, u):
         rho, p = self.rho, self.p
-        u = np.asarray(u, dtype=float)
         w = np.maximum(1.0 - rho * u, 0.0)
         return (1.0 - w ** (p + 1)) / (rho * (p + 1))
 
     def _g2(self, u):
         rho, p = self.rho, self.p
-        u = np.asarray(u, dtype=float)
         uc = np.minimum(u, 1.0 / rho)
         w = np.maximum(1.0 - rho * u, 0.0)
         inside = uc / (rho * (p + 1)) - (1.0 - w ** (p + 2)) / (rho**2 * (p + 1) * (p + 2))
@@ -408,7 +424,7 @@ class PowerCapped(Kernel):
 
     def _nl2(self, u):
         rho, p = self.rho, self.p
-        w = np.maximum(1.0 - rho * np.asarray(u, dtype=float), 0.0)
+        w = np.maximum(1.0 - rho * u, 0.0)
         return w ** (p + 2) / (rho**2 * (p + 1) * (p + 2))
 
 
@@ -430,15 +446,14 @@ class Trigonometric(Kernel):
         return np.cos(self.rho * t)
 
     def _g1(self, u):
-        return np.sin(self.rho * np.asarray(u, dtype=float)) / self.rho
+        return np.sin(self.rho * u) / self.rho
 
     def _g2(self, u):
-        return 2.0 * (np.sin(0.5 * self.rho * np.asarray(u, dtype=float)) / self.rho) ** 2
+        return 2.0 * (np.sin(0.5 * self.rho * u) / self.rho) ** 2
 
     def _one_signed(self, gap, dx, dy):
         # product form of the cosine second difference: no cancellation at any lag
         r = self.rho
-        gap, dx, dy = (np.asarray(v, dtype=float) for v in (gap, dx, dy))
         return 4.0 * (np.sin(0.5 * r * dx) / r) * (np.sin(0.5 * r * dy) / r) * np.cos(
             r * (gap + 0.5 * (dx + dy))
         )
@@ -452,7 +467,7 @@ class Trigonometric(Kernel):
         half = math.sin(0.5 * r * h)
         table = np.cos(r * (np.arange(m) * h))
         lags = (2.0 * half / r) ** 2 * table
-        lags[0] = 2.0 * self._g2(h)
+        lags[0] = 2.0 * self._g2(np.array(h))
         return lags, 2.0 * half / r * table
 
 
@@ -478,11 +493,9 @@ class PowerLaw(Kernel):
         return self.scale * t ** (-self.alpha)
 
     def _g1(self, u):
-        u = np.asarray(u, dtype=float)
         return self.scale * u ** (1.0 - self.alpha) / (1.0 - self.alpha)
 
     def _g2(self, u):
-        u = np.asarray(u, dtype=float)
         return self.scale * u ** (2.0 - self.alpha) / ((1.0 - self.alpha) * (2.0 - self.alpha))
 
     def _one_signed(self, gap, dx, dy):
@@ -491,7 +504,6 @@ class PowerLaw(Kernel):
         # half-widths a = (dx+dy)/2, b = (dx-dy)/2 it is
         #   c^p * 2 sum_j C(p, 2j) E_j,  E_j = (a/c)^2j - (b/c)^2j,
         # where every term is positive; 12 terms reach round-off for a <= c/4.
-        gap, dx, dy = (np.asarray(v, dtype=float) for v in (gap, dx, dy))
         p = 2.0 - self.alpha
         c = gap + 0.5 * (dx + dy)
         ra2, rb2 = (0.5 * (dx + dy) / c) ** 2, (0.5 * (dx - dy) / c) ** 2
@@ -543,7 +555,7 @@ class PowerLaw(Kernel):
         # e^2 <= 1/16 (Horner); lag 1, where it converges slowly, is
         # G1(3h/2) - G1(h/2) = scale (h/2)^q expm1(q ln 3) / q, with no cancellation
         q = 1.0 - self.alpha
-        near = np.array([2.0 * self._g1(0.5 * h),
+        near = np.array([2.0 * self._g1(np.array(0.5 * h)),
                          self.scale * (0.5 * h) ** q * math.expm1(q * math.log(3.0)) / q])[:m]
         k = np.arange(len(near), m, dtype=float)
         e = 0.5 / k
@@ -644,7 +656,6 @@ class Tabulated(Kernel):
         return self._integral(0.0, u, lambda w: 1.0)
 
     def _g2(self, u):
-        u = np.asarray(u, dtype=float)
         return self._integral(0.0, u, lambda w: u[..., None] - w)
 
     def _one_signed(self, gap, dx, dy):

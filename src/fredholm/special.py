@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import EvenCheck, even_check, graded_edges, panel_edges, panel_gauss
-from .kernels import _em1p, _positive_finite, _positive_int
+from .kernels import _em1p, _like, _points, _positive_finite, _positive_int
 
 __all__ = [
     "CappedLinearSolution",
@@ -159,17 +159,14 @@ def capped_linear_solve(n, gamma) -> CappedLinearSolution:
 
 def eval_capped_linear(sol: CappedLinearSolution, t):
     """phi(t) for t in [0, n]: segment i = min(floor(t)+1, n), local clock s = t-(i-1)."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0.0) & (t_arr <= sol.n)):  # also a point of nan
-        raise ValueError("evaluation point outside [0, n]")
-    idx = np.minimum(np.floor(t_arr).astype(int), sol.n - 1)
-    s = t_arr - idx
+    t = _points(t, "evaluation point outside [0, n]", hi=sol.n)
+    idx = np.minimum(np.floor(t).astype(int), sol.n - 1)
+    s = t - idx
     Jd = _alternating(sol.n)
     basis = np.exp(-np.multiply.outer(1.0 - s, sol.b_vec)) + Jd * np.exp(
         -np.multiply.outer(s, sol.b_vec)
     )
-    out = np.einsum("...j,...j->...", sol.Q[idx], basis * sol.a_vec)
-    return float(out) if np.ndim(t) == 0 else out
+    return _like(np.einsum("...j,...j->...", sol.Q[idx], basis * sol.a_vec), t)
 
 
 # evaluation points x basis terms per block of the check pass
@@ -212,7 +209,7 @@ def _capped_convolution(sol: CappedLinearSolution, t):
 
     Each term is bounded by one segment's moments: round-off does not grow with n.
     """
-    k, r = np.divmod(np.asarray(t, dtype=float), 1.0)
+    k, r = np.divmod(t, 1.0)
     seg = k.astype(int)[..., None] + np.array([-1, 0, 1])
     rows = sol.Q[np.clip(seg, 0, sol.n - 1)] * ((seg >= 0) & (seg < sol.n))[..., None]
     h0, h1 = np.einsum("...dj,p...j->p...d", rows, sol.a_vec * _head_moments(sol, r))
@@ -303,11 +300,8 @@ def trig_solve(rho, gamma, horizon) -> TrigSolution:
 
 def eval_trig(sol: TrigSolution, t):
     """phi(t) = base + swing sin^2(rho (t - T/2) / 2) for t in [0, T]."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0.0) & (t_arr <= sol.horizon)):  # also a point of nan
-        raise ValueError("evaluation point outside [0, T]")
-    out = sol.base + sol.swing * np.sin(0.5 * sol.rho * (t_arr - 0.5 * sol.horizon)) ** 2
-    return float(out) if np.ndim(t) == 0 else out
+    t = _points(t, "evaluation point outside [0, T]", hi=sol.horizon)
+    return _like(sol.base + sol.swing * np.sin(0.5 * sol.rho * (t - 0.5 * sol.horizon)) ** 2, t)
 
 
 def trig_panel(sol: TrigSolution):

@@ -278,3 +278,12 @@ def test_compare_rejects_grid_mismatch():
     c = SampledSolution(t=t + 0.25, phi=np.ones(33), sigma=1.0)
     with pytest.raises(ValueError, match="grid"):
         compare(a, c)
+
+
+@pytest.mark.parametrize("bad", [[0.0, math.nan], [0.0, math.inf], ["0", "1"], [False, True]], ids=repr)
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_compare_refuses_bad_abscissae(side, bad):
+    good = SampledSolution(t=np.array([0.0, 1.0]), phi=np.ones(2), sigma=1.0)
+    other = SampledSolution(t=np.array(bad), phi=np.ones(2), sigma=1.0)
+    with pytest.raises(ValueError, match="^sampled grid t must be finite$"):
+        compare(*((other, good) if side == "a" else (good, other)))

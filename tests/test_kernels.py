@@ -162,6 +162,8 @@ def test_cell_counts_are_checked_by_the_number_rule(entry, bad):
     *(("horizon", bad, "horizon must be positive and finite") for bad in (True, math.inf, 0)),
     *(("max_order", bad, "max_order must be an integer >= 2") for bad in (6.9, True, 1)),
     *(("spacing", bad, "grid spacing must be positive and finite") for bad in (0, math.inf, math.nan)),
+    *(("tol", bad, "tol must be nonnegative and finite") for bad in (True, "0.1", math.nan, -1.0, math.inf)),
+    *(("start", bad, "grid start must be finite") for bad in ("0", True, math.nan, math.inf)),
 ])
 def test_analyze_checks_its_numbers_by_name(arg, bad, message):
     args = {"horizon": 1.0, "max_order": 2, "spacing": 1.0 / 63, arg: bad}
@@ -184,7 +186,8 @@ def test_a_kernel_of_the_wrong_type_is_refused(call):
         call()
 
 
-@pytest.mark.parametrize("point", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+@pytest.mark.parametrize("point", [math.nan, np.array([0.5, math.nan]), math.inf, True, "0.5"],
+                         ids=["scalar", "array", "inf", "bool", "string"])
 @pytest.mark.parametrize("evaluate, message", [
     (_EXP1.evaluate, "kernel lag must be nonnegative"),
     (lambda t: exponential.eval_closed_form(exponential.build_closed_form(_EXP1, 0.5, 1.0), t),
@@ -195,6 +198,25 @@ def test_a_kernel_of_the_wrong_type_is_refused(call):
 def test_nan_evaluation_points_are_refused(evaluate, message, point):
     with pytest.raises(ValueError, match=message):
         evaluate(point)
+
+
+_RECTANGLE_API = {  # valid points of each call, and the name each one is refused by
+    "cell_integral": ((0.0, 1.0, 0.5), ("cell edge lo", "cell edge hi", "cell point t")),
+    "cell_double_integral": ((0.0, 1.0, 0.5, 2.0),
+                             tuple(f"rectangle edge {e}" for e in ("x_lo", "x_hi", "y_lo", "y_hi"))),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, "0.5"], ids=repr)
+@pytest.mark.parametrize("method, at", [(method, at) for method, (points, _) in _RECTANGLE_API.items()
+                                        for at in range(len(points))])
+@pytest.mark.parametrize("spec", SPEC_SAMPLES, ids=lambda s: s["type"])
+def test_rectangle_points_are_refused_by_name(spec, method, at, bad):
+    # each edge on its own: a bool edge is refused even where its pair would make a valid cell
+    points, names = _RECTANGLE_API[method]
+    args = [*points[:at], bad, *points[at + 1:]]
+    with pytest.raises(ValueError, match=f"^{names[at]} must be finite$"):
+        getattr(kernel_from_spec(spec), method)(*args)
 
 
 @pytest.mark.parametrize("t, g", [
