@@ -115,7 +115,7 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
         start=0, spacing=T/(N-1).  Use start=h/2, spacing=h for the
         discrete solver's cell midpoints.
     """
-    values = np.asarray(values, dtype=float)
+    values = _points(values, "samples must be finite", lo=-math.inf)
     if values.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     n = values.size

@@ -323,7 +323,8 @@ class ExponentialSum(Kernel):
 
     def _g0(self, t):
         a, _, rate = self._arrays
-        return np.sum(a * np.exp(-rate * t[..., None]), axis=-1)
+        # exp(-750) rounds to 0, so capping the lag at 750/rate keeps each term and rate * t finite
+        return np.sum(a * np.exp(-rate * np.minimum(t[..., None], 750.0 / rate)), axis=-1)
 
     def _g1(self, u):
         a, _, rate = self._arrays
@@ -408,7 +409,8 @@ class PowerCapped(Kernel):
         _set(self, rho=_positive_finite(self.rho, "rho"), p=_positive_int(self.p, "p"))
 
     def _g0(self, t):
-        return np.maximum(1.0 - self.rho * t, 0.0) ** self.p
+        # G is 0 from lag 1/rho on, so capping the lag at 2/rho keeps G and rho * t finite
+        return np.maximum(1.0 - self.rho * np.minimum(t, 2.0 / self.rho), 0.0) ** self.p
 
     def _g1(self, u):
         rho, p = self.rho, self.p

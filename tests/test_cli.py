@@ -48,11 +48,27 @@ def strict_json(text):
     return json.loads(text, parse_constant=_reject_constant)
 
 
-def run_module(path, prelude=""):
-    """``python -m fredholm solve --config path`` in a fresh interpreter, after ``prelude``."""
-    code = (f"import runpy, sys; {prelude}sys.argv = ['fredholm', 'solve', '--config', {path!r}]; "
+def run_module(path, *args, command="solve", prelude=""):
+    """``python -m fredholm command --config path *args`` in a fresh interpreter, after ``prelude``.
+
+    The process runs with one BLAS thread and is killed after 30 s."""
+    argv = ["fredholm", command, "--config", path, *args]
+    code = (f"import runpy, sys; {prelude}sys.argv = {argv!r}; "
             "runpy.run_module('fredholm', run_name='__main__')")
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+
+
+def assert_one_json_document(proc, code):
+    """Exit ``code``, with a passing summary on stdout and nothing on stderr, or
+    nothing on stdout and one strict JSON error object on stderr."""
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        assert strict_json(proc.stdout)["passed"] is True
+    else:
+        assert proc.stdout == ""
+        assert isinstance(strict_json(proc.stderr), dict), proc.stderr
 
 
 # ------------------------------------------------------------- config parsing
@@ -307,20 +323,28 @@ def test_out_in_a_missing_directory_is_one_io_error(tmp_path, capsys, argv):
     {**_HUMP, "cells": 2048},
     {**_EXP2_DISCRETE, "cells": 1023},
     {**_EXP2_DISCRETE, "cells": 1024},
-], ids=["exp", "trig", "capped-2047", "capped-2048", "discrete-1023", "discrete-1024"])
+    {**_EXP2_DISCRETE, "cells": 1026},  # m = 2 mod 4, the fold's other layout
+    {**_EXP2_DISCRETE, "cells": 16383},  # odd, 3 * 43 * 127
+], ids=["exp", "trig", "capped-2047", "capped-2048", "discrete-1023", "discrete-1024",
+        "discrete-1026", "discrete-16383"])
 def test_every_curve_is_even_and_its_csv_is_plain(tmp_path, capsys, overrides):
     # every route's phi equals its reversal bit for bit, and the CSV that
     # formats half of it once reads as the plain %.17g rows of (t, phi)
+    # under a header whose sigma is the summary's
     path = write_config(tmp_path / "c.json", **overrides)
     cfg = cli.parse_config(path)
     res = cli._ROUTES[cfg.method].solve(cfg)
     assert res.phi.tobytes() == res.phi[::-1].tobytes()
     code, out, err = run_main(["solve", "--config", path, "--out", str(tmp_path / "run")], capsys)
     assert code == 0, out + err
-    assert json.loads(out)["monotonicity"]["symmetry_err"] == 0.0
-    text = (tmp_path / "run.csv").read_text()
+    summary = strict_json(out)
+    assert summary["passed"] is True
+    assert summary["monotonicity"]["symmetry_err"] == 0.0
+    header, _, body = (tmp_path / "run.csv").read_text().partition("t,phi\n")
+    assert next(float(ln.split(":")[1]) for ln in header.splitlines()
+                if ln.startswith("# sigma:")) == summary["sigma"]
     flat = tuple(np.column_stack((res.t, res.phi)).ravel().tolist())
-    assert text.partition("t,phi\n")[2] == ("%.17g,%.17g\n" * res.t.size) % flat
+    assert body == ("%.17g,%.17g\n" * res.t.size) % flat
 
 
 def test_closed_form_grid_pairs_each_sample_with_its_mirror(tmp_path):
@@ -813,16 +837,8 @@ DISCRETE_HUGE = dict(horizon=1e300, method="discrete", cells=64)
 ], ids=["discrete-1e300", "exp_closed_form-1e308", "power_law-1e300", "capped_linear-1e300",
         "tabulated-1e300"])
 def test_huge_horizon_is_one_json_error(tmp_path, kernel, overrides, code):
-    # one JSON document: the passing summary on stdout, or one error on stderr
     path = write_config(tmp_path / "c.json", gamma=1e-4, kernel=kernel, **overrides)
-    proc = run_module(path)
-    assert proc.returncode == code, proc.stderr
-    if code == 0:
-        assert proc.stderr == ""
-        assert strict_json(proc.stdout)["passed"] is True
-    else:
-        assert proc.stdout == ""
-        assert isinstance(strict_json(proc.stderr), dict), proc.stderr
+    assert_one_json_document(run_module(path), code)
 
 
 _TRIG_SPEC = {"type": "trigonometric", "rho": 0.5}
@@ -1042,7 +1058,7 @@ def test_memory_exhaustion_is_one_json_error(tmp_path):
     path = write_config(tmp_path / "c.json", gamma=0.5, horizon=2.0, method="discrete",
                         cells=cli.MAX_CELLS,
                         kernel={"type": "exponential_sum", "a": [1.0, 1.0], "b": [1.0, 4.0]})
-    proc = run_module(path, _MEMORY_LIMIT)
+    proc = run_module(path, prelude=_MEMORY_LIMIT)
     assert proc.returncode == 1
     assert proc.stdout == ""
     doc = strict_json(proc.stderr)
@@ -1056,9 +1072,106 @@ def test_steep_exponential_layers_fit_in_memory(tmp_path):
     # of this memory, while graded panels need 42
     path = write_config(tmp_path / "c.json", gamma=1e-8, horizon=200.0, cells=1024,
                         kernel=_STEEP_EXP)
-    proc = run_module(path, _MEMORY_LIMIT)
+    proc = run_module(path, prelude=_MEMORY_LIMIT)
     assert proc.returncode == 0, proc.stderr
     assert strict_json(proc.stdout)["passed"] is True
+
+
+# `ulimit -v 1000000`: 1000000 KiB of address space for the whole process, set before numpy loads
+_ONE_GB = "import resource; resource.setrlimit(resource.RLIMIT_AS, ((1000000 << 10),) * 2); "
+_TAB200_T = np.concatenate(([0.0], np.geomspace(0.01, 2.5, 199)))
+_TAB200 = {"type": "tabulated", "t": _TAB200_T.tolist(),
+           "g": (2.0 * np.exp(-1.3 * _TAB200_T) + 0.05 / (1.0 + _TAB200_T)).tolist()}
+_COSINE_LADDER = dict(kernel=_TRIG_SPEC, gamma=1e-5, horizon=20.0, method="discrete")
+_CAPPED_LADDER = dict(kernel={"type": "capped_linear", "cap": 1.0}, gamma=1e-8, horizon=1.0,
+                      method="discrete")
+
+
+@pytest.mark.parametrize("command, overrides, code, prelude", [
+    pytest.param("solve", dict(kernel=_TAB200, gamma=0.01, horizon=3.0, method="discrete", cells=65536),
+                 0, _ONE_GB, marks=_linux_only, id="tabulated-200-knots-65536-in-1-GB"),
+    # each ladder config climbs to the preconditioner's second rung, the von Hann
+    # embedding; the capped kernel at gamma 1e-8 takes the most steps measured
+    # on it, 93 of 200 at 255 cells and 78 at 256
+    pytest.param("solve", dict(_COSINE_LADDER, cells=256), 0, "", id="ladder-cosine-256"),
+    pytest.param("solve", dict(_COSINE_LADDER, cells=4096), 0, "", id="ladder-cosine-4096"),
+    pytest.param("solve", dict(_CAPPED_LADDER, cells=255), 0, "", id="ladder-capped-255"),
+    pytest.param("solve", dict(_CAPPED_LADDER, cells=256), 0, "", id="ladder-capped-256"),
+    pytest.param("solve", dict(_CAPPED_LADDER, cells=2048), 0, "", id="ladder-capped-2048"),
+    pytest.param("solve", dict(kernel=_STEEP_EXP, gamma=1e-8, horizon=200.0, cells=1024),
+                 0, _ONE_GB, marks=_linux_only, id="steep-exponential-in-1-GB"),
+    pytest.param("solve", dict(kernel={"type": "capped_linear"}, gamma=2.1e-9, horizon=3.0, cells=1024),
+                 0, _ONE_GB, marks=_linux_only, id="steep-capped-in-1-GB"),
+    # auto picks each closed form, whose energy at T 1e-300 is sigma/2, not inf
+    pytest.param("solve", dict(kernel=EXP2_SPEC, gamma=0.5, horizon=1e-300, cells=64), 0, "",
+                 id="auto-exponential-T-1e-300"),
+    pytest.param("solve", dict(kernel=_TRIG_SPEC, gamma=0.5, horizon=1e-300, cells=64), 0, "",
+                 id="auto-trig-T-1e-300"),
+    # 1/gamma overflows at gamma 5e-324: verify refuses it as solve does
+    pytest.param("verify", dict(kernel=EXP2_SPEC, gamma=5e-324, horizon=2.0, cells=1024), 1, "",
+                 id="verify-gamma-5e-324"),
+])
+def test_edge_config_ends_in_one_json_document(tmp_path, command, overrides, code, prelude):
+    # in a fresh process, within 30 s, where any numpy warning reaches stderr
+    path = write_config(tmp_path / "c.json", **overrides)
+    assert_one_json_document(run_module(path, command=command, prelude=prelude), code)
+
+
+def test_sweep_writes_the_same_bytes_in_two_fresh_processes(tmp_path):
+    # the 4-knot table's sweep: one strict document of six entries, sigma falling with gamma
+    path = write_config(tmp_path / "c.json", gamma=1.0, horizon=3.0, cells=512,
+                        kernel={"type": "tabulated", "t": [0.0, 0.3, 1.0, 2.5], "g": [2.0, 1.1, 0.4, 0.05]})
+    runs = [run_module(path, "--gammas", "1,0.3,0.1,0.03,0.01,0.003", "--out", str(tmp_path / f"{run}.json"),
+                       command="sweep") for run in (1, 2)]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
+    sigma = [entry["sigma"] for entry in strict_json(runs[0].stdout)["entries"]]
+    assert len(sigma) == 6 and all(a > b for a, b in zip(sigma, sigma[1:]))
+
+
+_LIBRARY_EDGES = """
+import json, math
+from fredholm import diagnostics, discrete, exponential, special
+from fredholm.kernels import ExponentialSum, PowerCapped, Trigonometric
+EXP2 = ExponentialSum((1.0, 1.0), (1.0, 4.0))
+sol = special.capped_linear_solve(3, 0.1)
+cf = exponential.build_closed_form(EXP2, 0.5, 2.0)
+calls = {
+    "horizon": lambda: exponential.verify_step_identities(EXP2, 0.5, 0.0),
+    "cells": lambda: discrete.solve(discrete.Problem(0.5, 2.0, EXP2), 8.0),
+    "lambda": lambda: exponential.secular_roots(EXP2, math.inf),
+    "outside": lambda: special.eval_capped_linear(sol, math.nan),
+    "lag": lambda: Trigonometric(0.5).evaluate(math.inf),
+    "edge": lambda: Trigonometric(0.5).cell_double_integral(0.0, math.inf, 0.0, 1.0),
+    "point": lambda: exponential.eval_closed_form(cf, "0.5"),
+    "tol": lambda: diagnostics.analyze([1.0] * 64, 1.0, tol=math.nan),
+    "exponential lag 1e308": lambda: float(EXP2.evaluate(1e308)),
+    "power-capped lag 1e308": lambda: float(PowerCapped(10.0, 4).evaluate(1e308)),
+}
+outcomes = {}
+for name, call in calls.items():
+    try:
+        outcomes[name] = call()
+    except Exception as exc:
+        outcomes[name] = [type(exc).__name__, str(exc)]
+print(json.dumps(outcomes, default=repr))
+"""
+
+
+def test_library_edges_under_warnings_as_errors():
+    # in a fresh process under -W error, where a numpy warning is an error
+    # that would come before the refusal or the value
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _LIBRARY_EDGES],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    outcomes = strict_json(proc.stdout)
+    # a huge finite lag is past each kernel's support or decay: G is 0
+    assert outcomes.pop("exponential lag 1e308") == outcomes.pop("power-capped lag 1e308") == 0.0
+    # every other call is refused by a ValueError that names its argument, point, lag or edge
+    for name, outcome in outcomes.items():
+        assert isinstance(outcome, list) and outcome[0] == "ValueError" and name in outcome[1], (
+            name, outcome)
 
 
 def test_module_entry_point(tmp_path):

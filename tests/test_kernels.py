@@ -171,6 +171,13 @@ def test_analyze_checks_its_numbers_by_name(arg, bad, message):
         diagnostics.analyze(np.ones(64), **args)
 
 
+@pytest.mark.parametrize("bad, tol", [(math.nan, 1e-6), (math.inf, None)], ids=["nan", "inf"])
+def test_analyze_refuses_a_non_finite_sample(bad, tol):
+    # refused by name before it reaches a verdict or the derived tol
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        diagnostics.analyze(np.r_[np.ones(32), bad, np.ones(31)], 1.0, tol=tol)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, True], ids=repr)
 def test_secular_roots_refuse_a_bad_lambda(bad):
     with pytest.raises(ValueError, match="^lambda must be positive and finite$"):
