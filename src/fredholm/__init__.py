@@ -24,7 +24,7 @@ _EXPORTS = {  # submodule: the public names it defines
     "special": ("CappedLinearSolution", "TrigSolution", "capped_linear_solve",
                 "eval_capped_linear", "trig_solve", "eval_trig"),
     "diagnostics": ("MonotonicityReport", "SampledSolution", "analyze", "compare"),
-    "errors": ("IndefiniteKernelError", "IllConditionedError", "LevinsonLimitError"),
+    "errors": ("IndefiniteKernelError", "IllConditionedError", "LevinsonLimitError", "FieldError"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "_quad", "cli"}

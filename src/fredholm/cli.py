@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quad import panel_gauss  # noqa: F401  the benchmark's span recorder wraps this name
-from .kernels import (CappedLinear, ExponentialSum, Trigonometric, _positive_finite, _positive_int,
-                      kernel_from_spec)
+from .kernels import (CappedLinear, ExponentialSum, Trigonometric, _fields, _positive_finite,
+                      _positive_int, kernel_from_spec)
 
 __all__ = ["RunConfig", "MAX_CELLS", "main", "run", "compare_cmd"]
 
@@ -189,12 +189,27 @@ _ROUTES = {  # "auto" takes the first route whose requirement holds
 _METHODS = (*_ROUTES, "auto")
 
 
+_OBJECTS = {  # the fields each object of a config may hold; README's schema shows exactly these
+    "config": ("kernel", "gamma", "horizon", "method", "cells", "diagnostics", "output"),
+    "diagnostics": ("max_order", "tol"),
+    "output": ("path", "format"),
+}
+
+
+def _path(value, name):
+    """``value``, the path of a file the CLI writes or None for no file; a path is a non-empty string."""
+    if value is None or (isinstance(value, str) and value):
+        return value
+    raise ConfigError(f"{name} must be a non-empty string", {"got": value})
+
+
 def _field(check, value, name, **bounds):
-    """``check(value, name, **bounds)``, with its refusal as a config error whose detail is the value."""
+    """``check(value, name, **bounds)``, with its refusal as a config error whose detail is the
+    refusal's own (the fields of a FieldError) or else the value."""
     try:
         return check(value, name, **bounds)
     except ValueError as exc:
-        raise ConfigError(exc, {"got": value}) from None
+        raise ConfigError(exc, getattr(exc, "detail", {"got": value})) from None
 
 
 def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunConfig:
@@ -206,23 +221,14 @@ def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunCon
         raise ConfigError(f"cannot read config: {exc}", {"path": str(path)})
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", {"path": str(path)})
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object", {"path": str(path)})
-
-    known = {"kernel", "gamma", "horizon", "method", "cells", "diagnostics", "output"}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError("unknown config fields", {"fields": unknown})
-
-    if "kernel" not in raw:
-        raise ConfigError("'kernel' is required")
+    _field(_fields, raw, "config", known=_OBJECTS["config"], required=("kernel", "gamma", "horizon"))
     try:
         kernel = kernel_from_spec(raw["kernel"])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad kernel spec: {exc}", {"kernel": raw.get("kernel")})
+    except ValueError as exc:
+        raise ConfigError(f"bad kernel spec: {exc}", {"kernel": raw["kernel"]})
 
-    gamma = _field(_positive_finite, raw.get("gamma"), "gamma")
-    horizon = _field(_positive_finite, raw.get("horizon"), "horizon")
+    gamma = _field(_positive_finite, raw["gamma"], "gamma")
+    horizon = _field(_positive_finite, raw["horizon"], "horizon")
 
     method = raw.get("method", "auto")
     if method not in _METHODS:
@@ -231,19 +237,15 @@ def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunCon
     cells = _field(_positive_int, raw.get("cells", 1024) if cells is None else cells, "cells",
                    least=2, most=MAX_CELLS)
 
-    diag = raw.get("diagnostics", {})
-    if not isinstance(diag, dict):
-        raise ConfigError("'diagnostics' must be an object", {"got": diag})
+    diag = _field(_fields, raw.get("diagnostics", {}), "diagnostics", known=_OBJECTS["diagnostics"])
     max_order = _field(_positive_int, diag.get("max_order", 6) if max_order is None else max_order,
                        "diagnostics.max_order", least=2)
     tol = diag.get("tol")
     if tol is not None:
         tol = _field(_positive_finite, tol, "diagnostics.tol")
 
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("'output' must be an object", {"got": output})
-    out_path = out if out is not None else output.get("path")
+    output = _field(_fields, raw.get("output", {}), "output", known=_OBJECTS["output"])
+    out_path = _path(output.get("path"), "output.path") if out is None else _path(out, "--out")
     out_format = fmt if fmt is not None else output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("'output.format' must be 'csv' or 'json'", {"got": out_format})
@@ -439,14 +441,16 @@ def _cmd_solve(args):
 
 
 def _cmd_compare(args):
+    out = _path(args.out, "--out")
     cfg_a = parse_config(args.config_a, cells=args.cells)
     cfg_b = parse_config(args.config_b, cells=args.cells)
-    _emit(compare_cmd(cfg_a, cfg_b, grid_points=args.grid_points), out=args.out)
+    _emit(compare_cmd(cfg_a, cfg_b, grid_points=args.grid_points), out=out)
     return 0
 
 
 def _cmd_sweep(args):
     from . import discrete
+    out = _path(args.out, "--out")
     cfg = parse_config(args.config, cells=args.cells)
     try:
         gammas = discrete.sweep_gammas(float(g) for g in args.gammas.split(",") if g.strip())
@@ -469,7 +473,7 @@ def _cmd_sweep(args):
         "cells": cfg.cells,
         "entries": entries,
     }
-    _emit(doc, out=args.out)
+    _emit(doc, out=out)
     return 0
 
 

@@ -195,18 +195,26 @@ def analyze(values, horizon, max_order=6, tol=None, start=0.0, spacing=None) -> 
 
 
 def compare(sol_a: SampledSolution, sol_b: SampledSolution) -> dict:
-    """Norms of the difference of two sampled solutions on the same grid."""
+    """Norms of the difference of two sampled solutions on the same grid.
+
+    Each solution's ``t`` and ``phi`` pass the point rule, ``phi`` must have
+    the shape of its ``t``, and each ``sigma`` must be a finite number."""
     ta, tb = (_points(sol.t, "sampled grid t must be finite", lo=-math.inf) for sol in (sol_a, sol_b))
     if ta.shape != tb.shape:
         raise ValueError("sampled solutions live on different grids (size mismatch)")
     scale = max(1.0, float(np.max(np.abs(ta))))
     if float(np.max(np.abs(ta - tb))) > 1e-12 * scale:
         raise ValueError("sampled solutions live on different grids (points differ)")
-    diff = np.asarray(sol_a.phi, dtype=float) - np.asarray(sol_b.phi, dtype=float)
+    phi_a, phi_b = (_points(sol.phi, "sampled values phi must be finite", lo=-math.inf)
+                    for sol in (sol_a, sol_b))
+    if phi_a.shape != ta.shape or phi_b.shape != tb.shape:
+        raise ValueError("sampled values phi must have the shape of their grid t")
+    sigma_a, sigma_b = (_positive_finite(sol.sigma, "sigma", signed=True) for sol in (sol_a, sol_b))
+    diff = phi_a - phi_b
     spacing = float(ta[1] - ta[0]) if ta.size > 1 else 1.0
-    sig = max(abs(sol_a.sigma), abs(sol_b.sigma))
+    sig = max(abs(sigma_a), abs(sigma_b))
     return {
         "max_abs": float(np.max(np.abs(diff))),
         "l2": float(math.sqrt(np.sum(diff**2) * spacing)),
-        "sigma_rel_diff": float(abs(sol_a.sigma - sol_b.sigma) / sig) if sig > 0 else 0.0,
+        "sigma_rel_diff": float(abs(sigma_a - sigma_b) / sig) if sig > 0 else 0.0,
     }

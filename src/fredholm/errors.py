@@ -1,6 +1,14 @@
 """Exception types shared across the solver modules; each sets ``detail``, the JSON dict the CLI prints."""
 
 
+class FieldError(ValueError):
+    """A JSON object lacks a required field or holds an unknown one; ``detail`` lists them."""
+
+    def __init__(self, message: str, fields: list):
+        self.detail = {"fields": fields}
+        super().__init__(message)
+
+
 class IndefiniteKernelError(RuntimeError):
     """The discretized energy matrix is not positive definite.
 

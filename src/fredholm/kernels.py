@@ -20,12 +20,18 @@ solver itself calls neither.
 
 The base class does the shared work (JSON specs, rectangle splitting, and
 points: it converts and checks each point once, by `_points`, the one point
-rule of the package, so the hooks see float arrays only).  A family is a
-frozen dataclass whose fields are its JSON fields, and it declares its spec
-name `kind`, its `structure`, and the maths: `_g0` (G itself on lags
+rule of the package, so the hooks see float arrays only).  `evaluate`,
+`cell_integral` and `cell_double_integral` compute with numpy's overflow and
+invalid-value warnings off, since a huge finite argument may overflow on the
+way to a finite value, and refuse a result that is not finite.  A family is
+a frozen dataclass whose fields are its JSON fields, and it declares its
+spec name `kind`, its `structure`, and the maths: `_g0` (G itself on lags
 t >= 0) and the antiderivatives `_g1` and `_g2` of the next paragraph.  It
 validates its fields in `__post_init__`, each number through
-`_positive_finite` or `_positive_int`, the one number rule of the package.
+`_positive_finite` or `_positive_int`, the one number rule of the package,
+and each list of numbers through `_numbers`, the one list rule.  A JSON
+object, a kernel spec here and a config in the CLI, passes `_fields`, the
+one object rule.
 
 Rectangle integrals reduce to scalar antiderivatives.  Writing
 G1(u) = int_0^u G(w) dw and G2(u) = int_0^u G1(v) dv for u >= 0, a
@@ -47,6 +53,8 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
+
+from .errors import FieldError
 
 __all__ = [
     "Kernel",
@@ -91,19 +99,22 @@ def _is_number(value, kinds=_REAL):
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _positive_finite(value, name, zero=False, below=math.inf):
-    """``value`` as a float: a real number above 0 (from 0 with ``zero``) and below ``below``.
+def _positive_finite(value, name, zero=False, below=math.inf, signed=False):
+    """``value`` as a float: a real number above 0 (from 0 with ``zero``, of any sign with
+    ``signed``) and below ``below`` in magnitude.
 
     Anything else raises a ValueError that names ``name``: "<name> must be
-    positive and finite" ("nonnegative" with ``zero``, "must lie in
-    (0, below)" with a finite ``below``).  A string, a bool, a list or None
-    is refused, never turned into a number.
+    positive and finite" ("nonnegative" with ``zero``, "<name> must be
+    finite" with ``signed``, "must lie in (0, below)" with a finite
+    ``below``).  A string, a bool, a list or None is refused, never turned
+    into a number.
     """
-    if _is_number(value) and (0 <= value if zero else 0 < value) and value < below:
+    if _is_number(value) and (signed or (0 <= value if zero else 0 < value)) and abs(value) < below:
         return float(value)
     if below < math.inf:
         raise ValueError(f"{name} must lie in (0, {below:g})")
-    raise ValueError(f"{name} must be {'nonnegative' if zero else 'positive'} and finite")
+    sign = "" if signed else "nonnegative and " if zero else "positive and "
+    raise ValueError(f"{name} must be {sign}finite")
 
 
 def _positive_int(value, name, least=1, most=None):
@@ -116,6 +127,34 @@ def _positive_int(value, name, least=1, most=None):
         raise ValueError(f"{name} must be an integer from {least} to {most}")
     raise ValueError(f"{name} must be a positive integer" if least == 1
                      else f"{name} must be an integer >= {least}")
+
+
+def _numbers(values, name, zero=False):
+    """``values`` as a tuple of floats: a list, a tuple or a 1-d array whose every entry
+    passes ``_positive_finite(entry, name, zero)``.
+
+    Anything else, such as a number, a string, a dict or None, raises
+    ValueError("<name> must be a list of numbers")."""
+    if isinstance(values, (list, tuple)) or (isinstance(values, np.ndarray) and values.ndim == 1):
+        return tuple(_positive_finite(v, name, zero=zero) for v in values)
+    raise ValueError(f"{name} must be a list of numbers")
+
+
+def _fields(obj, name, known, required=()):
+    """``obj``, a dict whose keys are all in ``known`` and include every one in ``required``.
+
+    Anything else raises a ValueError that names ``name``: "<name> must be a
+    JSON object", or a FieldError, "<name> missing fields: ..." or "<name>
+    has unknown fields: ...", whose ``detail`` lists those fields."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    missing = [f for f in required if f not in obj]
+    if missing:
+        raise FieldError(f"{name} missing fields: {', '.join(missing)}", missing)
+    unknown = [f for f in obj if f not in known]
+    if unknown:
+        raise FieldError(f"{name} has unknown fields: {', '.join(map(str, unknown))}", unknown)
+    return obj
 
 
 def _points(t, message, lo=0.0, hi=math.inf):
@@ -131,6 +170,13 @@ def _points(t, message, lo=0.0, hi=math.inf):
         low, high = points.min(), points.max()  # NaN, both of them, if any point is NaN
         if lo <= low and high <= hi and math.isfinite(low) and math.isfinite(high):
             return points
+    raise ValueError(message)
+
+
+def _finite(out, message):
+    """``out`` when every entry is finite, else ValueError(message)."""
+    if np.isfinite(out).all():
+        return out
     raise ValueError(message)
 
 
@@ -157,10 +203,11 @@ class Kernel:
     kind: ClassVar[str]
     structure: ClassVar[KernelStructure]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, t):
-        """Kernel value G(t) for finite lags t >= 0 (scalar or ndarray)."""
+        """Kernel value G(t) for finite lags t >= 0 (scalar or ndarray); it must be finite."""
         t = _points(t, "kernel lag must be nonnegative and finite")
-        return _like(self._g0(t), t)
+        return _like(_finite(self._g0(t), "kernel value at this lag is not finite"), t)
 
     def classify(self) -> KernelStructure:
         """The family's ``structure``: the same object on every call."""
@@ -226,8 +273,10 @@ class Kernel:
         g1 = self._g1((np.arange(m) + 0.5) * h)
         return np.concatenate(([2.0 * self._g1(np.array(0.5 * h))], g1[1:] - g1[:-1]))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def cell_double_integral(self, x_lo, x_hi, y_lo, y_hi):
-        """Exact integral of G(|t - s|) ds dt over [x_lo,x_hi] x [y_lo,y_hi], finite edges."""
+        """Exact integral of G(|t - s|) ds dt over [x_lo,x_hi] x [y_lo,y_hi], finite edges;
+        it must be finite."""
         names = ("x_lo", "x_hi", "y_lo", "y_hi")  # each edge on its own, as a numpy float _segments can hash
         x_lo, x_hi, y_lo, y_hi = (_points(edge, f"rectangle edge {name} must be finite", -math.inf)[()]
                                   for edge, name in zip((x_lo, x_hi, y_lo, y_hi), names))
@@ -246,16 +295,19 @@ class Kernel:
                     total += self._one_signed(p - s, q - p, s - r)
                 else:  # pragma: no cover - splitting precludes partial overlap
                     raise AssertionError("rectangle splitting failed")
-        return float(total)
+        return float(_finite(total, "rectangle integral over these edges is not finite"))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def cell_integral(self, lo, hi, t):
-        """int_lo^hi G(|t - s|) ds for finite lo, hi and t, vectorized over t (exact antiderivative)."""
+        """int_lo^hi G(|t - s|) ds for finite lo, hi and t, vectorized over t (exact antiderivative);
+        it must be finite."""
         lo = _points(lo, "cell edge lo must be finite", -math.inf)
         hi = _points(hi, "cell edge hi must be finite", -math.inf)
         if not lo < hi:
             raise ValueError("degenerate cell: require lo < hi")
         t = _points(t, "cell point t must be finite", -math.inf)
-        return _like(self._g1_signed(hi - t) - self._g1_signed(lo - t), t)
+        out = self._g1_signed(hi - t) - self._g1_signed(lo - t)
+        return _like(_finite(out, "cell integral over these edges is not finite at point t"), t)
 
     def _g1_signed(self, w):
         """Odd extension of G1: antiderivative of s -> G(|s|)."""
@@ -307,8 +359,8 @@ class ExponentialSum(Kernel):
     b: tuple
 
     def __post_init__(self):
-        a = tuple(_positive_finite(v, "exponential sum weights a") for v in self.a)
-        b = tuple(_positive_finite(v, "exponential sum rates b") for v in self.b)
+        a = _numbers(self.a, "exponential sum weights a")
+        b = _numbers(self.b, "exponential sum rates b")
         if len(a) == 0 or len(a) != len(b):
             raise ValueError("exponential sum needs equally many positive a and b")
         if not all(x < y for x, y in zip(b[:-1], b[1:])):
@@ -323,8 +375,7 @@ class ExponentialSum(Kernel):
 
     def _g0(self, t):
         a, _, rate = self._arrays
-        # exp(-750) rounds to 0, so capping the lag at 750/rate keeps each term and rate * t finite
-        return np.sum(a * np.exp(-rate * np.minimum(t[..., None], 750.0 / rate)), axis=-1)
+        return np.sum(a * np.exp(-rate * t[..., None]), axis=-1)
 
     def _g1(self, u):
         a, _, rate = self._arrays
@@ -409,8 +460,7 @@ class PowerCapped(Kernel):
         _set(self, rho=_positive_finite(self.rho, "rho"), p=_positive_int(self.p, "p"))
 
     def _g0(self, t):
-        # G is 0 from lag 1/rho on, so capping the lag at 2/rho keeps G and rho * t finite
-        return np.maximum(1.0 - self.rho * np.minimum(t, 2.0 / self.rho), 0.0) ** self.p
+        return np.maximum(1.0 - self.rho * t, 0.0) ** self.p
 
     def _g1(self, u):
         rho, p = self.rho, self.p
@@ -591,8 +641,8 @@ class Tabulated(Kernel):
     g: tuple
 
     def __post_init__(self):
-        t = tuple(_positive_finite(v, "tabulated abscissae t", zero=True) for v in self.t)
-        g = tuple(_positive_finite(v, "tabulated values g", zero=True) for v in self.g)
+        t = _numbers(self.t, "tabulated abscissae t", zero=True)
+        g = _numbers(self.g, "tabulated values g", zero=True)
         if len(t) < 2 or len(t) != len(g):
             raise ValueError("tabulated kernel needs >= 2 matching samples")
         if not all(x < y for x, y in zip(t[:-1], t[1:])):
@@ -749,26 +799,19 @@ _VARIANTS = {
     cls.kind: cls
     for cls in (ExponentialSum, CappedLinear, PowerCapped, Trigonometric, PowerLaw, Tabulated)
 }
+_SPEC_FIELDS = {"type", *(f.name for cls in _VARIANTS.values() for f in fields(cls))}
 
 
 def kernel_from_spec(obj):
-    """Build a kernel from its JSON object form, e.g. {"type": "trigonometric", "rho": 0.5}."""
-    if not isinstance(obj, dict):
-        raise ValueError("kernel spec must be a JSON object")
-    spec = dict(obj)
-    kind = spec.pop("type", None)
-    if kind not in _VARIANTS:
-        known = ", ".join(sorted(_VARIANTS))
-        raise ValueError(f"unknown kernel type {kind!r}; expected one of: {known}")
+    """Build a kernel from its JSON object form, e.g. {"type": "trigonometric", "rho": 0.5}.
+
+    The spec is checked as an object whose fields some family declares, then
+    against the fields of its family; the family's constructor checks the values."""
+    kind = _fields(obj, "kernel spec", _SPEC_FIELDS, ("type",))["type"]
+    if not (isinstance(kind, str) and kind in _VARIANTS):
+        raise ValueError(f"unknown kernel type {kind!r}; expected one of: {', '.join(sorted(_VARIANTS))}")
     cls = _VARIANTS[kind]
     declared = fields(cls)
-    missing = [f.name for f in declared if f.default is MISSING and f.name not in spec]
-    if missing:
-        raise ValueError(f"kernel type {kind!r} missing fields: {', '.join(missing)}")
-    extra = [k for k in spec if k not in {f.name for f in declared}]
-    if extra:
-        raise ValueError(f"kernel type {kind!r} has unknown fields: {', '.join(extra)}")
-    kwargs = {
-        f: tuple(v) if isinstance(v, (list, tuple)) else v for f, v in spec.items()
-    }
-    return cls(**kwargs)
+    _fields(obj, f"kernel type {kind!r}", {"type", *(f.name for f in declared)},
+            [f.name for f in declared if f.default is MISSING])
+    return cls(**{name: value for name, value in obj.items() if name != "type"})

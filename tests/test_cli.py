@@ -79,8 +79,7 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     assert code == 2
     assert out == ""
     doc = json.loads(err)
-    assert "unknown config fields" in doc["error"]
-    assert doc["detail"]["fields"] == ["bogus"]
+    assert doc == {"error": "config has unknown fields: bogus", "detail": {"fields": ["bogus"]}}
 
 
 @pytest.mark.parametrize(
@@ -171,6 +170,46 @@ def test_non_number_kernel_fields_exit_2(tmp_path, capsys, kernel, message):
     assert code == 2, err
     assert out == ""
     assert strict_json(err) == {"error": f"bad kernel spec: {message}", "detail": {"kernel": kernel}}
+
+
+_KINDS = "capped_linear, exponential_sum, power_capped, power_law, tabulated, trigonometric"
+
+
+def _spec_error(message, kernel):
+    return {"error": f"bad kernel spec: {message}", "detail": {"kernel": kernel}}
+
+
+@pytest.mark.parametrize("argv, overrides, error", [
+    *((["solve"], {"output": {"path": path}},
+      {"error": "output.path must be a non-empty string", "detail": {"got": path}})
+      for path in (5, True, ["a"], "")),
+    *((argv + ["--out", ""], {}, {"error": "--out must be a non-empty string", "detail": {"got": ""}})
+      for argv in (["solve"], ["compare"], ["sweep", "--gammas", "1,0.5"])),
+    (["solve"], {"diagnostics": {"max_ordr": 3}},
+     {"error": "diagnostics has unknown fields: max_ordr", "detail": {"fields": ["max_ordr"]}}),
+    (["solve"], {"output": {"pth": "x", "formt": "json"}},
+     {"error": "output has unknown fields: pth, formt", "detail": {"fields": ["pth", "formt"]}}),
+    *((["solve"], {"kernel": kernel},
+       _spec_error("exponential sum weights a must be a list of numbers", kernel))
+      for kernel in ({"type": "exponential_sum", "a": 5, "b": [1.0]},
+                     {"type": "exponential_sum", "a": None, "b": [1.0]})),
+    (["solve"], {"kernel": {"type": ["trigonometric"], "rho": 0.5}},
+     _spec_error(f"unknown kernel type ['trigonometric']; expected one of: {_KINDS}",
+                 {"type": ["trigonometric"], "rho": 0.5})),
+    (["solve"], {"kernel": {"type": "tabulated", "t": {"x": 1}, "g": [1.0, 0.5]}},
+     _spec_error("tabulated abscissae t must be a list of numbers",
+                 {"type": "tabulated", "t": {"x": 1}, "g": [1.0, 0.5]})),
+], ids=["path-5", "path-true", "path-list", "path-empty", "out-solve", "out-compare", "out-sweep",
+        "diagnostics-unknown", "output-unknown", "a-5", "a-null", "type-list", "t-object"])
+def test_malformed_structure_is_one_config_error(tmp_path, capsys, argv, overrides, error):
+    # each names its object and its field, and nothing is written
+    path = write_config(tmp_path / "c.json", cells=64, **overrides)
+    configs = [path, path] if argv[0] == "compare" else ["--config", path]
+    code, out, err = run_main([argv[0], *configs, *argv[1:]], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert strict_json(err) == error
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 def test_capped_method_needs_integer_horizon(tmp_path, capsys):
@@ -604,12 +643,20 @@ def _mostly(strategy, other=_ODD):
 # now and then a bool or a numeric string where a number belongs: a config error
 _NUMBER = _mostly(st.floats(min_value=1e-3, max_value=20.0),
                   st.one_of(_ODD, st.booleans(), st.floats(1e-3, 20.0).map(str)))
+# now and then a scalar, null, a string or an object where a list of numbers belongs
+_NOT_A_LIST = st.one_of(_NUMBER, st.none(), st.text(max_size=3), st.just({"x": 1.0}))
+
+
+def _list(strategy):
+    return _mostly(strategy, _NOT_A_LIST)
+
+
 _KERNELS = st.one_of(
     st.integers(1, 3).flatmap(lambda k: st.fixed_dictionaries({
         "type": st.just("exponential_sum"),
-        "a": st.lists(_NUMBER, min_size=k, max_size=k),
-        "b": st.lists(_NUMBER, min_size=k, max_size=k, unique=True).map(
-            lambda b: sorted(b, key=float))})),
+        "a": _list(st.lists(_NUMBER, min_size=k, max_size=k)),
+        "b": _list(st.lists(_NUMBER, min_size=k, max_size=k, unique=True).map(
+            lambda b: sorted(b, key=float)))})),
     st.fixed_dictionaries({"type": st.just("capped_linear")},
                           optional={"cap": _mostly(st.just(1.0), _NUMBER)}),
     st.fixed_dictionaries({"type": st.just("power_capped"), "rho": _NUMBER,
@@ -620,17 +667,51 @@ _KERNELS = st.one_of(
                           optional={"scale": _NUMBER}),
     st.integers(2, 5).flatmap(lambda k: st.fixed_dictionaries({
         "type": st.just("tabulated"),
-        "t": st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k, unique=True).map(sorted),
-        "g": st.lists(_NUMBER, min_size=k, max_size=k).map(
-            lambda g: sorted(g, key=float)[::-1])})),
+        "t": _list(st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k, unique=True).map(sorted)),
+        "g": _list(st.lists(_NUMBER, min_size=k, max_size=k).map(
+            lambda g: sorted(g, key=float)[::-1]))})),
 )
+_IN_TMP = "<a path in the test's temporary directory>"
+_NOT_AN_OBJECT = st.one_of(st.none(), _NUMBER, st.text(max_size=3), st.lists(st.integers(), max_size=2))
+
+
+def _object(fields):
+    """An object of the optional ``fields`` four times in five; otherwise a non-object,
+    or such an object with an unknown key."""
+    valid = st.fixed_dictionaries({}, optional=fields)
+    unknown = st.tuples(valid, st.sampled_from(["bogus", "max_ordr", "pth"])).map(
+        lambda pair: {**pair[0], pair[1]: 1})
+    return _mostly(valid, st.one_of(_NOT_AN_OBJECT, unknown))
+
+
 _CONFIGS = st.fixed_dictionaries({
     "kernel": _KERNELS,
     "gamma": _mostly(st.floats(min_value=1e-5, max_value=10.0)),
     "horizon": _mostly(st.one_of(st.integers(1, 20).map(float), st.floats(0.05, 20.0))),
     "method": _mostly(st.just("auto"), st.sampled_from(cli._METHODS)),
     "cells": _mostly(st.integers(48, 256), st.integers(2, 47)),
+}, optional={
+    "diagnostics": _object({"max_order": st.integers(2, 6), "tol": st.one_of(st.none(), _NUMBER)}),
+    # output.path of every JSON type; the one non-empty string is a path in the temporary directory
+    "output": _object({"path": st.one_of(st.just(_IN_TMP), st.none(), st.just(""), st.booleans(),
+                                         st.integers(), st.floats(), st.just({"x": 1}),
+                                         st.lists(st.text(max_size=2), max_size=2)),
+                       "format": st.sampled_from(["csv", "json"])}),
 })
+
+
+def _malformed(config):
+    """Whether ``config`` holds a malformed structure: a kernel list, an object or a path."""
+    kernel = config["kernel"]
+    if any(not isinstance(kernel[f], list) for f in ("a", "b", "t", "g") if f in kernel):
+        return True
+    known = {"diagnostics": {"max_order", "tol"}, "output": {"path", "format"}}
+    for name, fields in known.items():
+        value = config.get(name, {})
+        if not isinstance(value, dict) or not set(value) <= fields:
+            return True
+    path = config.get("output", {}).get("path")
+    return path is not None and not (isinstance(path, str) and path)
 
 
 _SUBNORMAL_TABLES = [{"type": "tabulated", "t": [0.0, 5e-324], "g": [1.0, 0.5]},
@@ -645,9 +726,14 @@ _SUBNORMAL_TABLES = [{"type": "tabulated", "t": [0.0, 5e-324], "g": [1.0, 0.5]},
                  "method": "auto", "cells": 48}, command="solve")
 @example(config={"kernel": {"type": "exponential_sum", "a": ["1.5"], "b": [1.0]}, "gamma": 1.0,
                  "horizon": 1.0, "method": "auto", "cells": 48}, command="verify")
+@example(config={"kernel": {"type": "capped_linear"}, "gamma": 1.0, "horizon": 1.0, "method": "auto",
+                 "cells": 48, "output": {"path": 5}}, command="solve")
 def test_cli_never_crashes(config, command):
     # any config ends in a documented exit code with a JSON error, never a traceback
     with tempfile.TemporaryDirectory() as tmp:
+        output = config.get("output")
+        if isinstance(output, dict) and output.get("path") == _IN_TMP:
+            config = {**config, "output": {**output, "path": os.path.join(tmp, "out")}}
         path = os.path.join(tmp, "c.json")
         with open(path, "w") as fh:
             json.dump(config, fh)
@@ -662,6 +748,8 @@ def test_cli_never_crashes(config, command):
         assert strict_json(err.getvalue())["error"]
     fields = [v for k, v in config["kernel"].items() if k != "type"]
     if any(isinstance(v, (bool, str)) for f in fields for v in (f if isinstance(f, list) else [f])):
+        assert code == 2 and out.getvalue() == ""
+    if _malformed(config):
         assert code == 2 and out.getvalue() == ""
 
 
@@ -1133,7 +1221,7 @@ def test_sweep_writes_the_same_bytes_in_two_fresh_processes(tmp_path):
 _LIBRARY_EDGES = """
 import json, math
 from fredholm import diagnostics, discrete, exponential, special
-from fredholm.kernels import ExponentialSum, PowerCapped, Trigonometric
+from fredholm.kernels import ExponentialSum, PowerCapped, PowerLaw, Trigonometric
 EXP2 = ExponentialSum((1.0, 1.0), (1.0, 4.0))
 sol = special.capped_linear_solve(3, 0.1)
 cf = exponential.build_closed_form(EXP2, 0.5, 2.0)
@@ -1146,8 +1234,15 @@ calls = {
     "edge": lambda: Trigonometric(0.5).cell_double_integral(0.0, math.inf, 0.0, 1.0),
     "point": lambda: exponential.eval_closed_form(cf, "0.5"),
     "tol": lambda: diagnostics.analyze([1.0] * 64, 1.0, tol=math.nan),
+    "value at this lag": lambda: Trigonometric(2.0).evaluate(1e308),
+    "rectangle integral over these edges": lambda: PowerLaw(0.5).cell_double_integral(-1e308, 1e308, 0, 1),
+    "cell integral over these edges": lambda: Trigonometric(2.0).cell_integral(0, 1, 1e308),
     "exponential lag 1e308": lambda: float(EXP2.evaluate(1e308)),
     "power-capped lag 1e308": lambda: float(PowerCapped(10.0, 4).evaluate(1e308)),
+    "exponential rectangle 1e308": lambda: EXP2.cell_double_integral(-1e308, 1e308, 0, 1),
+    "power-capped rectangle 1e308": lambda: PowerCapped(10.0, 4).cell_double_integral(-1e308, 1e308, 0, 1),
+    "exponential cell 1e308": lambda: EXP2.cell_integral(-1e308, 1e308, 0.5),
+    "power-capped cell 1e308": lambda: PowerCapped(10.0, 4).cell_integral(-1e308, 1e308, 0.5),
 }
 outcomes = {}
 for name, call in calls.items():
@@ -1166,8 +1261,11 @@ def test_library_edges_under_warnings_as_errors():
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     outcomes = strict_json(proc.stdout)
-    # a huge finite lag is past each kernel's support or decay: G is 0
+    # a huge finite lag is past each kernel's support or decay: G is 0, and an integral
+    # over huge finite edges is the kernel's whole integral, 2 sum a/sqrt(b) or 2/(rho (p + 1))
     assert outcomes.pop("exponential lag 1e308") == outcomes.pop("power-capped lag 1e308") == 0.0
+    assert outcomes.pop("exponential rectangle 1e308") == outcomes.pop("exponential cell 1e308") == 3.0
+    assert outcomes.pop("power-capped rectangle 1e308") == outcomes.pop("power-capped cell 1e308") == 0.04
     # every other call is refused by a ValueError that names its argument, point, lag or edge
     for name, outcome in outcomes.items():
         assert isinstance(outcome, list) and outcome[0] == "ValueError" and name in outcome[1], (

@@ -287,3 +287,23 @@ def test_compare_refuses_bad_abscissae(side, bad):
     other = SampledSolution(t=np.array(bad), phi=np.ones(2), sigma=1.0)
     with pytest.raises(ValueError, match="^sampled grid t must be finite$"):
         compare(*((other, good) if side == "a" else (good, other)))
+
+
+_T5 = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("phi, sigma, message", [
+    (np.r_[1.0, 1.0, math.nan, 1.0, 1.0], 1.0, "sampled values phi must be finite"),
+    (np.r_[1.0, 1.0, math.inf, 1.0, 1.0], 1.0, "sampled values phi must be finite"),
+    (np.ones(4), 1.0, "sampled values phi must have the shape of their grid t"),
+    (np.ones(5), True, "sigma must be finite"),
+    (np.ones(5), "x", "sigma must be finite"),
+    (np.ones(5), math.nan, "sigma must be finite"),
+], ids=["nan-phi", "inf-phi", "short-phi", "bool-sigma", "string-sigma", "nan-sigma"])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_compare_checks_each_phi_and_sigma(side, phi, sigma, message):
+    # each refusal names the field, before any norm is taken
+    good = SampledSolution(t=_T5, phi=np.ones(5), sigma=1.0)
+    other = SampledSolution(t=_T5, phi=phi, sigma=sigma)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        compare(*((other, good) if side == "a" else (good, other)))

@@ -84,11 +84,37 @@ def test_spec_defaults():
         ({"type": "exponential_sum", "a": [1.0], "b": [[1.0]]}, "^exponential sum rates b must"),
         ({"type": "tabulated", "t": ["0", "1"], "g": [1.0, 0.5]}, "^tabulated abscissae t must"),
         ({"type": "tabulated", "t": [0.0, 1.0], "g": [1.0, False]}, "^tabulated values g must"),
+        # the spec is an object with a type, whose fields its family declares
+        ({"rho": 0.5}, "^kernel spec missing fields: type$"),
+        ({"type": "trigonometric", "rho": 0.5, "bogus": 1}, "^kernel spec has unknown fields: bogus$"),
+        ({"type": "trigonometric", "rho": 0.5, "a": [1.0]},
+         "^kernel type 'trigonometric' has unknown fields: a$"),
+        ({"type": ["trigonometric"], "rho": 0.5}, r"^unknown kernel type \['trigonometric'\]"),
+        ({"type": "exponential_sum", "a": 5, "b": [1.0]}, "^exponential sum weights a must be a list"),
+        ({"type": "exponential_sum", "a": [1.0], "b": None}, "^exponential sum rates b must be a list"),
+        ({"type": "tabulated", "t": {"x": 1}, "g": [1.0, 0.5]}, "^tabulated abscissae t must be a list"),
     ],
 )
 def test_spec_rejects(bad, match):
     with pytest.raises((ValueError, TypeError), match=match):
         kernel_from_spec(bad)
+
+
+@pytest.mark.parametrize("build, field, name", [
+    (lambda v: ExponentialSum(a=v, b=(1.0, 4.0)), "a", "exponential sum weights a"),
+    (lambda v: ExponentialSum(a=(1.0, 1.0), b=v), "b", "exponential sum rates b"),
+    (lambda v: Tabulated(t=v, g=(1.0, 0.5)), "t", "tabulated abscissae t"),
+    (lambda v: Tabulated(t=(0.0, 1.0), g=v), "g", "tabulated values g"),
+], ids=["a", "b", "t", "g"])
+def test_number_lists_pass_the_list_rule(build, field, name):
+    # a list, a tuple or a 1-d array is stored as a tuple of floats; anything else,
+    # a dict included, is refused by name
+    for good in ([0.5, 1], (0.5, 1.0), np.array([0.5, 1.0])):
+        stored = getattr(build(good), field)
+        assert stored == (0.5, 1.0) and all(type(v) is float for v in stored)
+    for bad in (5, None, "01", {0.5: 1, 1.0: 2}, np.array(0.5), np.ones((2, 1))):
+        with pytest.raises(ValueError, match=f"^{name} must be a list of numbers$"):
+            build(bad)
 
 
 @pytest.mark.parametrize("build, name", [

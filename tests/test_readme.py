@@ -1,7 +1,10 @@
-"""README's Python API example runs against the package's exports."""
+"""README's examples run against the package: the Python API block and the config schema."""
 
+import json
 import re
 from pathlib import Path
+
+from fredholm import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +17,18 @@ def test_readme_python_api_block_prints_documented_sigma(capsys):
     assert documented == "1.1654840327054725"
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == documented
+
+
+def test_readme_config_schema_shows_every_accepted_field(tmp_path):
+    # the schema block is a valid config, and it shows exactly the fields that
+    # parse_config's object check accepts, at the top level and in each object
+    text = README.read_text()
+    schema = text[text.index("### Config schema"):]
+    block = re.search(r"```json\n(.*?)```", schema, re.S).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    cli.parse_config(str(path))
+    doc = json.loads(block)
+    shown = {"config": doc, "diagnostics": doc["diagnostics"], "output": doc["output"]}
+    assert {name: set(fields) for name, fields in shown.items()} == {
+        name: set(fields) for name, fields in cli._OBJECTS.items()}
