@@ -203,6 +203,20 @@ def _path(value, name):
     raise ConfigError(f"{name} must be a non-empty string", {"got": value})
 
 
+def _format(value, name):
+    """``value``, the format of the solve artifact: "csv" or "json"."""
+    if value in ("csv", "json"):
+        return value
+    raise ValueError(f"'{name}' must be 'csv' or 'json'")
+
+
+def _setting(check, value, flag, name, **bounds):
+    """``value`` of the config, or the ``flag`` that overrides it when given (not None): each
+    passes ``_field(check, ..., name, **bounds)``, so a flag never hides a bad config value."""
+    value = _field(check, value, name, **bounds)
+    return value if flag is None else _field(check, flag, name, **bounds)
+
+
 def _field(check, value, name, **bounds):
     """``check(value, name, **bounds)``, with its refusal as a config error whose detail is the
     refusal's own (the fields of a FieldError) or else the value."""
@@ -234,21 +248,19 @@ def parse_config(path, cells=None, max_order=None, out=None, fmt=None) -> RunCon
     if method not in _METHODS:
         raise ConfigError(f"'method' must be one of {', '.join(_METHODS)}", {"got": method})
 
-    cells = _field(_positive_int, raw.get("cells", 1024) if cells is None else cells, "cells",
-                   least=2, most=MAX_CELLS)
+    cells = _setting(_positive_int, raw.get("cells", 1024), cells, "cells", least=2, most=MAX_CELLS)
 
     diag = _field(_fields, raw.get("diagnostics", {}), "diagnostics", known=_OBJECTS["diagnostics"])
-    max_order = _field(_positive_int, diag.get("max_order", 6) if max_order is None else max_order,
-                       "diagnostics.max_order", least=2)
+    max_order = _setting(_positive_int, diag.get("max_order", 6), max_order, "diagnostics.max_order",
+                         least=2)
     tol = diag.get("tol")
     if tol is not None:
         tol = _field(_positive_finite, tol, "diagnostics.tol")
 
     output = _field(_fields, raw.get("output", {}), "output", known=_OBJECTS["output"])
-    out_path = _path(output.get("path"), "output.path") if out is None else _path(out, "--out")
-    out_format = fmt if fmt is not None else output.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError("'output.format' must be 'csv' or 'json'", {"got": out_format})
+    out_path = _path(output.get("path"), "output.path")
+    out_path = out_path if out is None else _path(out, "--out")
+    out_format = _setting(_format, output.get("format", "csv"), fmt, "output.format")
 
     if method == "auto":
         method = next(name for name, route in _ROUTES.items()

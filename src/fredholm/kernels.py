@@ -7,16 +7,15 @@ path of the discretized energy and the discrete solver's one hook: on m
 uniform cells it returns the lag row, the double integrals of a cell against
 every lag, and the midpoint row, the integrals of G over one cell seen from
 every cell midpoint, which the solver's residual convolves with.  Every
-entry depends on the lag index k alone, so each family builds both rows from
-one table on the grid in O(m) elementwise work: by default second
-differences of `_nl2` at j*h and first differences of `_g1` at (j + 1/2)*h
-(`CappedLinear`, `PowerCapped`); where differences would cancel, a product
-form on one table of exp(-sqrt(b) k h) (`ExponentialSum`) or cos(rho k h)
-(`Trigonometric`), series in 1/k^2 for the far entries of `PowerLaw`, and
-half-cell moments in O(m + knots) for `Tabulated`.  `cell_double_integral`
-is the helper for a general rectangle, and `cell_integral` integrates G over
-one cell seen from any point, the general form of a midpoint-row entry; the
-solver itself calls neither.
+entry depends on the lag index k alone and is the family's own cell formula
+at the grid's gaps, in O(m) elementwise work: `_one_signed` (a rectangle)
+for the lag row and `_one_side` (G over one interval) for the midpoint row,
+differences of `_nl2` and `_g1` by default, and product forms or, for the
+far `PowerLaw` lags, a series in 1/k^2 where those would cancel.
+`Tabulated` builds both rows from half-cell moments in O(m + knots).
+`cell_double_integral` is the helper for a general rectangle, and
+`cell_integral` integrates G over one cell seen from any point, the general
+form of a midpoint-row entry; the solver itself calls neither.
 
 The base class does the shared work (JSON specs, rectangle splitting, and
 points: it converts and checks each point once, by `_points`, the one point
@@ -48,6 +47,7 @@ return exact zeros for far-apart cells this way).
 import bisect
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import ClassVar
@@ -107,9 +107,10 @@ def _positive_finite(value, name, zero=False, below=math.inf, signed=False):
     positive and finite" ("nonnegative" with ``zero``, "<name> must be
     finite" with ``signed``, "must lie in (0, below)" with a finite
     ``below``).  A string, a bool, a list or None is refused, never turned
-    into a number.
+    into a number, and so is an integer beyond the float range.
     """
-    if _is_number(value) and (signed or (0 <= value if zero else 0 < value)) and abs(value) < below:
+    if (_is_number(value) and (signed or (0 <= value if zero else 0 < value))
+            and abs(value) < below and abs(value) <= sys.float_info.max):
         return float(value)
     if below < math.inf:
         raise ValueError(f"{name} must lie in (0, {below:g})")
@@ -242,9 +243,13 @@ class Kernel:
     # --- rectangle building blocks ---
 
     def _one_signed(self, gap, dx, dy):
-        """Integral over a rectangle with t - s = gap + [0,dx] + [0,dy], gap >= 0."""
+        """Integral over a rectangle with t - s = gap + [0,dx] + [0,dy], gap >= 0 (dx, dy floats)."""
         f = self._nl2
         return f(gap + dx + dy) - f(gap + dx) - f(gap + dy) + f(gap)
+
+    def _one_side(self, gap, dx):
+        """int_gap^(gap + dx) G(w) dw, gap >= 0 (gap an array, dx a float)."""
+        return self._g1(gap + dx) - self._g1(gap)
 
     def grid_rows(self, h, m):
         """The lag row and the midpoint row of m uniform cells of width h.
@@ -252,26 +257,19 @@ class Kernel:
         The lag row holds the double integrals of G(|t - s|) over
         [0, h] x [k h, (k + 1) h]; the midpoint row holds
         int_0^h G(|(k + 1/2) h - s|) ds for k = 0..m-1, the single-cell
-        integrals the discrete residual convolves with.  Both are functions
-        of the lag index k alone, so each comes from one table on the grid
-        in O(m): here ``_grid_lags`` and ``_grid_midpoints``, while a family
-        whose differences would cancel overrides this with a product form.
-        The lag-0 entries 2 G2(h) and 2 G1(h/2) take h as a 0-d array: ``**``
-        on a numpy float runs a scalar power that may round otherwise.
+        integrals the discrete residual convolves with.  For k >= 1 they are
+        ``_grid_lags`` (``_one_signed``) at the gaps k h - h and ``_one_side``
+        at k h - h/2, written so that a centre k h is rounded once.  The
+        lag-0 entries 2 G2(h) and 2 G1(h/2) take h as a 0-d array: ``**`` on
+        a numpy float runs a scalar power that may round otherwise.
         """
-        return self._grid_lags(h, m), self._grid_midpoints(h, m)
+        k = np.arange(1, m) * h
+        return (np.concatenate(([2.0 * self._g2(np.array(h))], self._grid_lags(k - h, h))),
+                np.concatenate(([2.0 * self._g1(np.array(0.5 * h))], self._one_side(k - 0.5 * h, h))))
 
-    def _grid_lags(self, h, m):
-        """Lag row from one table nl[j] = _nl2(j h), j = 0..m: 2 G2(h), then
-        the second differences nl[k+1] - 2 nl[k] + nl[k-1] in ``_one_signed``'s order."""
-        nl = self._nl2(np.arange(m + 1) * h)
-        return np.concatenate(([2.0 * self._g2(np.array(h))], nl[2:] - nl[1:-1] - nl[1:-1] + nl[:-2]))
-
-    def _grid_midpoints(self, h, m):
-        """Midpoint row from one table G1((j + 1/2) h), j = 0..m-1: 2 G1(h/2),
-        then G1((k + 1/2) h) - G1((k - 1/2) h)."""
-        g1 = self._g1((np.arange(m) + 0.5) * h)
-        return np.concatenate(([2.0 * self._g1(np.array(0.5 * h))], g1[1:] - g1[:-1]))
+    def _grid_lags(self, gaps, h):
+        """Lags 1..m-1 of the grid from their gaps (k - 1) h."""
+        return self._one_signed(gaps, h, h)
 
     @np.errstate(over="ignore", invalid="ignore")
     def cell_double_integral(self, x_lo, x_hi, y_lo, y_hi):
@@ -385,30 +383,16 @@ class ExponentialSum(Kernel):
         a, b, rate = self._arrays
         return np.sum((a / b) * _em1p(rate * u[..., None]), axis=-1)
 
+    # both cell formulas in expm1 product form, where differences would cancel; a term-major
+    # table exp(-sqrt(b) gap) summed by a matrix-vector product: 9x a point-major np.sum at m 4096
     def _one_signed(self, gap, dx, dy):
-        # expm1 product form: no cancellation however far the cells are apart
         a, b, rate = self._arrays
-        gap, dx, dy = (v[..., None] for v in (gap, dx, dy))
-        decay = np.exp(-rate * gap)
-        return np.sum((a / b) * decay * np.expm1(-rate * dx) * np.expm1(-rate * dy), axis=-1)
+        weight = (a / b) * np.expm1(-rate * dx) * np.expm1(-rate * dy)
+        return weight @ np.exp(np.multiply.outer(-rate, gap))
 
-    def grid_rows(self, h, m):
-        # one term-major table exp(-sqrt(b) (k - 1) h), k = 1..m-1, feeds both
-        # rows in product form, where differences of G2 or G1 would cancel:
-        # lag k is sum (a/b) expm1(-sqrt(b) h)^2 exp(-sqrt(b) (k - 1) h), and
-        # int_0^h G((k + 1/2) h - s) ds = sum a exp(-sqrt(b) (k - 1/2) h)
-        # (1 - exp(-sqrt(b) h)) / sqrt(b)
-        a, b, rate = self._arrays
-        step = np.expm1(-rate * h)
-        lag_weight = (a / b) * step * step
-        mid_weight = -(a / rate) * step * np.exp(-0.5 * rate * h)
-        decay = np.exp(np.outer(-rate, np.arange(m - 1) * h))
-        lags, midpoints = np.zeros(m), np.zeros(m)
-        lags[0], midpoints[0] = 2.0 * self._g2(np.array(h)), 2.0 * self._g1(np.array(0.5 * h))
-        for row, lag_w, mid_w in zip(decay, lag_weight.tolist(), mid_weight.tolist()):
-            lags[1:] += lag_w * row
-            midpoints[1:] += mid_w * row
-        return lags, midpoints
+    def _one_side(self, gap, dx):
+        a, _, rate = self._arrays
+        return (-(a / rate) * np.expm1(-rate * dx)) @ np.exp(np.multiply.outer(-rate, gap))
 
 
 @dataclass(frozen=True)
@@ -503,24 +487,17 @@ class Trigonometric(Kernel):
     def _g2(self, u):
         return 2.0 * (np.sin(0.5 * self.rho * u) / self.rho) ** 2
 
+    # both cell formulas in product form, no cancellation at any lag; each sine is
+    # divided by rho, so a tiny rho does not underflow rho^2
     def _one_signed(self, gap, dx, dy):
-        # product form of the cosine second difference: no cancellation at any lag
         r = self.rho
         return 4.0 * (np.sin(0.5 * r * dx) / r) * (np.sin(0.5 * r * dy) / r) * np.cos(
             r * (gap + 0.5 * (dx + dy))
         )
 
-    def grid_rows(self, h, m):
-        # one table cos(rho k h) feeds both product forms: lag k is
-        # (2 sin(rho h/2) / rho)^2 cos(rho k h), as _one_signed has it (each
-        # sine divided by rho, so a tiny rho does not underflow rho^2), and
-        # midpoint k is 2 sin(rho h/2) cos(rho k h) / rho
+    def _one_side(self, gap, dx):
         r = self.rho
-        half = math.sin(0.5 * r * h)
-        table = np.cos(r * (np.arange(m) * h))
-        lags = (2.0 * half / r) ** 2 * table
-        lags[0] = 2.0 * self._g2(np.array(h))
-        return lags, 2.0 * half / r * table
+        return 2.0 * (np.sin(0.5 * r * dx) / r) * np.cos(r * (gap + 0.5 * dx))
 
 
 @dataclass(frozen=True)
@@ -559,7 +536,7 @@ class PowerLaw(Kernel):
         p = 2.0 - self.alpha
         c = gap + 0.5 * (dx + dy)
         ra2, rb2 = (0.5 * (dx + dy) / c) ** 2, (0.5 * (dx - dy) / c) ** 2
-        e1 = dx * dy / c**2  # E_1 = ra2 - rb2 without the subtraction
+        e1 = (dx / c) * (dy / c)  # E_1 = ra2 - rb2 without the subtraction; c^2 may underflow
         e, rb2j, series = e1, rb2, 0.0
         for binom in self._binomials:  # E_{j+1} = ra2 E_j + rb2^j E_1
             series = series + binom * e
@@ -576,22 +553,13 @@ class PowerLaw(Kernel):
             out.append(binom)
         return tuple(out)
 
-    @cached_property
-    def _odd_binomials(self):
-        """C(q, 2j+1) for j = 0..11, q = 1 - alpha: the midpoint series' coefficients."""
-        q = binom = 1.0 - self.alpha
-        out = [q]
-        for n in range(3, 24, 2):
-            binom *= (q - n + 2) * (q - n + 1) / ((n - 1) * n)
-            out.append(binom)
-        return tuple(out)
-
-    def _grid_lags(self, h, m):
+    def _grid_lags(self, gaps, h):
         # on the grid _one_signed has c = k h, ra2 = 1/k^2 and rb2 = 0, so its
         # far series is 1/k^2 times a polynomial in 1/k^2 (Horner), times
-        # (k h)^p; lags below 4 (ra2 > 1/16) keep the direct second difference
-        near = super()._grid_lags(h, min(m, 4))
-        k = np.arange(len(near), m, dtype=float)
+        # (k h)^p, several times faster than the general series; lags 1-3
+        # (ra2 > 1/16) take the plain second difference, as _one_signed does
+        near = Kernel._one_signed(self, gaps[:3], h, h)
+        k = np.arange(len(near) + 1, len(gaps) + 1, dtype=float)
         x = 1.0 / (k * k)
         poly = 0.0
         for binom in reversed(self._binomials):
@@ -600,23 +568,10 @@ class PowerLaw(Kernel):
         far = 2.0 * self.scale / ((1.0 - self.alpha) * p) * (x * poly) * (k * h) ** p
         return np.concatenate((near, far))
 
-    def _grid_midpoints(self, h, m):
-        # G1((k + 1/2) h) - G1((k - 1/2) h) cancels at far lags; about c = k h it
-        # is (scale/q) c^q ((1 + e)^q - (1 - e)^q) with e = 1/(2k), q = 1 - alpha,
-        # that is (2 scale/q) c^q sum_j C(q, 2j+1) e^(2j+1), a polynomial in
-        # e^2 <= 1/16 (Horner); lag 1, where it converges slowly, is
-        # G1(3h/2) - G1(h/2) = scale (h/2)^q expm1(q ln 3) / q, with no cancellation
+    def _one_side(self, gap, dx):
+        # G1(gap + dx) - G1(gap) = (scale/q) gap^q ((1 + dx/gap)^q - 1), q = 1 - alpha: no cancellation
         q = 1.0 - self.alpha
-        near = np.array([2.0 * self._g1(np.array(0.5 * h)),
-                         self.scale * (0.5 * h) ** q * math.expm1(q * math.log(3.0)) / q])[:m]
-        k = np.arange(len(near), m, dtype=float)
-        e = 0.5 / k
-        x = e * e
-        poly = 0.0
-        for binom in reversed(self._odd_binomials):
-            poly = poly * x + binom
-        far = 2.0 * self.scale / q * (e * poly) * (k * h) ** q
-        return np.concatenate((near, far))
+        return self.scale / q * gap**q * np.expm1(q * np.log1p(dx / gap))
 
 
 @dataclass(frozen=True)

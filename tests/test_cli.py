@@ -106,6 +106,23 @@ def test_bad_configs_exit_2(tmp_path, capsys, overrides):
     assert json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("overrides, flag, value, error", [
+    ({"cells": "many"}, "--cells", "64", f"cells must be an integer from 2 to {cli.MAX_CELLS}"),
+    ({"diagnostics": {"max_order": 1}}, "--max-order", "4", "diagnostics.max_order must be an integer >= 2"),
+    ({"output": {"format": "xml"}}, "--format", "csv", "'output.format' must be 'csv' or 'json'"),
+    ({"output": {"path": ""}}, "--out", "curve", "output.path must be a non-empty string"),
+], ids=["cells", "max_order", "format", "path"])
+def test_overridden_config_values_are_checked(tmp_path, capsys, overrides, flag, value, error):
+    # a flag replaces a config value only after the value passes its own check
+    path = write_config(tmp_path / "c.json", **overrides)
+    if flag == "--out":
+        value = str(tmp_path / value)
+    code, out, err = run_main(["solve", "--config", path, flag, value], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 @pytest.mark.parametrize(
     "argv, overrides",
     [
@@ -114,6 +131,7 @@ def test_bad_configs_exit_2(tmp_path, capsys, overrides):
         (["solve"], {"gamma": math.nan}),
         (["solve"], {"diagnostics": {"tol": math.inf}}),
         (["sweep", "--gammas", "inf,1.0"], {}),
+        (["solve"], {"gamma": 10**400}),  # an integer literal beyond the float range
     ],
 )
 def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, overrides):

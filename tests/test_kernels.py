@@ -126,8 +126,9 @@ def test_number_lists_pass_the_list_rule(build, field, name):
     (lambda v: discrete.Problem(gamma=1.0, horizon=v, kernel=CappedLinear()), "horizon"),
 ], ids=["cap", "power_capped_rho", "trig_rho", "scale", "gamma", "horizon"])
 def test_positive_finite_fields(build, name):
-    # one rule for every positive finite field: the same message, and a float stored
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    # one rule for every positive finite field: the same message, and a float stored;
+    # an integer beyond the float range is refused by name, not left to overflow
+    for bad in (0.0, -1.0, math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
             build(bad)
     stored = getattr(build(2), name)
@@ -380,7 +381,9 @@ ROW_KERNELS = ORACLE_KERNELS + [
 @pytest.mark.parametrize("kernel", ROW_KERNELS, ids=lambda k: repr(k)[:40])
 def test_lag_row_matches_cell_loop(kernel):
     # the vectorized rows against one scalar integral per cell: a rectangle
-    # for the lag row, and the cell seen from each midpoint for the other
+    # for the lag row, and the cell seen from each midpoint for the other (the
+    # exponential and cosine lag rows are their rectangle formula on the grid,
+    # so test_lag_row_far_lags holds their independent oracle)
     h, m = 0.07, 40
     lags, midpoints = kernel.grid_rows(h, m)
     ref = [kernel.cell_double_integral(0.0, h, k * h, (k + 1) * h) for k in range(m)]
@@ -411,16 +414,28 @@ def test_midpoint_row_far_lags(kernel, horizon):
 
 
 def test_power_law_lag1_midpoint_near_alpha_one():
-    # G1(3h/2) - G1(h/2) cancels as q = 1 - alpha -> 0 (3.1e-14 relative
-    # at alpha 0.999 as a difference); against a 50-digit reference
-    alpha, m = 0.999, 4096
+    # G1((k + 1/2) h) - G1((k - 1/2) h) cancels as q = 1 - alpha -> 0 (3.1e-14
+    # relative at lag 1, alpha 0.999) and at far lags; the midpoint row holds
+    # 1e-15 against a 50-digit reference over alpha and lag
+    m = 4096
     h = 1.0 / m
-    got = PowerLaw(alpha=alpha).grid_rows(h, m)[1][1]
-    with localcontext() as ctx:
-        ctx.prec = 50
-        q = 1 - Decimal(alpha)
-        ref = ((q * Decimal(1.5 * h).ln()).exp() - (q * Decimal(0.5 * h).ln()).exp()) / q
-        assert float(abs(Decimal(got) - ref) / ref) <= 1e-15
+    for alpha in (0.001, 0.5, 0.999):
+        row = PowerLaw(alpha=alpha).grid_rows(h, m)[1]
+        for lag in (1, 2, 1000, 4095):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                q = 1 - Decimal(alpha)
+                ref = ((q * (Decimal(h) * (lag + Decimal("0.5"))).ln()).exp()
+                       - (q * (Decimal(h) * (lag - Decimal("0.5"))).ln()).exp()) / q
+                assert float(abs(Decimal(row[lag]) - ref) / ref) <= 1e-15, (alpha, lag)
+
+
+@pytest.mark.parametrize("h", [1e-200, 2.0**-660, 2.0**-10], ids=["1e-200", "2^-660", "2^-10"])
+def test_power_law_rectangle_matches_the_grid_row_on_tiny_cells(h):
+    # the far series takes (dx / c) (dy / c), where dx dy / c^2 is 0/0 once c^2 underflows
+    kernel = PowerLaw(alpha=0.5)
+    row = kernel.grid_rows(h, 5)[0]
+    assert kernel.cell_double_integral(0.0, h, 4 * h, 5 * h) == pytest.approx(row[4], rel=1e-15, abs=0.0)
 
 
 def test_tabulated_rows_memory_is_linear():
@@ -437,10 +452,11 @@ def test_tabulated_rows_memory_is_linear():
     assert peak <= 400 * m
 
 
-@pytest.mark.parametrize("kernel", [Trigonometric(rho=0.5), PowerLaw(alpha=0.5), TAB4],
-                         ids=["Trigonometric", "PowerLaw", "Tabulated"])
+@pytest.mark.parametrize("kernel", [Trigonometric(rho=0.5), PowerLaw(alpha=0.5), TAB4,
+                                    ExponentialSum(a=(1.0, 1.0), b=(1.0, 4.0))],
+                         ids=["Trigonometric", "PowerLaw", "Tabulated", "ExponentialSum"])
 def test_lag_row_far_lags(kernel):
-    # product forms (cosine), series in the inverse lag (power law) and sums
+    # product forms (cosine, exponential), series in the inverse lag (power law) and sums
     # of nonnegative half-cell moments (tabulated) keep the lag row exact at
     # fine grids, where plain second differences cancel
     m = 4096
