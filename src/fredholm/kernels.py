@@ -13,13 +13,14 @@ for the lag row and `_one_side` (G over one interval) for the midpoint row,
 differences of `_nl2` and `_g1` by default, and product forms or, for the
 far `PowerLaw` lags, a series in 1/k^2 where those would cancel.
 `Tabulated` builds both rows from half-cell moments in O(m + knots).
-`cell_double_integral` is the helper for a general rectangle, and
-`cell_integral` integrates G over one cell seen from any point, the general
-form of a midpoint-row entry; the solver itself calls neither.
+`cell_double_integral` and `cell_integral` are the same hooks at general
+edges, so they are exact wherever the rows are: a rectangle off the diagonal
+is one `_one_signed` at its gap, and a point outside a cell one `_one_side`
+at its distance.  The solver itself calls neither.
 
-The base class does the shared work (JSON specs, rectangle splitting, and
-points: it converts and checks each point once, by `_points`, the one point
-rule of the package, so the hooks see float arrays only).  `evaluate`,
+The base class does the shared work (JSON specs, and points: it converts
+and checks each point once, by `_points`, the one point rule of the
+package, so the hooks see float arrays only).  `evaluate`,
 `cell_integral` and `cell_double_integral` compute with numpy's overflow and
 invalid-value warnings off, since a huge finite argument may overflow on the
 way to a finite value, and refuse a result that is not finite.  A family is
@@ -36,12 +37,13 @@ Rectangle integrals reduce to scalar antiderivatives.  Writing
 G1(u) = int_0^u G(w) dw and G2(u) = int_0^u G1(v) dv for u >= 0, a
 rectangle X x Y that lies entirely on one side of the diagonal t = s
 contributes an inclusion-exclusion of G2 values, while a square sitting on
-the diagonal contributes 2*G2(L) (Fubini).  General rectangles are first
-split at each other's endpoints so that only those two shapes occur.
-Inclusion-exclusion is a second difference, so any affine part of G2
-cancels; the `_nl2` hook lets a family supply only the nonlinear part of
-G2 in whatever form is numerically stable (compactly supported kernels
-return exact zeros for far-apart cells this way).
+the diagonal contributes 2*G2(L) (Fubini).  A rectangle that crosses the
+diagonal is the square on its overlap and at most two rectangles that touch
+the diagonal at a corner: three hook calls in all.  Inclusion-exclusion is
+a second difference, so any affine part of G2 cancels; the `_nl2` hook lets
+a family supply only the nonlinear part of G2 in whatever form is
+numerically stable (compactly supported kernels return exact zeros for
+far-apart cells this way).
 """
 
 import bisect
@@ -192,12 +194,6 @@ def _set(obj, **values):
         object.__setattr__(obj, name, value)
 
 
-def _segments(lo, hi, cuts):
-    """Split [lo, hi] at every cut strictly inside it."""
-    pts = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
-    return list(zip(pts[:-1], pts[1:]))
-
-
 class Kernel:
     """Base class: generic rectangle logic on top of per-family scalar hooks."""
 
@@ -274,42 +270,52 @@ class Kernel:
     @np.errstate(over="ignore", invalid="ignore")
     def cell_double_integral(self, x_lo, x_hi, y_lo, y_hi):
         """Exact integral of G(|t - s|) ds dt over [x_lo,x_hi] x [y_lo,y_hi], finite edges;
-        it must be finite."""
-        names = ("x_lo", "x_hi", "y_lo", "y_hi")  # each edge on its own, as a numpy float _segments can hash
+        it must be finite.
+
+        X is taken as the interval that starts first, so swapping the two is
+        exact.  Disjoint intervals are one lag-row rectangle, `_one_signed` at
+        their gap.  Overlapping ones are the square on their overlap O,
+        2 G2(|O|), and the rectangles that touch it at lag 0: the part of X
+        before O against all of Y, and O against the part of X or Y beyond it.
+        """
+        names = ("x_lo", "x_hi", "y_lo", "y_hi")  # each edge on its own, as a numpy float
         x_lo, x_hi, y_lo, y_hi = (_points(edge, f"rectangle edge {name} must be finite", -math.inf)[()]
                                   for edge, name in zip((x_lo, x_hi, y_lo, y_hi), names))
         if not (x_lo < x_hi and y_lo < y_hi):
             raise ValueError(
                 "degenerate rectangle: require x_lo < x_hi and y_lo < y_hi"
             )
-        total = 0.0
-        for p, q in _segments(x_lo, x_hi, (y_lo, y_hi)):
-            for r, s in _segments(y_lo, y_hi, (x_lo, x_hi)):
-                if p == r and q == s:
-                    total += 2.0 * self._g2(q - p)
-                elif r >= q:
-                    total += self._one_signed(r - q, q - p, s - r)
-                elif p >= s:
-                    total += self._one_signed(p - s, q - p, s - r)
-                else:  # pragma: no cover - splitting precludes partial overlap
-                    raise AssertionError("rectangle splitting failed")
+        if (y_lo, y_hi) < (x_lo, x_hi):
+            x_lo, x_hi, y_lo, y_hi = y_lo, y_hi, x_lo, x_hi
+        if x_hi <= y_lo:
+            total = self._one_signed(y_lo - x_hi, x_hi - x_lo, y_hi - y_lo)
+        else:
+            end, far = min(x_hi, y_hi), max(x_hi, y_hi)  # O = [y_lo, end]
+            lead = self._one_signed(0.0, y_lo - x_lo, y_hi - y_lo) if x_lo < y_lo else 0.0
+            tail = self._one_signed(0.0, end - y_lo, far - end) if end < far else 0.0
+            total = lead + 2.0 * self._g2(end - y_lo) + tail
         return float(_finite(total, "rectangle integral over these edges is not finite"))
 
     @np.errstate(over="ignore", invalid="ignore")
     def cell_integral(self, lo, hi, t):
         """int_lo^hi G(|t - s|) ds for finite lo, hi and t, vectorized over t (exact antiderivative);
-        it must be finite."""
+        it must be finite.
+
+        A point outside the cell sees G over one interval at its distance,
+        `_one_side`, the midpoint row's formula; a point inside sees G over
+        two intervals from lag 0, G1(t - lo) + G1(hi - t).
+        """
         lo = _points(lo, "cell edge lo must be finite", -math.inf)
         hi = _points(hi, "cell edge hi must be finite", -math.inf)
         if not lo < hi:
             raise ValueError("degenerate cell: require lo < hi")
         t = _points(t, "cell point t must be finite", -math.inf)
-        out = self._g1_signed(hi - t) - self._g1_signed(lo - t)
+        gap = np.maximum(lo - t, t - hi)  # the distance from the cell, <= 0 inside it
+        inside = gap <= 0.0
+        out = np.empty(t.shape)
+        out[inside] = self._g1(t[inside] - lo) + self._g1(hi - t[inside])
+        out[~inside] = self._one_side(gap[~inside], hi - lo)
         return _like(_finite(out, "cell integral over these edges is not finite at point t"), t)
-
-    def _g1_signed(self, w):
-        """Odd extension of G1: antiderivative of s -> G(|s|)."""
-        return np.sign(w) * self._g1(np.abs(w))
 
 
 # _E2_RADII[n - 1]: the |z| below which _e2's series sum_j z^j / (j + 2)!, cut
@@ -427,6 +433,17 @@ class CappedLinear(Kernel):
         w = np.maximum(self.cap - u, 0.0)
         return w * w * w / 6.0  # w**3 would call libm pow, several times slower
 
+    def _one_signed(self, gap, dx, dy):
+        # G is affine inside its support, so a rectangle there is its area times G at its
+        # centre, where the second difference of the cube cancels (1e-10 on a fine grid);
+        # the cube stays for the rectangles that the end of the support cuts, and past
+        # the support every rectangle is 0
+        cap, end = self.cap, gap + dx + dy
+        out = np.where(end <= cap, dx * dy * (cap - gap - 0.5 * (dx + dy)), 0.0)
+        cut = (gap < cap) & (cap < end)
+        out[cut] = super()._one_signed(*(np.broadcast_to(v, cut.shape)[cut] for v in (gap, dx, dy)))
+        return out
+
 
 @dataclass(frozen=True)
 class PowerCapped(Kernel):
@@ -462,6 +479,14 @@ class PowerCapped(Kernel):
         rho, p = self.rho, self.p
         w = np.maximum(1.0 - rho * u, 0.0)
         return w ** (p + 2) / (rho**2 * (p + 1) * (p + 2))
+
+    def _one_side(self, gap, dx):
+        # the difference of the powers w^(p + 1) alone: the 1 - w^(p + 1) of two G1 values
+        # would cancel where w is small, near the end of the support
+        rho, p = self.rho, self.p
+        w0 = np.maximum(1.0 - rho * gap, 0.0)
+        w1 = np.maximum(1.0 - rho * (gap + dx), 0.0)
+        return (w0 ** (p + 1) - w1 ** (p + 1)) / (rho * (p + 1))
 
 
 @dataclass(frozen=True)
@@ -532,7 +557,9 @@ class PowerLaw(Kernel):
         # cancels.  Expanded about the centre c = gap + (dx+dy)/2 in the
         # half-widths a = (dx+dy)/2, b = (dx-dy)/2 it is
         #   c^p * 2 sum_j C(p, 2j) E_j,  E_j = (a/c)^2j - (b/c)^2j,
-        # where every term is positive; 12 terms reach round-off for a <= c/4.
+        # where every term is positive; 12 terms reach round-off for a^2 < c^2/15.
+        # The switch lies between the grid's lags 3 (ra2 1/9) and 4 (1/16), so no
+        # rounding of a grid-aligned rectangle's edges carries it across.
         p = 2.0 - self.alpha
         c = gap + 0.5 * (dx + dy)
         ra2, rb2 = (0.5 * (dx + dy) / c) ** 2, (0.5 * (dx - dy) / c) ** 2
@@ -542,13 +569,18 @@ class PowerLaw(Kernel):
             series = series + binom * e
             e, rb2j = ra2 * e + rb2j * e1, rb2j * rb2
         far = 2.0 * series * c**p * self.scale / ((1.0 - self.alpha) * p)
-        return np.where(ra2 <= 1.0 / 16.0, far, super()._one_signed(gap, dx, dy))
+        return np.where(ra2 < 1.0 / 15.0, far, super()._one_signed(gap, dx, dy))
 
     @cached_property
     def _binomials(self):
-        """C(p, 2j) for j = 1..12, p = 2 - alpha: the far series' coefficients."""
-        p, binom, out = 2.0 - self.alpha, 1.0, []
-        for k in range(0, 24, 2):
+        """C(p, 2j) for j = 1..12, p = 2 - alpha: the far series' coefficients.
+
+        C(p, 2) takes its factor p - 1 as 1 - alpha: p - 1 would carry the
+        rounding of p, 1e-13 relative near alpha 1."""
+        p = 2.0 - self.alpha
+        binom = p * (1.0 - self.alpha) / 2.0
+        out = [binom]
+        for k in range(2, 24, 2):
             binom *= (p - k) * (p - k - 1) / ((k + 1) * (k + 2))
             out.append(binom)
         return tuple(out)
@@ -557,7 +589,7 @@ class PowerLaw(Kernel):
         # on the grid _one_signed has c = k h, ra2 = 1/k^2 and rb2 = 0, so its
         # far series is 1/k^2 times a polynomial in 1/k^2 (Horner), times
         # (k h)^p, several times faster than the general series; lags 1-3
-        # (ra2 > 1/16) take the plain second difference, as _one_signed does
+        # (ra2 > 1/15) take the plain second difference, as _one_signed does
         near = Kernel._one_signed(self, gaps[:3], h, h)
         k = np.arange(len(near) + 1, len(gaps) + 1, dtype=float)
         x = 1.0 / (k * k)
@@ -569,9 +601,13 @@ class PowerLaw(Kernel):
         return np.concatenate((near, far))
 
     def _one_side(self, gap, dx):
-        # G1(gap + dx) - G1(gap) = (scale/q) gap^q ((1 + dx/gap)^q - 1), q = 1 - alpha: no cancellation
+        # G1(gap + dx) - G1(gap) = (scale/q) gap^q ((1 + dx/gap)^q - 1), q = 1 - alpha: no
+        # cancellation; a ratio dx/gap past the float range takes the plain difference
         q = 1.0 - self.alpha
-        return self.scale / q * gap**q * np.expm1(q * np.log1p(dx / gap))
+        ratio = dx / gap
+        out = self.scale / q * gap**q * np.expm1(q * np.log1p(ratio))
+        huge = np.isinf(ratio)
+        return np.where(huge, super()._one_side(gap, dx), out) if huge.any() else out
 
 
 @dataclass(frozen=True)
@@ -676,6 +712,9 @@ class Tabulated(Kernel):
             return np.minimum(np.minimum(w - gap[..., None], end[..., None] - w), side)
 
         return self._integral(gap, end, overlap, (gap + dx, gap + dy))
+
+    def _one_side(self, gap, dx):
+        return self._integral(gap, gap + dx, lambda w: 1.0)
 
     def _half_cell_moments(self, h, m):
         """A_j = int G(u) (1 - s) du and B_j = int G(u) s du, j = 0..2m-1.

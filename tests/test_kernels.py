@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -380,18 +381,105 @@ ROW_KERNELS = ORACLE_KERNELS + [
 
 @pytest.mark.parametrize("kernel", ROW_KERNELS, ids=lambda k: repr(k)[:40])
 def test_lag_row_matches_cell_loop(kernel):
-    # the vectorized rows against one scalar integral per cell: a rectangle
-    # for the lag row, and the cell seen from each midpoint for the other (the
-    # exponential and cosine lag rows are their rectangle formula on the grid,
-    # so test_lag_row_far_lags holds their independent oracle)
+    # both rows against one quadrature per cell, at the tolerance of
+    # test_lag_row_far_lags: a rectangle per lag, and per midpoint the cell
+    # [-h/2, h/2] seen from k h, the centre the row rounds once, so that the
+    # quadrature meets the kink or singularity of G at an exact lag 0.  The lag
+    # row also matches the public rectangle, its own formula on the same edges.
     h, m = 0.07, 40
     lags, midpoints = kernel.grid_rows(h, m)
     ref = [kernel.cell_double_integral(0.0, h, k * h, (k + 1) * h) for k in range(m)]
     np.testing.assert_allclose(lags, ref, rtol=1e-14, atol=1e-18)
-    ref = [kernel.cell_integral(0.0, h, (k + 0.5) * h) for k in range(m)]
-    # the loop differences G1, which costs it a few ulps of G1(T) at any lag
-    slack = 8.0 * np.finfo(float).eps * abs(kernel.cell_integral(0.0, m * h, 0.0))
-    np.testing.assert_allclose(midpoints, ref, rtol=1e-13, atol=slack)
+    ref = [oracles.cell_double_integral(kernel, 0.0, h, k * h, (k + 1) * h) for k in range(m)]
+    np.testing.assert_allclose(lags, ref, rtol=1e-13, atol=0.0)
+    ref = [oracles.cell_integral(kernel, k * h, -0.5 * h, 0.5 * h) for k in range(m)]
+    np.testing.assert_allclose(midpoints, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kernel, horizon", [
+    (ExponentialSum(a=(1.0, 1.0), b=(1.0, 4.0)), 2.0),
+    (ExponentialSum(a=(1.0,), b=(400.0,)), 2.0),
+    (PowerLaw(alpha=0.5), 2.0),
+    (PowerLaw(alpha=0.9, scale=2.0), 1.25),
+    (Trigonometric(rho=0.5), 20.0),
+    (TAB4, 3.0),
+    (CappedLinear(cap=1.0), 3.0),
+    (PowerCapped(rho=0.5, p=2), 2.0),
+], ids=["exp2", "steep", "PowerLaw(0.5)", "PowerLaw(0.9)", "cosine", "Tabulated", "CappedLinear", "PowerCapped"])
+def test_public_integrals_are_the_grid_rows(kernel, horizon):
+    # the public cell and rectangle integrals are the rows' formulas at general
+    # edges: on a fine grid whose edges k h are exact they give every row entry
+    # (differences of G1 are up to 9.8e-10 off on the cosine, 255x on the steep one)
+    m = 4096
+    h = horizon / m
+    lags, midpoints = kernel.grid_rows(h, m)
+    k = np.arange(m)
+    np.testing.assert_allclose(kernel.cell_integral(0.0, h, (k + 0.5) * h), midpoints, rtol=1e-15, atol=0.0)
+    for lag in (*range(12), *range(12, m, 97), m - 1):
+        got = kernel.cell_double_integral(0.0, h, lag * h, (lag + 1) * h)
+        assert got == pytest.approx(lags[lag], rel=1e-15, abs=0.0), lag
+
+
+def test_cell_integral_far_cells_match_the_exponential_closed_form():
+    # a point outside the cell sees G over one interval, in product form, where
+    # a difference of G1 cancels to 0.0 for the cell [40, 41] seen from 0
+    unit = ExponentialSum(a=(1.0,), b=(1.0,))
+    ref = math.exp(-40.0) * -math.expm1(-1.0)
+    np.testing.assert_allclose(unit.cell_integral(40.0, 41.0, np.array([0.0, 81.0])), ref, rtol=1e-15, atol=0.0)
+    # and to 255x off at the steep exponential's far cells; every distance
+    # (k - 1/2) h and its product with the rate 20 is exact here
+    steep = ExponentialSum(a=(1.0,), b=(400.0,))
+    m = 4096
+    h = 2.0 / m
+    k = np.arange(1, m)
+    ref = np.exp(-20.0 * (k - 0.5) * h) * -math.expm1(-20.0 * h) / 20.0
+    np.testing.assert_allclose(steep.cell_integral(0.0, h, (k + 0.5) * h), ref, rtol=1e-15, atol=0.0)
+
+
+def test_power_law_cell_far_wider_than_its_distance():
+    # the product form's ratio width / distance overflows here, and the
+    # difference of G1 takes over: 2 (sqrt(1e300) - sqrt(1e-10))
+    kernel = PowerLaw(alpha=0.5)
+    assert kernel.cell_integral(1e-10, 1e300, 0.0) == pytest.approx(2e150, rel=1e-15, abs=0.0)
+    assert kernel.cell_integral(-1e300, 0.0, 1e-10) == pytest.approx(2e150, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [4095, 4096])
+def test_capped_lag_row_matches_exact_rationals(m):
+    # inside the support the rectangle is h^2 (1 - gap - h), where the second
+    # difference of (1 - u)^3 / 6 cancels to 1.1e-10 (m 4095) and 5.7e-11 (m 4096);
+    # against exact rational second differences at the row's own float gaps
+    h = 3.0 / m
+    row = CappedLinear(cap=1.0).grid_rows(h, m)[0]
+    step = Fraction(h)
+
+    def cube(u):
+        return max(1 - u, 0) ** 3 / 6
+
+    refs = [2 * (step**2 / 2 - step**3 / 6)]  # lag 0: 2 G2(h)
+    refs += [cube(g + 2 * step) - 2 * cube(g + step) + cube(g) for g in map(Fraction, np.arange(1, m) * h - h)]
+    for lag, (got, ref) in enumerate(zip(row, refs)):
+        assert abs(Fraction(got) - ref) <= Fraction(1e-15) * ref, lag
+
+
+def test_power_law_lag_row_far_lags_near_alpha_one():
+    # the far series' C(p, 2) takes p - 1 as 1 - alpha: (2 - alpha) - 1 carries the
+    # rounding of p, 1.1e-13 relative at alpha 0.999; against a 60-digit second
+    # difference of G2
+    m = 4096
+    h = 1.0 / m
+    row = PowerLaw(alpha=0.999).grid_rows(h, m)[0]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        alpha, step = Decimal(0.999), Decimal(h)
+        p = 2 - alpha
+
+        def g2(u):
+            return (p * u.ln()).exp() / ((1 - alpha) * p)
+
+        for lag in (4, 5, 100, 1000, 4017, 4095):
+            ref = g2((lag + 1) * step) - 2 * g2(lag * step) + g2((lag - 1) * step)
+            assert float(abs(Decimal(row[lag]) - ref) / ref) <= 1e-15, lag
 
 
 @pytest.mark.parametrize("kernel, horizon", [
@@ -430,9 +518,11 @@ def test_power_law_lag1_midpoint_near_alpha_one():
                 assert float(abs(Decimal(row[lag]) - ref) / ref) <= 1e-15, (alpha, lag)
 
 
-@pytest.mark.parametrize("h", [1e-200, 2.0**-660, 2.0**-10], ids=["1e-200", "2^-660", "2^-10"])
+@pytest.mark.parametrize("h", [1e-200, 2.0**-660, 2.0**-10, 1e-170, 0.7],
+                         ids=["1e-200", "2^-660", "2^-10", "1e-170", "0.7"])
 def test_power_law_rectangle_matches_the_grid_row_on_tiny_cells(h):
-    # the far series takes (dx / c) (dy / c), where dx dy / c^2 is 0/0 once c^2 underflows
+    # the far series takes (dx / c) (dy / c), where dx dy / c^2 is 0/0 once c^2 underflows;
+    # at 1e-170 and 0.7, 5h - 4h rounds above h and ra2 above 1/16, below the switch at 1/15
     kernel = PowerLaw(alpha=0.5)
     row = kernel.grid_rows(h, 5)[0]
     assert kernel.cell_double_integral(0.0, h, 4 * h, 5 * h) == pytest.approx(row[4], rel=1e-15, abs=0.0)
@@ -493,11 +583,15 @@ def test_compact_support_cells_vanish():
 
 
 def test_diagonal_cell_symmetry():
-    # swapping the two intervals is exact, not approximate
-    k = CappedLinear(cap=1.0)
-    assert k.cell_double_integral(0.1, 0.4, 0.6, 1.1) == k.cell_double_integral(
-        0.6, 1.1, 0.1, 0.4
-    )
+    # swapping the two intervals is exact, not approximate, on every family and on
+    # overlapping, nested, touching and disjoint rectangles: the first is the one
+    # that starts first
+    rectangles = [*CELL_CASES, (0.1, 0.4, 0.6, 1.1), (0.0, 0.3, 0.0, 0.7), (0.2, 0.9, 0.5, 0.9),
+                  (0.0, 1.0, 0.3, 0.6), (0.3, 1.7, 0.1, 2.9), (0.05, 0.35, 1.2, 2.7)]
+    for kernel in ORACLE_KERNELS:
+        for x0, x1, y0, y1 in rectangles:
+            assert kernel.cell_double_integral(x0, x1, y0, y1) == kernel.cell_double_integral(
+                y0, y1, x0, x1), (kernel, x0, x1, y0, y1)
 
 
 @settings(max_examples=60, deadline=None)
